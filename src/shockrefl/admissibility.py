@@ -30,11 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import LinearNDInterpolator
 
+from .archive import jsonable
 from .errors import TooFewSamples
 from .gas import ellipticity_margin
 from .geometry import ShockCurve, interior_cone_directions
 from .relations import rh_residual
-from .solver import shock_interior_normals
+from .solver import cutoff_band_width, shock_interior_normals, sonic_distance
 
 TOL_COEFF = 10.0          # tol = TOL_COEFF * h^1.5
 ENDPOINT_SKIP = 2         # nodes skipped at arc endpoints for strict checks
@@ -70,20 +71,8 @@ class CheckRecord:
             "tolerance": float(self.tolerance),
             "location": None if self.location is None else [float(v) for v in self.location],
             "note": self.note,
-            "details": {k: _jsonable(v) for k, v in sorted(self.details.items())},
+            "details": {k: jsonable(v) for k, v in sorted(self.details.items())},
         }
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    if isinstance(v, (np.bool_, bool)):
-        return bool(v)
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return [_jsonable(x) for x in np.asarray(v).ravel()]
-    return v
 
 
 @dataclass
@@ -154,11 +143,8 @@ def check_ellipticity(sol, tol=None):
     tol = tol if tol is not None else grid_tolerance(sol)
     cfg = sol.config
     margin = ellipticity_margin(sol.gradient(), sol.phi, cfg.params)
-    width = sol.metadata.get("cutoff_width") or 0.1 * cfg.sonic_radius
-    if cfg.has_sonic_arc:
-        dist = np.abs(np.linalg.norm(sol.mesh.nodes - cfg.sonic_center, axis=-1) - cfg.sonic_radius)
-    else:
-        dist = np.linalg.norm(sol.mesh.nodes - cfg.p0, axis=-1)
+    width = cutoff_band_width(cfg, sol.metadata.get("cutoff_width"))
+    dist = sonic_distance(cfg, sol.mesh.nodes)
     mask = _interior_mask(sol)
     outside = mask & (dist > width)
     inside = mask & ~outside

@@ -41,6 +41,22 @@ def _hash_file(path):
     return h.hexdigest()
 
 
+def jsonable(v):
+    """Plain JSON value of a metadata entry: numpy scalars and arrays become
+    Python ones, booleans stay booleans."""
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v)
+    if isinstance(v, np.ndarray):
+        return jsonable(v.tolist())
+    if isinstance(v, (list, tuple)):
+        return [jsonable(x) for x in v]
+    return v
+
+
 def write_solution(sol, outdir, extra_meta=None):
     """Write a solution archive; returns the meta dictionary."""
     os.makedirs(outdir, exist_ok=True)
@@ -99,7 +115,7 @@ def write_solution(sol, outdir, extra_meta=None):
                    "rho": cfg.state2.rho, "c": cfg.state2.c},
         "incident": {"u1": cfg.incident.u1, "xi1_0": cfg.incident.xi1_0,
                      "k1": cfg.incident.k1, "c1": cfg.incident.c1},
-        "metadata": {k: _jsonable(v) for k, v in sorted(sol.metadata.items())},
+        "metadata": {k: jsonable(v) for k, v in sorted(sol.metadata.items())},
         "hashes": {
             "shock.csv": _hash_file(os.path.join(outdir, "shock.csv")),
             "field.csv": _hash_file(os.path.join(outdir, "field.csv")),
@@ -111,18 +127,6 @@ def write_solution(sol, outdir, extra_meta=None):
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return meta
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.bool_, bool)):
-        return bool(v)
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 def read_solution(indir):

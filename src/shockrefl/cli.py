@@ -43,6 +43,9 @@ EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_REPORT_FAIL = 4
 EXIT_ATTACHED = 5
+# exit codes of a continuation that stops short of its last angle; a sweep
+# that ends at detachment keeps its partial family and exits 0
+_SWEEP_EXIT = {"NoConvergence": EXIT_NO_CONVERGENCE, "AttachedShockDetected": EXIT_ATTACHED}
 
 
 @dataclass
@@ -52,7 +55,6 @@ class RunConfig:
     rho0: float = 1.0
     rho1: float = 2.0
     gamma: float = 2.0
-    sigma: float = 0.1
     theta: float | None = None          # degrees
     theta_grid: str | None = None       # "start:stop:step" in degrees
     n1: int = 65
@@ -64,7 +66,6 @@ class RunConfig:
     lin_tol: float = 1e-9
     sweep_step: float = 1.0             # internal warm-up step for solve (degrees)
     out: str = "runs"
-    seed: int = 0
     init: str | None = None
 
     def gas(self):
@@ -88,10 +89,8 @@ def _common(parser):
     parser.add_argument("--rho0", type=float, default=None)
     parser.add_argument("--rho1", type=float, default=None)
     parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--sigma", type=float, default=None)
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--config", default=None, help="JSON file with RunConfig fields")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--log-level", default="warning")
 
 
@@ -147,7 +146,6 @@ def _run_config_from_args(args):
                 raise ValidationError(f"unknown RunConfig field {k!r} in {args.config}")
             setattr(cfg, k, v)
     for k in vars(cfg):
-        cli_key = k.replace("_", "-")
         if hasattr(args, k) and getattr(args, k) is not None:
             setattr(cfg, k, getattr(args, k))
     # argparse dest names that differ from RunConfig fields
@@ -215,32 +213,12 @@ def cmd_polar(args):
     return EXIT_OK
 
 
-def _solve_with_warmup(gas, theta, iter_params, sweep_step_deg, init_archive=None):
-    """Warm-start through a mini-sweep from pi/2 unless an init archive is given."""
-    if abs(theta - math.pi / 2.0) > 1e-14:
-        state2_solve(gas, theta)  # raises DetachedWedgeAngle below theta_d
-    if init_archive is not None:
-        sol, tampered = archive.read_solution(init_archive)
-        if tampered:
-            log.warning("init archive %s failed its hash check", init_archive)
-        return fixed_point_solve(gas, theta, iter_params, init=sol)
-    if abs(theta - math.pi / 2.0) < 1e-14:
-        return fixed_point_solve(gas, theta, iter_params)
-    step = math.radians(sweep_step_deg)
-    sol = fixed_point_solve(gas, math.pi / 2.0, iter_params)
-    current = math.pi / 2.0
-    halvings = 0
-    while current - theta > 1e-12:
-        target = max(theta, current - step)
-        try:
-            sol = fixed_point_solve(gas, target, iter_params, init=sol)
-            current = target
-        except NoConvergence:
-            halvings += 1
-            if halvings > 6:
-                raise
-            step /= 2.0
-    return sol
+def _warmup_grid(theta, step_deg):
+    """Continuation grid 90, 90 - step, ..., theta (radians) for a solve at theta."""
+    step = math.radians(step_deg)
+    # the margin keeps a theta that lies on the step grid from being listed twice
+    n = math.ceil((math.pi / 2.0 - theta) / step - 1e-9)
+    return [math.pi / 2.0 - k * step for k in range(n)] + [theta]
 
 
 def _report_and_write(sol, outdir, run_config):
@@ -255,7 +233,19 @@ def cmd_solve(args):
     cfg = _run_config_from_args(args)
     gas = cfg.gas()
     theta = math.pi / 2.0 if abs(cfg.theta - 90.0) < 1e-12 else math.radians(cfg.theta)
-    sol = _solve_with_warmup(gas, theta, cfg.iteration_params(), cfg.sweep_step, cfg.init)
+    if theta != math.pi / 2.0:
+        state2_solve(gas, theta)  # raises DetachedWedgeAngle below theta_d
+    if cfg.init is not None:
+        init, tampered = archive.read_solution(cfg.init)
+        if tampered:
+            log.warning("init archive %s failed its hash check", cfg.init)
+        sol = fixed_point_solve(gas, theta, cfg.iteration_params(), init=init)
+    else:
+        result = continuation_sweep(gas, _warmup_grid(theta, cfg.sweep_step), cfg.iteration_params())
+        if result.status != "completed":
+            print(f"{result.status}: {result.stop_reason}", file=sys.stderr)
+            return _SWEEP_EXIT[result.status]
+        sol = result.members[-1]
     outdir = os.path.join(cfg.out, f"solve_theta{cfg.theta:07.3f}_n{cfg.n1}x{cfg.n2}")
     report = _report_and_write(sol, outdir, cfg)
     print(report.table())
@@ -300,17 +290,10 @@ def cmd_sweep(args):
     path = os.path.join(cfg.out, "family.csv")
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
-    stop = result.status if result.status != "completed" else "completed"
-    print(f"sweep {stop}: {len(result.members)} members, family table at {path}")
+    print(f"sweep {result.status}: {len(result.members)} members, family table at {path}")
     if result.stop_reason:
         print(f"stopped at theta={math.degrees(result.failed_theta):.4f} deg: {result.stop_reason}")
-    if result.status == "AttachedShockDetected":
-        return EXIT_ATTACHED
-    if result.status == "NoConvergence":
-        return EXIT_NO_CONVERGENCE
-    if result.status == "DetachedWedgeAngle":
-        return EXIT_OK  # family legitimately ends at detachment; partial results kept
-    return EXIT_OK
+    return _SWEEP_EXIT.get(result.status, EXIT_OK)
 
 
 def cmd_verify(args):
@@ -326,7 +309,6 @@ def cmd_verify(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING))
-    np.random.seed(getattr(args, "seed", 0) or 0)
     handlers = {
         "angles": cmd_angles,
         "polar": cmd_polar,

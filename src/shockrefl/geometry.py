@@ -28,6 +28,7 @@ from .relations import (
     Regime,
     State2Pair,
     incident_state,
+    mach_regime,
     normal_reflection_state,
     state0,
     state1,
@@ -195,8 +196,8 @@ def build_configuration(params, theta_w, pair):
     e_s1 = cone.e_s1
     wedge_dir = np.array([math.cos(theta_w), math.sin(theta_w)])
 
-    supersonic = pair.mach_p0_weak > 1.0 + 1e-9
-    if supersonic:
+    regime = mach_regime(pair.mach_p0_weak)
+    if regime is Regime.SUPERSONIC:
         # first crossing of the sonic circle from P0 along e_S1
         d = p0 - center
         b_half = float(e_s1 @ d)
@@ -215,13 +216,6 @@ def build_configuration(params, theta_w, pair):
     else:
         p1 = p0.copy()
         p4 = p0.copy()
-
-    if pair.mach_p0_weak > 1.0 + 1e-9:
-        regime = Regime.SUPERSONIC
-    elif abs(pair.mach_p0_weak - 1.0) <= 1e-9:
-        regime = Regime.SONIC
-    else:
-        regime = Regime.SUBSONIC_NEAR_SONIC if pair.mach_p0_weak > 0.9 else Regime.SUBSONIC_AWAY
 
     config = ReflectionConfiguration(
         theta_w=theta_w,

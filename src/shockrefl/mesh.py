@@ -15,10 +15,12 @@ reflection point: the map is triangle-like and its Jacobian vanishes on
 w = 1 only.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import FoldedMesh
 
@@ -145,31 +147,76 @@ class CoonsMap:
         return x_a, x_w
 
 
-def _nonuniform_first_deriv(values, coords, axis):
-    """Three-point first derivative on a nonuniform grid, exact on quadratics."""
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    x = np.asarray(coords, dtype=float)
-    out = np.empty_like(v)
-    hm = (x[1:-1] - x[:-2]).reshape((-1,) + (1,) * (v.ndim - 1))
-    hp = (x[2:] - x[1:-1]).reshape((-1,) + (1,) * (v.ndim - 1))
-    out[1:-1] = (hm * hm * v[2:] + (hp * hp - hm * hm) * v[1:-1] - hp * hp * v[:-2]) / (
-        hp * hm * (hp + hm)
+def _first_derivative_1d(h):
+    """Three-point first derivative on nodes with spacings h, exact on quadratics.
+
+    Centered in the interior and one-sided (second order) at both ends;
+    returns the (n, n) CSR matrix for n = len(h) + 1 nodes.
+    """
+    n = len(h) + 1
+    hm, hp = h[:-1], h[1:]
+    k = np.arange(1, n - 1)
+    rows = [k, k, k]
+    cols = [k - 1, k, k + 1]
+    vals = [-hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp))]
+    for node, sgn, (h1, h2) in ((0, 1, h[:2]), (n - 1, -1, h[:-3:-1])):
+        rows.append(np.full(3, node))
+        cols.append(node + sgn * np.arange(3))
+        vals.append(sgn * np.array(
+            [-(2 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2), -h1 / (h2 * (h1 + h2))]
+        ))
+    d = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
-    h1 = x[1] - x[0]
-    h2 = x[2] - x[1]
-    out[0] = (
-        -(2 * h1 + h2) / (h1 * (h1 + h2)) * v[0]
-        + (h1 + h2) / (h1 * h2) * v[1]
-        - h1 / (h2 * (h1 + h2)) * v[2]
+    d.eliminate_zeros()
+    return d
+
+
+def read_only(*objs):
+    """Mark arrays, and the arrays behind sparse matrices, read-only."""
+    for obj in objs:
+        for arr in (obj.data, obj.indices, obj.indptr) if sp.issparse(obj) else (obj,):
+            arr.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
+class LogicalGrid:
+    """Nodes of the computational square and the nodal derivative stencil on them.
+
+    Da_n and Dw_n act on nodal arrays raveled in C order (index i * n2 + j):
+    three-point differences exact on quadratics in a and in w, one-sided at
+    the sides.  Every array is read-only, since one instance is shared by
+    all meshes of the same (n1, n2, stretch).
+    """
+
+    n1: int
+    n2: int
+    stretch: str
+    a: np.ndarray
+    w: np.ndarray
+    Da_n: sp.csr_matrix
+    Dw_n: sp.csr_matrix
+
+
+@functools.lru_cache(maxsize=8)
+def logical_grid(n1, n2, stretch):
+    """The LogicalGrid of an n1 x n2 square; a pure function of its arguments."""
+    a = np.linspace(0.0, 1.0, n1)
+    w = sonic_clustered_grid(n2, stretch)
+    # the a-grid is uniform: exact spacings keep the centered stencil symmetric
+    da = _first_derivative_1d(np.full(n1 - 1, 1.0 / (n1 - 1)))
+    dw = _first_derivative_1d(np.diff(w))
+    grid = LogicalGrid(
+        n1=n1,
+        n2=n2,
+        stretch=stretch,
+        a=a,
+        w=w,
+        Da_n=sp.kron(da, sp.identity(n2), format="csr"),
+        Dw_n=sp.kron(sp.identity(n1), dw, format="csr"),
     )
-    h1 = x[-1] - x[-2]
-    h2 = x[-2] - x[-3]
-    out[-1] = (
-        (2 * h1 + h2) / (h1 * (h1 + h2)) * v[-1]
-        - (h1 + h2) / (h1 * h2) * v[-2]
-        + h1 / (h2 * (h1 + h2)) * v[-3]
-    )
-    return np.moveaxis(out, 0, axis)
+    read_only(a, w, grid.Da_n, grid.Dw_n)
+    return grid
 
 
 @dataclass(eq=False)
@@ -177,22 +224,36 @@ class SquareMap:
     """Discrete boundary-fitted grid plus the analytic map behind it.
 
     nodes has shape (n1, n2, 2) with index i along a (shock -> wedge) and
-    j along w (symmetry -> sonic, clustered near sonic).
+    j along w (symmetry -> sonic, clustered near sonic).  The node metric
+    (x_a, x_w and the Jacobian jac) is evaluated once, when the map is
+    built; the logical grid and its derivative stencil are shared with
+    every other mesh of the same size and stretch.
     """
 
-    n1: int
-    n2: int
     coons: CoonsMap
-    a_grid: np.ndarray
-    w_grid: np.ndarray
+    grid: LogicalGrid
     nodes: np.ndarray
+    xa: np.ndarray
+    xw: np.ndarray
     jac: np.ndarray
     degenerate_sonic: bool
     metadata: dict = field(default_factory=dict)
 
     @property
-    def da(self):
-        return 1.0 / (self.n1 - 1)
+    def n1(self):
+        return self.grid.n1
+
+    @property
+    def n2(self):
+        return self.grid.n2
+
+    @property
+    def a_grid(self):
+        return self.grid.a
+
+    @property
+    def w_grid(self):
+        return self.grid.w
 
     def max_spacing(self):
         """Largest physical edge length of the grid."""
@@ -203,24 +264,17 @@ class SquareMap:
     def gradient(self, phi):
         """Physical gradient D_xi phi at every node, shape (n1, n2, 2).
 
-        Differences exact on quadratics in (a, w) mapped through the inverse
-        Jacobian transpose; on a collapsed sonic row (subsonic regime) the
-        gradient is extrapolated from the two rows below.
+        The grid's (a, w) stencil mapped through the inverse Jacobian
+        transpose of the stored node metric; on a collapsed sonic row
+        (subsonic regime) the gradient is extrapolated from the two rows
+        below.
         """
         phi = np.asarray(phi, dtype=float)
-        pa = np.empty_like(phi)
-        da = self.da
-        pa[1:-1, :] = (phi[2:, :] - phi[:-2, :]) / (2 * da)
-        pa[0, :] = (-3 * phi[0, :] + 4 * phi[1, :] - phi[2, :]) / (2 * da)
-        pa[-1, :] = (3 * phi[-1, :] - 4 * phi[-2, :] + phi[-3, :]) / (2 * da)
-        pw = _nonuniform_first_deriv(phi, self.w_grid, axis=1)
-
-        aa, ww = np.meshgrid(self.a_grid, self.w_grid, indexing="ij")
-        xa, xw = self.coons.derivs(aa, ww)
-        jac = xa[..., 0] * xw[..., 1] - xa[..., 1] * xw[..., 0]
+        pa = (self.grid.Da_n @ phi.ravel()).reshape(phi.shape)
+        pw = (self.grid.Dw_n @ phi.ravel()).reshape(phi.shape)
+        xa, xw = self.xa, self.xw
+        js = np.where(np.abs(self.jac) > 1e-300, self.jac, 1.0)
         out = np.empty(phi.shape + (2,))
-        safe = np.abs(jac) > 1e-300
-        js = np.where(safe, jac, 1.0)
         out[..., 0] = (xw[..., 1] * pa - xa[..., 1] * pw) / js
         out[..., 1] = (-xw[..., 0] * pa + xa[..., 0] * pw) / js
         if self.degenerate_sonic:
@@ -275,9 +329,8 @@ class SquareMap:
 
 
 def _assemble_map(coons, n1, n2, stretch, degenerate):
-    a = np.linspace(0.0, 1.0, n1)
-    w = sonic_clustered_grid(n2, stretch)
-    aa, ww = np.meshgrid(a, w, indexing="ij")
+    grid = logical_grid(n1, n2, stretch)
+    aa, ww = np.meshgrid(grid.a, grid.w, indexing="ij")
     nodes = coons.point(aa, ww)
     xa, xw = coons.derivs(aa, ww)
     jac = xa[..., 0] * xw[..., 1] - xa[..., 1] * xw[..., 0]
@@ -294,12 +347,11 @@ def _assemble_map(coons, n1, n2, stretch, degenerate):
         "degenerate_sonic": degenerate,
     }
     return SquareMap(
-        n1=n1,
-        n2=n2,
         coons=coons,
-        a_grid=a,
-        w_grid=w,
+        grid=grid,
         nodes=nodes,
+        xa=xa,
+        xw=xw,
         jac=jac,
         degenerate_sonic=degenerate,
         metadata=meta,

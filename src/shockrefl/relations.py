@@ -540,21 +540,25 @@ def angle_diagram(params):
     )
 
 
-def classify_regime(params, theta_w, sigma=0.1, sonic_tol=1e-8):
-    """Regime of the weak state (2) at P0 from |Dphi2(P0)|/c2 thresholds.
+def mach_regime(mach, sigma=0.1, sonic_tol=1e-8):
+    """Regime of the weak state (2) from its Mach number |Dphi2(P0)|/c2 at P0.
 
-    Supersonic above 1, Sonic within sonic_tol of 1, subsonic-near-sonic on
-    (1-sigma, 1), subsonic-away-from-sonic at or below 1-sigma.  sigma is a
-    reporting convention (default 0.1), not a claim about the true regularity
-    threshold.
+    Sonic within sonic_tol of 1, supersonic above that, subsonic-near-sonic
+    on (1-sigma, 1), subsonic-away-from-sonic at or below 1-sigma.  sigma is
+    a reporting convention (default 0.1), not a claim about the true
+    regularity threshold.
     """
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma must lie in (0,1), got {sigma}")
-    m = state2_solve(params, theta_w).mach_p0_weak
-    if abs(m - 1.0) <= sonic_tol:
+    if abs(mach - 1.0) <= sonic_tol:
         return Regime.SONIC
-    if m > 1.0:
+    if mach > 1.0:
         return Regime.SUPERSONIC
-    if m > 1.0 - sigma:
+    if mach > 1.0 - sigma:
         return Regime.SUBSONIC_NEAR_SONIC
     return Regime.SUBSONIC_AWAY
+
+
+def classify_regime(params, theta_w, sigma=0.1, sonic_tol=1e-8):
+    """Regime of the weak state (2) at wedge angle theta_w (see mach_regime)."""
+    if not 0.0 < sigma < 1.0:
+        raise ValueError(f"sigma must lie in (0,1), got {sigma}")
+    return mach_regime(state2_solve(params, theta_w).mach_p0_weak, sigma, sonic_tol)

@@ -18,6 +18,7 @@ with a smooth ramp zeta inside the cutoff band near the sonic arc; the cap
 must be inactive outside the band at any accepted solution.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -35,7 +36,7 @@ from .errors import (
     VacuumReached,
 )
 from .geometry import ReflectionConfiguration, ShockCurve, build_configuration, initial_shock
-from .mesh import build_square_map
+from .mesh import build_square_map, logical_grid, read_only
 from .relations import state2_solve
 
 ZETA0 = 0.02  # cap depth of the ellipticity cutoff at the sonic arc
@@ -52,7 +53,6 @@ class IterationParams:
     tol_fixed_point: float = 1e-7      # sup-norm of shock movement at convergence
     max_outer: int = 60
     lin_tol: float = 1e-9              # relative interior residual of the BVP
-    picard_relax: float = 1.0
     max_picard: int = 120
     settle: float = 1.0                # optional deep-convergence factor on tol_fixed_point
     coarse_level: int | None = 65      # grid sequencing: pre-solve at this resolution
@@ -86,7 +86,7 @@ class SolutionField:
 # ----------------------------------------------------------------------
 # Density with the ellipticity cutoff.
 
-def _sonic_distance(config, pts):
+def sonic_distance(config, pts):
     """Physical distance to the sonic arc (or to P0 when it is collapsed)."""
     if config.has_sonic_arc:
         r = np.linalg.norm(pts - config.sonic_center, axis=-1)
@@ -94,12 +94,15 @@ def _sonic_distance(config, pts):
     return np.linalg.norm(pts - config.p0, axis=-1)
 
 
+def cutoff_band_width(config, width=None):
+    """Physical width of the ellipticity cutoff band; None -> 0.1 * sonic radius."""
+    return 0.1 * config.sonic_radius if width is None else width
+
+
 def _mach_cap(config, pts, cutoff_width):
     """Cap on Mach^2 entering the coefficients: 1 - zeta(d), zeta a C1 ramp."""
-    if cutoff_width is None:
-        cutoff_width = 0.1 * config.sonic_radius
-    d = _sonic_distance(config, pts)
-    ramp = np.clip(1.0 - d / cutoff_width, 0.0, None)
+    d = sonic_distance(config, pts)
+    ramp = np.clip(1.0 - d / cutoff_band_width(config, cutoff_width), 0.0, None)
     return 1.0 - ZETA0 * ramp * ramp
 
 
@@ -127,197 +130,137 @@ def capped_density(phi, grad, params, cap):
 
 
 # ----------------------------------------------------------------------
-# Discrete operators on one mesh.
+# Discrete operators: one structure per logical grid, one metric per mesh.
 
-_STRUCT_CACHE = {}
+def _difference_1d(n):
+    """(n-1, n) difference matrix: row f has -1 at node f and +1 at node f + 1."""
+    return sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n), format="csr")
+
+
+def _product_terms(div, op):
+    """(row, col, weight, face) of every nonzero product div[row, face] * op[face, col]."""
+    div = div.tocoo()
+    counts = np.diff(op.indptr)[div.col]
+    pos = np.repeat(op.indptr[div.col] - (np.cumsum(counts) - counts), counts)
+    pos += np.arange(pos.size)
+    return (
+        np.repeat(div.row, counts),
+        op.indices[pos],
+        np.repeat(div.data, counts) * op.data[pos],
+        np.repeat(div.col, counts),
+    )
+
+
+class _GridStructure:
+    """The parts of the finite-volume scheme that depend on the logical grid only.
+
+    a-faces join nodes (i, j) and (i+1, j), w-faces join (i, j) and (i, j+1).
+    On them live the differences Da_f, Dw_f, the averages Aa_f, Aw_f and the
+    divergence incidences Div_a, Div_w; AaDw and AwDa average the nodal
+    stencils Dw_n, Da_n of the mesh's LogicalGrid onto the faces.  The
+    assembled operator
+
+        A = Div_a C_a1 Da_f + Div_a C_a2 AaDw + Div_w C_w1 AwDa + Div_w C_w2 Dw_f
+
+    (C diagonal face coefficients) has a fixed CSR pattern (indptr,
+    indices): each product term adds weight * coef[face] to data[slot],
+    with coef the four coefficient vectors concatenated in that order.
+    dir_rows are the sonic-side (Dirichlet) rows, dir_data_mask their
+    entries in data and diag_pos their diagonal entries.  All arrays are
+    read-only.
+    """
+
+    def __init__(self, n1, n2, stretch):
+        grid = logical_grid(n1, n2, stretch)
+        a, w = grid.a, grid.w
+        N = n1 * n2
+        da = 1.0 / (n1 - 1)
+        dw = np.diff(w)
+        diff_a, diff_w = _difference_1d(n1), _difference_1d(n2)
+        ia, iw = sp.identity(n1, format="csr"), sp.identity(n2, format="csr")
+        self.Da_f = sp.kron(diff_a / da, iw, format="csr")
+        self.Dw_f = sp.kron(ia, sp.diags(1.0 / dw) @ diff_w, format="csr")
+        self.Aa_f = sp.kron(abs(diff_a) / 2.0, iw, format="csr")
+        self.Aw_f = sp.kron(ia, abs(diff_w) / 2.0, format="csr")
+        self.Div_a = -sp.kron(diff_a.T, iw, format="csr")
+        self.Div_w = -sp.kron(ia, diff_w.T, format="csr")
+        self.AaDw = (self.Aa_f @ grid.Dw_n).tocsr()
+        self.AwDa = (self.Aw_f @ grid.Da_n).tocsr()
+
+        # dual-cell extents, spread over the faces they weight
+        self.ea = np.full(n1, da)
+        self.ea[[0, -1]] = da / 2.0
+        self.ew = np.empty(n2)
+        self.ew[1:-1] = (w[2:] - w[:-2]) / 2.0
+        self.ew[[0, -1]] = dw[[0, -1]] / 2.0
+        self.ew_face_a = np.tile(self.ew, n1 - 1)
+        self.ea_face_w = np.repeat(self.ea, n2 - 1)
+
+        # face midpoints in (a, w), and the (lo, hi) extents of the boundary
+        # faces on a = const (wspan) and w = const (aspan)
+        a_mid = (a[:-1] + a[1:]) / 2.0
+        w_mid = (w[:-1] + w[1:]) / 2.0
+        self.a_faces = np.stack(np.meshgrid(a_mid, w, indexing="ij"))
+        self.w_faces = np.stack(np.meshgrid(a, w_mid, indexing="ij"))
+        self.wspan = np.stack([np.r_[w[0], w_mid], np.r_[w_mid, w[-1]]])
+        self.aspan = np.stack([np.r_[a[0], a_mid], np.r_[a_mid, a[-1]]])
+
+        terms = []
+        offset = 0  # of each coefficient vector in the concatenation
+        for div, op in ((self.Div_a, self.Da_f), (self.Div_a, self.AaDw),
+                        (self.Div_w, self.AwDa), (self.Div_w, self.Dw_f)):
+            r, c, wt, f = _product_terms(div, op)
+            terms.append((r, c, wt, f + offset))
+            offset += div.shape[1]
+        rows, cols, self.weight, self.face = map(np.concatenate, zip(*terms))
+        keys, self.slot = np.unique(rows * N + cols, return_inverse=True)
+        pattern = sp.csr_matrix(
+            (np.zeros(keys.size), keys % N, np.r_[0, np.cumsum(np.bincount(keys // N, minlength=N))]),
+            shape=(N, N),
+        )
+        self.indptr, self.indices = pattern.indptr, pattern.indices
+
+        self.dir_rows = np.arange(n1) * n2 + (n2 - 1)
+        row_of = np.repeat(np.arange(N), np.diff(self.indptr))
+        self.dir_data_mask = row_of % n2 == n2 - 1
+        self.diag_pos = np.flatnonzero(self.dir_data_mask & (self.indices == row_of))
+        read_only(*vars(self).values())
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_structure(n1, n2, stretch):
+    """The _GridStructure of a logical grid; a pure function of its arguments."""
+    return _GridStructure(n1, n2, stretch)
+
+
+def _face_metric(coons, a, w):
+    """Metric ratios (|x_w|^2, -x_a.x_w, |x_a|^2) / J at the points (a, w)."""
+    xa, xw = coons.derivs(a, w)
+    jac = xa[..., 0] * xw[..., 1] - xa[..., 1] * xw[..., 0]
+    return (
+        ((xw * xw).sum(-1) / jac).ravel(),
+        (-(xa * xw).sum(-1) / jac).ravel(),
+        ((xa * xa).sum(-1) / jac).ravel(),
+    )
 
 
 class _Discretization:
-    """Metric-dependent sparse operators; density enters via diagonal scalings."""
+    """Finite-volume operators on one mesh; density enters through face coefficients.
+
+    Everything that depends on the logical grid alone (stencils, face
+    operators, the CSR pattern of A and its Dirichlet rows) is the shared,
+    read-only `grid` structure; this object adds the mesh's own metric: the
+    face metric ratios g11_f, g12_f (a-faces) and g21_g, g22_g (w-faces),
+    and the node volume weights volw = J * Ea * Ew.
+    """
 
     def __init__(self, mesh):
         self.mesh = mesh
-        n1, n2 = mesh.n1, mesh.n2
-        self.n1, self.n2 = n1, n2
-        key = (n1, n2, round(float(mesh.w_grid[1]), 14))
-        cached = _STRUCT_CACHE.get(key)
-        if cached is not None:
-            self.__dict__.update(cached)
-            self.mesh = mesh
-            self._init_metric(mesh)
-            return
-        N = n1 * n2
-        a = mesh.a_grid
-        w = mesh.w_grid
-        da = mesh.da
-        dw = np.diff(w)
-
-        # dual-cell extents
-        ea = np.full(n1, da)
-        ea[0] = ea[-1] = da / 2.0
-        ew = np.empty(n2)
-        ew[1:-1] = (w[2:] - w[:-2]) / 2.0
-        ew[0] = dw[0] / 2.0
-        ew[-1] = dw[-1] / 2.0
-        self.ea, self.ew = ea, ew
-
-        def k(i, j):
-            return i * n2 + j
-
-        ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
-        kk = k(ii, jj)
-
-        # nodal derivative operators (exact on quadratics)
-        rows, cols, vals = [], [], []
-        # d/da: centered interior, one-sided 2nd order at i = 0, n1-1
-        for off, wgt, sel in [
-            (-1, -1.0 / (2 * da), (slice(1, -1), slice(None))),
-            (1, 1.0 / (2 * da), (slice(1, -1), slice(None))),
-        ]:
-            r = kk[sel].ravel()
-            c = k(ii[sel] + off, jj[sel]).ravel()
-            rows.append(r); cols.append(c); vals.append(np.full(r.size, wgt))
-        for i0, sgn in ((0, 1.0), (n1 - 1, -1.0)):
-            r = kk[i0, :].ravel()
-            step = int(sgn)
-            for off, wgt in ((0, -3.0 * sgn / (2 * da)), (step, 4.0 * sgn / (2 * da)), (2 * step, -sgn / (2 * da))):
-                rows.append(r); cols.append(k(i0 + off, jj[i0, :]).ravel()); vals.append(np.full(r.size, wgt))
-        self.Da_n = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)
-        )
-
-        # d/dw nodal: 3-point nonuniform
-        rows, cols, vals = [], [], []
-        hm = w[1:-1] - w[:-2]
-        hp = w[2:] - w[1:-1]
-        cm = -hp / (hm * (hm + hp))
-        c0 = (hp - hm) / (hm * hp)
-        cp = hm / (hp * (hm + hp))
-        for off, coef in ((-1, cm), (0, c0), (1, cp)):
-            r = kk[:, 1:-1].ravel()
-            c = k(ii[:, 1:-1], jj[:, 1:-1] + off).ravel()
-            rows.append(r); cols.append(c)
-            vals.append(np.tile(coef, n1))
-        h1, h2 = w[1] - w[0], w[2] - w[1]
-        coefs0 = (-(2 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2), -h1 / (h2 * (h1 + h2)))
-        for off, coef in zip((0, 1, 2), coefs0):
-            r = kk[:, 0].ravel()
-            rows.append(r); cols.append(k(ii[:, 0], off).ravel()); vals.append(np.full(r.size, coef))
-        h1, h2 = w[-1] - w[-2], w[-2] - w[-3]
-        coefsn = ((2 * h1 + h2) / (h1 * (h1 + h2)), -(h1 + h2) / (h1 * h2), h1 / (h2 * (h1 + h2)))
-        for off, coef in zip((n2 - 1, n2 - 2, n2 - 3), coefsn):
-            r = kk[:, -1].ravel()
-            rows.append(r); cols.append(k(ii[:, -1], off).ravel()); vals.append(np.full(r.size, coef))
-        self.Dw_n = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)
-        )
-
-        # a-faces: between (i, j) and (i+1, j), i = 0..n1-2
-        nfa = (n1 - 1) * n2
-        fi, fj = np.meshgrid(np.arange(n1 - 1), np.arange(n2), indexing="ij")
-        fk = fi * n2 + fj
-        self.Da_f = sp.csr_matrix(
-            (
-                np.concatenate([np.full(nfa, -1.0 / da), np.full(nfa, 1.0 / da)]),
-                (
-                    np.concatenate([fk.ravel(), fk.ravel()]),
-                    np.concatenate([k(fi, fj).ravel(), k(fi + 1, fj).ravel()]),
-                ),
-            ),
-            shape=(nfa, N),
-        )
-        self.Aa_f = sp.csr_matrix(
-            (
-                np.full(2 * nfa, 0.5),
-                (
-                    np.concatenate([fk.ravel(), fk.ravel()]),
-                    np.concatenate([k(fi, fj).ravel(), k(fi + 1, fj).ravel()]),
-                ),
-            ),
-            shape=(nfa, N),
-        )
-        # w-faces: between (i, j) and (i, j+1), j = 0..n2-2
-        nfw = n1 * (n2 - 1)
-        gi, gj = np.meshgrid(np.arange(n1), np.arange(n2 - 1), indexing="ij")
-        gk = gi * (n2 - 1) + gj
-        inv_dw = 1.0 / dw
-        self.Dw_f = sp.csr_matrix(
-            (
-                np.concatenate([-np.tile(inv_dw, n1), np.tile(inv_dw, n1)]),
-                (
-                    np.concatenate([gk.ravel(), gk.ravel()]),
-                    np.concatenate([k(gi, gj).ravel(), k(gi, gj + 1).ravel()]),
-                ),
-            ),
-            shape=(nfw, N),
-        )
-        self.Aw_f = sp.csr_matrix(
-            (
-                np.full(2 * nfw, 0.5),
-                (
-                    np.concatenate([gk.ravel(), gk.ravel()]),
-                    np.concatenate([k(gi, gj).ravel(), k(gi, gj + 1).ravel()]),
-                ),
-            ),
-            shape=(nfw, N),
-        )
-        # divergence incidences
-        rows = np.concatenate([k(fi, fj).ravel(), k(fi + 1, fj).ravel()])
-        cols = np.concatenate([fk.ravel(), fk.ravel()])
-        vals = np.concatenate([np.ones(nfa), -np.ones(nfa)])
-        self.Div_a = sp.csr_matrix((vals, (rows, cols)), shape=(N, nfa))
-        rows = np.concatenate([k(gi, gj).ravel(), k(gi, gj + 1).ravel()])
-        cols = np.concatenate([gk.ravel(), gk.ravel()])
-        vals = np.concatenate([np.ones(nfw), -np.ones(nfw)])
-        self.Div_w = sp.csr_matrix((vals, (rows, cols)), shape=(N, nfw))
-
-        # precomposed averaging-derivative products
-        self.AaDw = (self.Aa_f @ self.Dw_n).tocsr()
-        self.AwDa = (self.Aw_f @ self.Da_n).tocsr()
-
-        # boundary face w-spans on a = 0 and a = 1 (for prescribed-flux quadrature)
-        lo = np.empty(n2)
-        hi = np.empty(n2)
-        lo[0] = w[0]
-        lo[1:] = (w[:-1] + w[1:]) / 2.0
-        hi[-1] = w[-1]
-        hi[:-1] = (w[:-1] + w[1:]) / 2.0
-        self.wspan = (lo, hi)
-        lo_a = np.empty(n1)
-        hi_a = np.empty(n1)
-        lo_a[0] = a[0]
-        lo_a[1:] = (a[:-1] + a[1:]) / 2.0
-        hi_a[-1] = a[-1]
-        hi_a[:-1] = (a[:-1] + a[1:]) / 2.0
-        self.aspan = (lo_a, hi_a)
-
-        self._expansion()
-        _STRUCT_CACHE[key] = {
-            k: v for k, v in self.__dict__.items() if k not in ("mesh",)
-        }
-        self._init_metric(mesh)
-
-    def _init_metric(self, mesh):
-        n1, n2 = mesh.n1, mesh.n2
-        a, w = mesh.a_grid, mesh.w_grid
-        af = (a[:-1] + a[1:]) / 2.0
-        aa_f, ww_f = np.meshgrid(af, w, indexing="ij")
-        xa, xw = mesh.coons.derivs(aa_f, ww_f)
-        jf = xa[..., 0] * xw[..., 1] - xa[..., 1] * xw[..., 0]
-        self.g11_f = ((xw * xw).sum(-1) / jf).ravel()
-        self.g12_f = (-(xa * xw).sum(-1) / jf).ravel()
-        self.ew_face_a = np.tile(self.ew, n1 - 1)
-
-        wf = (w[:-1] + w[1:]) / 2.0
-        aa_g, ww_g = np.meshgrid(a, wf, indexing="ij")
-        xa, xw = mesh.coons.derivs(aa_g, ww_g)
-        jg = xa[..., 0] * xw[..., 1] - xa[..., 1] * xw[..., 0]
-        self.g22_g = ((xa * xa).sum(-1) / jg).ravel()
-        self.g21_g = (-(xa * xw).sum(-1) / jg).ravel()
-        self.ea_face_w = np.repeat(self.ea, n2 - 1)
-
-        # node volume weights J * Ea * Ew (J from the map at the nodes)
-        self.volw = (mesh.jac * self.ea[:, None] * self.ew[None, :]).ravel()
+        self.n1, self.n2 = mesh.n1, mesh.n2
+        self.grid = _grid_structure(mesh.n1, mesh.n2, mesh.grid.stretch)
+        self.g11_f, self.g12_f, _ = _face_metric(mesh.coons, *self.grid.a_faces)
+        _, self.g21_g, self.g22_g = _face_metric(mesh.coons, *self.grid.w_faces)
+        self.volw = (mesh.jac * self.grid.ea[:, None] * self.grid.ew[None, :]).ravel()
 
     # -- boundary quadrature -------------------------------------------------
     _GPTS = (-0.5773502691896258, 0.5773502691896258)
@@ -328,7 +271,7 @@ class _Discretization:
         flux_fn(points, x_w) -> rho * Dphi . (x_w2, -x_w1) evaluated pointwise.
         Two-point Gauss per face span.
         """
-        lo, hi = self.wspan
+        lo, hi = self.grid.wspan
         out = np.zeros(self.n2)
         for gp in self._GPTS:
             wq = (lo + hi) / 2.0 + gp * (hi - lo) / 2.0
@@ -343,7 +286,7 @@ class _Discretization:
 
         flux_fn(points, x_a) -> rho * Dphi . (-x_a2, x_a1) evaluated pointwise.
         """
-        lo, hi = self.aspan
+        lo, hi = self.grid.aspan
         out = np.zeros(self.n1)
         for gp in self._GPTS:
             aq = (lo + hi) / 2.0 + gp * (hi - lo) / 2.0
@@ -353,56 +296,20 @@ class _Discretization:
             out += 0.5 * (hi - lo) * flux_fn(pts, xa)
         return out
 
-    def _expansion(self):
-        """Precompute COO index/weight arrays so assemble() is a gather + sum.
-
-        Every nonzero of A is sum over faces f of  incidence(r, f) * w(f, c)
-        * coef(f); with fixed sparsity this reduces per-iteration assembly to
-        one fancy-indexed multiply and a COO->CSR duplicate sum.
-        """
-        if hasattr(self, "_exp"):
-            return self._exp
-        parts = []
-        for div, op, kind in (
-            (self.Div_a, self.Da_f, "a1"),
-            (self.Div_a, self.AaDw, "a2"),
-            (self.Div_w, self.AwDa, "w1"),
-            (self.Div_w, self.Dw_f, "w2"),
-        ):
-            div = div.tocoo()
-            opc = op.tocsr()
-            counts_per_face = np.diff(opc.indptr)
-            counts = counts_per_face[div.col]
-            total = int(counts.sum())
-            # concatenated ranges starts[f] .. ends[f] for each div entry
-            offsets = np.cumsum(counts) - counts
-            idx = np.arange(total) - np.repeat(offsets, counts) + np.repeat(
-                opc.indptr[div.col], counts
-            )
-            rows = np.repeat(div.row, counts)
-            faces = np.repeat(div.col, counts)
-            base = np.repeat(div.data, counts) * opc.data[idx]
-            cols = opc.indices[idx]
-            parts.append((rows, cols, base, faces, kind))
-        self._exp = parts
-        return parts
-
     def assemble(self, rho_nodes):
-        """Sparse operator A with frozen nodal densities (no BC rows yet)."""
+        """Sparse CSR operator A with frozen nodal densities (no BC rows yet).
+
+        One face-coefficient vector, scattered into the grid's fixed
+        pattern by a single bincount.
+        """
+        g = self.grid
         rho = rho_nodes.ravel()
-        rho_fa = self.Aa_f @ rho
-        rho_fw = self.Aw_f @ rho
-        coefs = {
-            "a1": self.ew_face_a * rho_fa * self.g11_f,
-            "a2": self.ew_face_a * rho_fa * self.g12_f,
-            "w1": self.ea_face_w * rho_fw * self.g21_g,
-            "w2": self.ea_face_w * rho_fw * self.g22_g,
-        }
+        ca = g.ew_face_a * (g.Aa_f @ rho)
+        cw = g.ea_face_w * (g.Aw_f @ rho)
+        coef = np.concatenate([ca * self.g11_f, ca * self.g12_f, cw * self.g21_g, cw * self.g22_g])
+        data = np.bincount(g.slot, weights=g.weight * coef[g.face], minlength=g.indices.size)
         N = self.n1 * self.n2
-        rows = np.concatenate([p[0] for p in self._expansion()])
-        cols = np.concatenate([p[1] for p in self._expansion()])
-        vals = np.concatenate([p[2] * coefs[p[4]][p[3]] for p in self._expansion()])
-        return sp.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
+        return sp.csr_matrix((data, g.indices, g.indptr), shape=(N, N))
 
 
 @dataclass(eq=False)
@@ -456,6 +363,60 @@ def _state1_flux_fn(config):
     return fn
 
 
+def _bvp_data(config, mesh, iter_params, mms):
+    """Operators, Mach cap, sonic Dirichlet values and right-hand side of the BVP.
+
+    Returns (disc, cap, dirichlet_vals, rhs) with rhs(rho) the right-hand
+    side for frozen nodal densities rho: the volume term plus the prescribed
+    boundary fluxes, which move there from the operator.
+    """
+    disc = _Discretization(mesh)
+    n1, n2 = mesh.n1, mesh.n2
+    pts = mesh.nodes
+    cap = _mach_cap(config, pts, iter_params.cutoff_width)
+    if mms is None:
+        dirichlet_vals = config.state2.potential(pts[:, -1, :])
+        shock_flux = disc.flux_line_a(0.0, _state1_flux_fn(config))
+        wedge_flux = np.zeros(n2)
+        sym_flux = np.zeros(n1)
+        source_extra = 0.0
+    else:
+        dirichlet_vals = mms.phi(pts[:, -1, :])
+        fa = mms.boundary_flux_a(config.params)
+        fw = mms.boundary_flux_w(config.params)
+        shock_flux = disc.flux_line_a(0.0, fa)
+        wedge_flux = disc.flux_line_a(1.0, fa)
+        sym_flux = disc.flux_line_w(0.0, fw)
+        source_extra = mms.source(pts, config.params).ravel() * disc.volw
+
+    def rhs(rho):
+        c = -2.0 * rho.ravel() * disc.volw + source_extra
+        # R[0, j] has -Fa[-1, j] = -shock_flux[j]; R[n1-1, j] has +wedge_flux[j];
+        # R[i, 0] has -sym_flux[i]
+        c[:n2] += shock_flux
+        c[(n1 - 1) * n2 :] -= wedge_flux
+        c[::n2] += sym_flux
+        return c
+
+    return disc, cap, dirichlet_vals, rhs
+
+
+def _residual(disc, phi, params, cap, rhs):
+    """Frozen-coefficient operator at phi: (rho, A, c, A phi - c), the
+    residual zeroed on the Dirichlet rows."""
+    rho, _ = capped_density(phi, disc.mesh.gradient(phi), params, cap)
+    A = disc.assemble(rho)
+    c = rhs(rho)
+    r = A @ phi.ravel() - c
+    r[disc.grid.dir_rows] = 0.0
+    return rho, A, c, r
+
+
+def _residual_scale(disc, rho):
+    """Normalisation of the interior residual: max |2 rho volw|."""
+    return max(float(np.max(np.abs(2.0 * rho.ravel() * disc.volw))), 1e-300)
+
+
 def solve_bvp(
     config,
     shock,
@@ -480,46 +441,12 @@ def solve_bvp(
     """
     if mesh is None:
         mesh = build_square_map(config, shock, iter_params.n1, iter_params.n2)
-    disc = _Discretization(mesh)
+    disc, cap, dirichlet_vals, build_rhs = _bvp_data(config, mesh, iter_params, mms)
     n1, n2 = mesh.n1, mesh.n2
-    N = n1 * n2
-    pts = mesh.nodes
-    cap = _mach_cap(config, pts, iter_params.cutoff_width)
-    cutoff_width = iter_params.cutoff_width or 0.1 * config.sonic_radius
-    outside_band = _sonic_distance(config, pts) > cutoff_width
-
-    if mms is None:
-        dirichlet_vals = config.state2.potential(pts[:, -1, :])
-        shock_flux = disc.flux_line_a(0.0, _state1_flux_fn(config))
-        wedge_flux = np.zeros(n2)
-        sym_flux = np.zeros(n1)
-        source_extra = 0.0
-    else:
-        dirichlet_vals = mms.phi(pts[:, -1, :])
-        fa = mms.boundary_flux_a(config.params)
-        fw = mms.boundary_flux_w(config.params)
-        shock_flux = disc.flux_line_a(0.0, fa)
-        wedge_flux = disc.flux_line_a(1.0, fa)
-        sym_flux = disc.flux_line_w(0.0, fw)
-        source_extra = mms.source(pts, config.params).ravel() * disc.volw
-
-    dir_rows = (np.arange(n1) * n2 + (n2 - 1)).astype(np.int64)
-    dir_mask = np.zeros(N, dtype=bool)
-    dir_mask[dir_rows] = True
+    g = disc.grid
 
     phi = np.array(phi_init, dtype=float).reshape(n1, n2).copy()
     phi[:, -1] = dirichlet_vals
-
-    def build_rhs(rho):
-        c = -2.0 * rho.ravel() * disc.volw + source_extra
-        c = c.copy()
-        # prescribed boundary fluxes move to the right-hand side:
-        # R[0, j] has -Fa[-1, j] = -shock_flux[j]; R[n1-1, j] has +wedge_flux[j];
-        # R[i, 0] has -sym_flux[i].
-        c[0 * n2 : n2] += shock_flux
-        c[(n1 - 1) * n2 :] -= wedge_flux
-        c[::n2] += sym_flux
-        return c
 
     scale = None
     res = math.inf
@@ -531,16 +458,10 @@ def solve_bvp(
     converged = False
     lu = None
     its_since_factor = 0
-    dir_data_mask = None
     for it in range(iter_params.max_picard):
-        grad = mesh.gradient(phi)
-        rho, active = capped_density(phi, grad, config.params, cap)
-        A = disc.assemble(rho)
-        c = build_rhs(rho)
-        resid_vec = A @ phi.ravel() - c
-        resid_vec[dir_mask] = 0.0
+        rho, A, c, resid_vec = _residual(disc, phi, config.params, cap, build_rhs)
         if scale is None:
-            scale = max(float(np.max(np.abs(2.0 * rho.ravel() * disc.volw))), 1e-300)
+            scale = _residual_scale(disc, rho)
         res = float(np.max(np.abs(resid_vec))) / scale
         info["picard_iters"] = it
         info["residual"] = res
@@ -554,14 +475,10 @@ def solve_bvp(
             converged = True
             info["stalled"] = True
             break
-        # impose Dirichlet rows in place (assembly pattern is fixed per mesh)
-        if dir_data_mask is None:
-            row_of = np.repeat(np.arange(N), np.diff(A.indptr))
-            dir_data_mask = dir_mask[row_of]
-            diag_pos = np.flatnonzero(dir_data_mask & (A.indices == row_of))
-        A.data[dir_data_mask] = 0.0
-        A.data[diag_pos] = 1.0
-        c[dir_rows] = dirichlet_vals
+        # impose Dirichlet rows in place (the assembly pattern is fixed per grid)
+        A.data[g.dir_data_mask] = 0.0
+        A.data[g.diag_pos] = 1.0
+        c[g.dir_rows] = dirichlet_vals
         # chord iteration: reuse the LU factorization while it still contracts
         if lu is None or its_since_factor >= 15 or (prev_res > 0 and res > 0.85 * prev_res and its_since_factor > 2):
             lu = spla.splu(A.tocsc())
@@ -570,22 +487,19 @@ def solve_bvp(
         prev_res = res
         resid_bc = A @ phi.ravel() - c
         x = phi.ravel()
-        g = -lu.solve(resid_bc)
+        step = -lu.solve(resid_bc)
         aa_x.append(x.copy())
-        aa_g.append(g.copy())
+        aa_g.append(step.copy())
         if len(aa_x) > 4:
             aa_x.pop(0)
             aa_g.pop(0)
+        x_new = x + step
         if len(aa_x) >= 2:
             dg = np.column_stack([aa_g[k + 1] - aa_g[k] for k in range(len(aa_g) - 1)])
             dx = np.column_stack([aa_x[k + 1] - aa_x[k] for k in range(len(aa_x) - 1)])
-            gamma, *_ = np.linalg.lstsq(dg, g, rcond=None)
+            gamma, *_ = np.linalg.lstsq(dg, step, rcond=None)
             if np.all(np.isfinite(gamma)) and np.linalg.norm(gamma) < 1e3:
-                x_new = x + g - (dx + dg) @ gamma
-            else:
-                x_new = x + iter_params.picard_relax * g
-        else:
-            x_new = x + iter_params.picard_relax * g
+                x_new = x + step - (dx + dg) @ gamma
         phi = x_new.reshape(n1, n2)
         phi[:, -1] = dirichlet_vals
     if not converged:
@@ -595,6 +509,7 @@ def solve_bvp(
 
     grad = mesh.gradient(phi)
     rho, active = capped_density(phi, grad, config.params, cap)
+    outside_band = sonic_distance(config, mesh.nodes) > cutoff_band_width(config, iter_params.cutoff_width)
     bad = active & outside_band
     info["cap_outside_band"] = int(np.count_nonzero(bad))
     if enforce_ellipticity and info["cap_outside_band"] > 0:
@@ -697,24 +612,6 @@ def update_shock(phi, config, shock, mesh=None, relax=1.0, n1=None, n2=None):
     return curve, info
 
 
-def _interior_residual_info(config, shock, mesh, phi, iter_params):
-    """Relative interior residual of a given field (no solving)."""
-    disc = _Discretization(mesh)
-    cap = _mach_cap(config, mesh.nodes, iter_params.cutoff_width)
-    grad = mesh.gradient(phi)
-    rho, _ = capped_density(phi, grad, config.params, cap)
-    A = disc.assemble(rho)
-    shock_flux = disc.flux_line_a(0.0, _state1_flux_fn(config))
-    c = -2.0 * rho.ravel() * disc.volw
-    c[: mesh.n2] += shock_flux
-    r = A @ phi.ravel() - c
-    n2 = mesh.n2
-    r = r.reshape(mesh.n1, n2)
-    r[:, -1] = 0.0
-    scale = max(float(np.max(np.abs(2.0 * rho * mesh.jac))), 1e-300)
-    return float(np.max(np.abs(r))) / scale
-
-
 def normal_reflection(params, n1=65, n2=65):
     """Explicit theta_w = pi/2 solution sampled on the grid.
 
@@ -806,7 +703,9 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
             sol.phi, sol.config, sol.shock, mesh=sol.mesh, relax=1.0
         )
         movement = upd["movement"]
-        res = _interior_residual_info(sol.config, sol.shock, sol.mesh, sol.phi, iter_params)
+        disc, cap, _, rhs = _bvp_data(sol.config, sol.mesh, iter_params, None)
+        rho, _, _, r = _residual(disc, sol.phi, params, cap, rhs)
+        res = float(np.max(np.abs(r))) / _residual_scale(disc, rho)
         sol.residual_history.append((1, movement, res))
         sol.metadata.update(_shock_rh_report(sol.config, curve, sol.mesh, sol.phi))
         sol.metadata["converged"] = bool(movement < iter_params.tol_fixed_point)

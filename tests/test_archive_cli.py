@@ -133,6 +133,13 @@ def test_cli_solve_verify_and_exit_codes(tmp_path, gas_122):
     assert main(["verify", str(tmp_path / "missing")]) == 2
 
 
+def test_cli_solve_warmup_no_convergence_exits_3(tmp_path, capsys):
+    rc = main(["solve", "--theta", "88", "--n1", "17", "--n2", "17", "--max-outer", "1",
+               "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("NoConvergence: ")
+
+
 def test_cli_solve_at_90_passes_with_flat_note(tmp_path):
     rc = main(["solve", "--rho0", "1", "--rho1", "2", "--gamma", "2",
                "--theta", "90", "--n1", "33", "--n2", "33", "--out", str(tmp_path)])
@@ -140,6 +147,15 @@ def test_cli_solve_at_90_passes_with_flat_note(tmp_path):
     report = json.loads((tmp_path / "solve_theta090.000_n33x33" / "report.json").read_text())
     conv = [c for c in report["checks"] if c["name"] == "graph_and_convexity"][0]
     assert "flat-shock exemption" in conv["note"]
+
+
+def test_cli_report_writes_json_booleans(tmp_path):
+    rc = main(["solve", "--theta", "90", "--n1", "17", "--n2", "17", "--out", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "solve_theta090.000_n17x17" / "report.json").read_text())
+    details = {c["name"]: c["details"] for c in report["checks"]}
+    assert details["shock_inequalities"]["entropy_ok"] is True
+    assert isinstance(details["tangent_distance"]["monotone"], bool)
 
 
 def test_cli_sweep_small(tmp_path):

@@ -1,11 +1,14 @@
 import math
 
 import numpy as np
+import pytest
+import scipy.sparse as sp
 
 from shockrefl import (
     GasParams,
     IterationParams,
     MMSProblem,
+    ShockCurve,
     build_configuration,
     build_square_map,
     initial_shock,
@@ -16,6 +19,7 @@ from shockrefl import (
     state2_solve,
     update_shock,
 )
+from shockrefl import solver
 from shockrefl.relations import state1
 from shockrefl.solver import _Discretization, capped_density, fixed_point_solve, _state1_flux_fn
 
@@ -53,6 +57,72 @@ def test_solve_bvp_recovers_uniform_state_on_rectangle(gas_122):
     phi_exact = rest.potential(sm.nodes)
     phi, info = solve_bvp(cfg, None, math.pi / 2.0, ip, phi_exact + 0.01, mesh=sm)
     assert np.abs(phi - phi_exact).max() < 1e-8
+
+
+def _product_form(disc, rho):
+    """A assembled term by term as products of the grid's sparse operators."""
+    g = disc.grid
+    ca = g.ew_face_a * (g.Aa_f @ rho.ravel())
+    cw = g.ea_face_w * (g.Aw_f @ rho.ravel())
+    return (
+        g.Div_a @ sp.diags(ca * disc.g11_f) @ g.Da_f
+        + g.Div_a @ sp.diags(ca * disc.g12_f) @ g.AaDw
+        + g.Div_w @ sp.diags(cw * disc.g21_g) @ g.AwDa
+        + g.Div_w @ sp.diags(cw * disc.g22_g) @ g.Dw_f
+    )
+
+
+def test_fixed_pattern_assembly_matches_product_form(gas_122):
+    th = math.radians(80.0)
+    cfg = build_configuration(gas_122, th, state2_solve(gas_122, th))
+    meshes = [
+        build_square_map(cfg, initial_shock(cfg), 21, 17),
+        quad_map([-1.0, 0.0], [0.2, 0.1], [0.1, 1.1], [-0.9, 1.3], 13, 16, stretch="sqrt"),
+    ]
+    rng = np.random.default_rng(3)
+    for mesh in meshes:
+        disc = _Discretization(mesh)
+        rho = 0.5 + rng.random((mesh.n1, mesh.n2))
+        A = disc.assemble(rho)
+        ref = _product_form(disc, rho)
+        assert sp.isspmatrix_csr(A) and A.shape == ref.shape
+        assert abs(A - ref).max() <= 1e-12 * abs(ref).max()
+
+
+def test_grid_structure_shared_but_metric_per_mesh(gas_122):
+    """Meshes of one logical grid share the grid structure, never the metric."""
+    th = math.radians(85.0)
+    cfg = build_configuration(gas_122, th, state2_solve(gas_122, th))
+    shock = initial_shock(cfg)
+    pts = shock.points.copy()
+    tau = np.linspace(0.0, 1.0, len(pts))
+    pts += (0.05 * np.sin(math.pi * tau))[:, None] * shock.e[None, :]
+    bumped = ShockCurve(e=shock.e, points=pts, tau_p1=shock.tau_p1, tau_p2=shock.tau_p2)
+    mesh1 = build_square_map(cfg, shock, 25, 25)
+    mesh2 = build_square_map(cfg.with_foot(pts[-1]), bumped, 25, 25)
+    phi = cfg.state2.potential(mesh1.nodes) + 0.1 * mesh1.nodes[..., 0] ** 2
+    disc1 = _Discretization(mesh1)
+    grad1 = mesh1.gradient(phi)
+    disc2 = _Discretization(mesh2)
+    assert disc1.grid is disc2.grid
+    assert np.abs(disc1.g11_f - disc2.g11_f).max() > 1e-3
+    assert np.abs(disc1.volw - disc2.volw).max() > 1e-6
+    assert np.abs(mesh1.gradient(phi) - mesh2.gradient(phi)).max() > 1e-3
+    # building the second mesh's operators left the first one's untouched,
+    # and they match a build from an empty cache
+    solver._grid_structure.cache_clear()
+    fresh = _Discretization(mesh1)
+    assert fresh.grid is not disc1.grid
+    for name in ("g11_f", "g12_f", "g21_g", "g22_g", "volw"):
+        assert np.array_equal(getattr(disc1, name), getattr(fresh, name))
+    assert np.array_equal(mesh1.gradient(phi), grad1)
+    rho = np.ones((25, 25))
+    assert (disc1.assemble(rho) != fresh.assemble(rho)).nnz == 0
+    # the shared arrays cannot be written through any one mesh
+    with pytest.raises(ValueError):
+        disc1.grid.indices[0] = 0
+    with pytest.raises(ValueError):
+        mesh1.grid.Da_n.data[0] = 0.0
 
 
 def test_conservation_identity_on_blocks(gas_122, sol85_n65):
