@@ -32,7 +32,7 @@ from scipy.interpolate import LinearNDInterpolator
 
 from .archive import jsonable
 from .errors import TooFewSamples
-from .gas import ellipticity_margin
+from .gas import bernoulli_base, ellipticity_margin
 from .geometry import ShockCurve, interior_cone_directions
 from .relations import rh_residual
 from .solver import cutoff_band_width, shock_interior_normals, sonic_distance
@@ -188,7 +188,7 @@ def check_shock_inequalities(sol, tol=None):
     j = int(np.argmin(np.minimum(m1, m2))) + k
     # entropy corollary: density on the subsonic side exceeds rho1
     g = sol.config.params.gamma
-    base = sol.config.params.rho0_pow - (g - 1) * (sol.phi[0, sl] + 0.5 * (grad[sl] ** 2).sum(-1))
+    base = bernoulli_base((grad[sl] ** 2).sum(-1), sol.phi[0, sl], sol.config.params)
     rho_min = float(np.min(base ** (1.0 / (g - 1.0))))
     return CheckRecord(
         name="shock_inequalities",

@@ -21,7 +21,7 @@ import os
 import numpy as np
 
 from .errors import ArchiveError
-from .gas import GasParams, ellipticity_margin
+from .gas import GasParams, bernoulli_base, ellipticity_margin
 from .geometry import ShockCurve, build_configuration
 from .mesh import build_square_map
 from .relations import state2_solve
@@ -75,7 +75,7 @@ def write_solution(sol, outdir, extra_meta=None):
     speed = np.linalg.norm(grad, axis=-1)
     g = cfg.params.gamma
     margin = ellipticity_margin(grad, sol.phi, cfg.params)
-    base = cfg.params.rho0_pow - (g - 1.0) * (sol.phi + 0.5 * speed ** 2)
+    base = bernoulli_base(speed ** 2, sol.phi, cfg.params)
     rho = np.where(base > 0, np.abs(base) ** (1.0 / (g - 1.0)), np.nan)
     n1, n2 = sol.phi.shape
     rows = ["i,j,xi1,xi2,phi,speed,rho,ellipticity_margin"]

@@ -29,12 +29,10 @@ def _points_to_polyline(pts, poly):
     d = poly[1:] - a
     dd = np.einsum("ij,ij->i", d, d)
     dd = np.where(dd > 0, dd, 1.0)
-    out = np.empty(len(pts))
-    for k, p in enumerate(pts):
-        t = np.clip(((p - a) * d).sum(axis=1) / dd, 0.0, 1.0)
-        proj = a + t[:, None] * d
-        out[k] = np.min(np.einsum("ij,ij->i", proj - p, proj - p))
-    return np.sqrt(out)
+    rel = pts[:, None, :] - a[None, :, :]                       # (points, segments, 2)
+    t = np.clip(np.einsum("psk,sk->ps", rel, d) / dd, 0.0, 1.0)
+    gap = rel - t[..., None] * d
+    return np.sqrt(np.min(np.einsum("psk,psk->ps", gap, gap), axis=1))
 
 
 def hausdorff_distance(poly_a, poly_b):

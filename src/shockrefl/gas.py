@@ -106,6 +106,11 @@ class UniformState:
         return np.array([self.u, self.v])
 
 
+def bernoulli_base(grad_sq, phi, params):
+    """rho0^(g-1) - (g-1)*(phi + grad_sq/2) = rho^(g-1), nonpositive at vacuum."""
+    return params.rho0_pow - (params.gamma - 1.0) * (np.asarray(phi) + 0.5 * np.asarray(grad_sq))
+
+
 def density(grad_sq, phi, params):
     """Density from the Bernoulli closure.
 
@@ -129,12 +134,11 @@ def density(grad_sq, phi, params):
         an error, never clamped: admissible solutions stay away from it, so a
         negative base always signals solver divergence.
     """
-    g = params.gamma
-    base = params.rho0_pow - (g - 1.0) * (np.asarray(phi) + 0.5 * np.asarray(grad_sq))
+    base = bernoulli_base(grad_sq, phi, params)
     if np.any(base < 0.0):
         worst = float(np.min(base))
         raise VacuumReached(f"density closure base negative (min {worst:.3e})")
-    return base ** (1.0 / (g - 1.0))
+    return base ** (1.0 / (params.gamma - 1.0))
 
 
 def sound_speed(rho, params):

@@ -352,11 +352,6 @@ class ShockCurve:
         dt = t0 - t1
         return dt * (fd[..., None] * self.e + np.ones_like(t)[..., None] * self.e_perp)
 
-    def point_on_curve(self, t):
-        """Physical point of the fitted graph at parameter T."""
-        f, _ = self.graph_value(t)
-        return np.asarray(f)[..., None] * self.e + np.asarray(t, dtype=float)[..., None] * self.e_perp
-
     def check_graph(self, tol=1e-9):
         """Enforce the monotone-graph and tangent-slope bounds on the samples.
 

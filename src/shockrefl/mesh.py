@@ -261,25 +261,34 @@ class SquareMap:
         d2 = np.linalg.norm(np.diff(self.nodes, axis=1), axis=-1).max()
         return max(float(d1), float(d2))
 
-    def gradient(self, phi):
-        """Physical gradient D_xi phi at every node, shape (n1, n2, 2).
+    @functools.cached_property
+    def gradient_operators(self):
+        """Sparse (Gx, Gy) with gradient(phi)[..., k] = Gk @ phi.ravel().
 
         The grid's (a, w) stencil mapped through the inverse Jacobian
         transpose of the stored node metric; on a collapsed sonic row
-        (subsonic regime) the gradient is extrapolated from the two rows
-        below.
+        (subsonic regime) each row is extrapolated linearly from the two
+        rows below.  Built on first use, once per mesh.
         """
-        phi = np.asarray(phi, dtype=float)
-        pa = (self.grid.Da_n @ phi.ravel()).reshape(phi.shape)
-        pw = (self.grid.Dw_n @ phi.ravel()).reshape(phi.shape)
-        xa, xw = self.xa, self.xw
-        js = np.where(np.abs(self.jac) > 1e-300, self.jac, 1.0)
-        out = np.empty(phi.shape + (2,))
-        out[..., 0] = (xw[..., 1] * pa - xa[..., 1] * pw) / js
-        out[..., 1] = (-xw[..., 0] * pa + xa[..., 0] * pw) / js
+        n1, n2 = self.n1, self.n2
+        js = np.where(np.abs(self.jac) > 1e-300, self.jac, 1.0)[..., None]
+        xa = (self.xa / js).reshape(-1, 2)
+        xw = (self.xw / js).reshape(-1, 2)
+        da, dw = self.grid.Da_n, self.grid.Dw_n
+        gx = sp.diags(xw[:, 1]) @ da - sp.diags(xa[:, 1]) @ dw
+        gy = sp.diags(xa[:, 0]) @ dw - sp.diags(xw[:, 0]) @ da
         if self.degenerate_sonic:
-            out[:, -1, :] = 2.0 * out[:, -2, :] - out[:, -3, :]
-        return out
+            ext = sp.identity(n2, format="lil")
+            ext[-1, -3:] = [-1.0, 2.0, 0.0]
+            ext = sp.kron(sp.identity(n1), ext, format="csr")
+            gx, gy = ext @ gx, ext @ gy
+        return gx.tocsr(), gy.tocsr()
+
+    def gradient(self, phi):
+        """Physical gradient D_xi phi at every node, shape (n1, n2, 2)."""
+        phi = np.asarray(phi, dtype=float)
+        gx, gy = self.gradient_operators
+        return np.stack([gx @ phi.ravel(), gy @ phi.ravel()], axis=-1).reshape(phi.shape + (2,))
 
     def inverse(self, xi, tol=1e-10, max_iter=100):
         """Invert the map by damped Newton from the nearest grid node.

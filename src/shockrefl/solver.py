@@ -11,15 +11,19 @@ at theta_w = pi/2, which is known in closed form.
 
 Discretization: vertex-centered conservative finite volumes on the mapped
 (a, w) square.  Face densities are averages of nodal densities, which makes
-the scheme exact on uniform states over affine cells; the nonlinearity is
-handled by frozen-coefficient Picard with sparse direct solves.  Local
-Mach^2 entering the coefficients is capped at min(q^2/c^2, 1 - zeta(d))
-with a smooth ramp zeta inside the cutoff band near the sonic arc; the cap
-must be inactive outside the band at any accepted solution.
+the scheme exact on uniform states over affine cells.  Local Mach^2
+entering the coefficients is capped at min(q^2/c^2, 1 - zeta(d)) with a
+smooth ramp zeta inside the cutoff band near the sonic arc; the cap must be
+inactive outside the band at any accepted solution.
+
+The discrete BVP, A(rho(phi)) phi = rhs(rho(phi)), is solved by Newton's
+method with its exact Jacobian and Armijo backtracking, down to the
+requested residual or to the residual's roundoff floor if that is larger.
 """
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,11 +39,15 @@ from .errors import (
     NoConvergence,
     VacuumReached,
 )
+from .gas import bernoulli_base
 from .geometry import ReflectionConfiguration, ShockCurve, build_configuration, initial_shock
 from .mesh import build_square_map, logical_grid, read_only
 from .relations import state2_solve
 
 ZETA0 = 0.02  # cap depth of the ellipticity cutoff at the sonic arc
+MAX_NEWTON = 120    # Newton steps per BVP solve
+MAX_HALVINGS = 30   # step halvings before a line search gives up
+ARMIJO = 1e-4       # sufficient-decrease fraction of the line search
 
 
 @dataclass(frozen=True)
@@ -53,7 +61,6 @@ class IterationParams:
     tol_fixed_point: float = 1e-7      # sup-norm of shock movement at convergence
     max_outer: int = 60
     lin_tol: float = 1e-9              # relative interior residual of the BVP
-    max_picard: int = 120
     settle: float = 1.0                # optional deep-convergence factor on tol_fixed_point
     coarse_level: int | None = 65      # grid sequencing: pre-solve at this resolution
 
@@ -165,9 +172,8 @@ class _GridStructure:
     (C diagonal face coefficients) has a fixed CSR pattern (indptr,
     indices): each product term adds weight * coef[face] to data[slot],
     with coef the four coefficient vectors concatenated in that order.
-    dir_rows are the sonic-side (Dirichlet) rows, dir_data_mask their
-    entries in data and diag_pos their diagonal entries.  All arrays are
-    read-only.
+    dir_rows are the sonic-side (Dirichlet) rows and interior is 0 on them,
+    1 elsewhere.  All arrays are read-only.
     """
 
     def __init__(self, n1, n2, stretch):
@@ -221,9 +227,7 @@ class _GridStructure:
         self.indptr, self.indices = pattern.indptr, pattern.indices
 
         self.dir_rows = np.arange(n1) * n2 + (n2 - 1)
-        row_of = np.repeat(np.arange(N), np.diff(self.indptr))
-        self.dir_data_mask = row_of % n2 == n2 - 1
-        self.diag_pos = np.flatnonzero(self.dir_data_mask & (self.indices == row_of))
+        self.interior = np.where(np.arange(N) % n2 == n2 - 1, 0.0, 1.0)
         read_only(*vars(self).values())
 
 
@@ -322,10 +326,7 @@ class MMSProblem:
 
     def density(self, pts, params):
         g = self.grad(pts)
-        return np.asarray(
-            (params.rho0_pow - (params.gamma - 1.0) * (self.phi(pts) + 0.5 * (g * g).sum(-1)))
-            ** (1.0 / (params.gamma - 1.0))
-        )
+        return np.asarray(bernoulli_base((g * g).sum(-1), self.phi(pts), params) ** (1.0 / (params.gamma - 1.0)))
 
     def source(self, pts, params):
         """div(rho Dphi) + 2 rho of the manufactured field."""
@@ -401,15 +402,20 @@ def _bvp_data(config, mesh, iter_params, mms):
     return disc, cap, dirichlet_vals, rhs
 
 
+# The discrete operator at an iterate phi: its gradient, the capped density and
+# its cap mask, A(rho), c = rhs(rho) and r = A phi - c (0 on Dirichlet rows).
+_Linearization = namedtuple("_Linearization", "phi grad rho active A c r")
+
+
 def _residual(disc, phi, params, cap, rhs):
-    """Frozen-coefficient operator at phi: (rho, A, c, A phi - c), the
-    residual zeroed on the Dirichlet rows."""
-    rho, _ = capped_density(phi, disc.mesh.gradient(phi), params, cap)
+    """The _Linearization of phi -> A(rho(phi)) phi - rhs(rho(phi)) at phi."""
+    grad = disc.mesh.gradient(phi)
+    rho, active = capped_density(phi, grad, params, cap)
     A = disc.assemble(rho)
     c = rhs(rho)
     r = A @ phi.ravel() - c
     r[disc.grid.dir_rows] = 0.0
-    return rho, A, c, r
+    return _Linearization(phi, grad, rho, active, A, c, r)
 
 
 def _residual_scale(disc, rho):
@@ -417,114 +423,103 @@ def _residual_scale(disc, rho):
     return max(float(np.max(np.abs(2.0 * rho.ravel() * disc.volw))), 1e-300)
 
 
-def solve_bvp(
-    config,
-    shock,
-    theta_w,
-    iter_params,
-    phi_init,
-    mesh=None,
-    mms=None,
-    enforce_ellipticity=True,
-):
+def _roundoff_floor(disc, lin):
+    """eps * max over interior rows of |A||phi| + |c|, the rounding error
+    of the computed residual."""
+    bound = (abs(lin.A) @ np.abs(lin.phi.ravel()) + np.abs(lin.c)) * disc.grid.interior
+    return np.finfo(float).eps * float(np.max(bound))
+
+
+def _jacobian(disc, lin, cap, gamma):
+    """Exact Jacobian of the residual at lin.phi, identity on the Dirichlet rows.
+
+    J = A(rho) + (B(phi) + 2 diag(volw)) drho/dphi, where B(phi) rho equals
+    A(rho) phi (A is linear in rho) and 2 diag(volw) is -d rhs/d rho.  Off
+    the cap, drho/dphi = -rho^(2-g) (I + diag(phi_x) Gx + diag(phi_y) Gy);
+    where the cap is active rho depends on phi alone, through
+    -rho^(2-g) / (1 + cap (g-1)/2).
+    """
+    g = disc.grid
+    x = lin.phi.ravel()
+    fa = g.ew_face_a * (disc.g11_f * (g.Da_f @ x) + disc.g12_f * (g.AaDw @ x))
+    fw = g.ea_face_w * (disc.g21_g * (g.AwDa @ x) + disc.g22_g * (g.Dw_f @ x))
+    dr_drho = g.Div_a @ sp.diags(fa) @ g.Aa_f + g.Div_w @ sp.diags(fw) @ g.Aw_f + sp.diags(2.0 * disc.volw)
+    active = lin.active.ravel()
+    slope = -lin.rho.ravel() ** (2.0 - gamma) / np.where(active, 1.0 + 0.5 * (gamma - 1.0) * cap.ravel(), 1.0)
+    grad = np.where(active[:, None], 0.0, lin.grad.reshape(-1, 2))
+    gx, gy = disc.mesh.gradient_operators
+    drho = sp.diags(slope) @ (sp.identity(x.size) + sp.diags(grad[:, 0]) @ gx + sp.diags(grad[:, 1]) @ gy)
+    return sp.diags(g.interior) @ (lin.A + dr_drho @ drho) + sp.diags(1.0 - g.interior)
+
+
+def solve_bvp(config, shock, theta_w, iter_params, phi_init, mesh=None, mms=None,
+              enforce_ellipticity=True):
     """Solve the (cutoff-regularized) elliptic BVP on the current domain.
 
     Dirichlet phi = phi2 on the sonic side, state-(1) mass flux through the
-    shock side, zero flux on wedge and symmetry sides; frozen-coefficient
-    Picard with sparse direct solves until the relative nonlinear residual
-    drops below iter_params.lin_tol.  With `mms` given, the manufactured
-    source and boundary data replace the physical ones (convergence testing).
+    shock side, zero flux on wedge and symmetry sides.  Newton's method with
+    the exact Jacobian, one sparse LU per step and Armijo backtracking (step
+    halving on the residual's 2-norm), until the relative max-norm residual
+    is below iter_params.lin_tol or below its roundoff floor, whichever is
+    larger; info["stalled"] marks a stop at the floor above lin_tol.  With
+    `mms` given, the manufactured source and boundary data replace the
+    physical ones (convergence testing).
 
-    Returns (phi, info); raises NoConvergence / VacuumReached /
-    EllipticityLost (the latter only when the Mach cap is active outside the
-    cutoff band at the converged solution and enforcement is on).
+    Returns (phi, info); raises NoConvergence (MAX_NEWTON steps, or no
+    sufficient decrease in a line search), VacuumReached (also when every
+    trial step reaches vacuum), or EllipticityLost (only when the Mach cap
+    is active outside the cutoff band at the solution and enforcement is on).
     """
     if mesh is None:
         mesh = build_square_map(config, shock, iter_params.n1, iter_params.n2)
     disc, cap, dirichlet_vals, build_rhs = _bvp_data(config, mesh, iter_params, mms)
-    n1, n2 = mesh.n1, mesh.n2
-    g = disc.grid
-
-    phi = np.array(phi_init, dtype=float).reshape(n1, n2).copy()
+    params = config.params
+    phi = np.array(phi_init, dtype=float).reshape(mesh.n1, mesh.n2).copy()
     phi[:, -1] = dirichlet_vals
 
-    scale = None
-    res = math.inf
-    best = math.inf
-    prev_res = math.inf
-    stalled = 0
-    aa_x, aa_g = [], []  # Anderson acceleration memory (depth 3)
-    info = {"picard_iters": 0, "residual": math.inf, "cap_outside_band": 0}
-    converged = False
-    lu = None
-    its_since_factor = 0
-    for it in range(iter_params.max_picard):
-        rho, A, c, resid_vec = _residual(disc, phi, config.params, cap, build_rhs)
-        if scale is None:
-            scale = _residual_scale(disc, rho)
-        res = float(np.max(np.abs(resid_vec))) / scale
-        info["picard_iters"] = it
-        info["residual"] = res
-        if res < iter_params.lin_tol:
-            converged = True
-            break
-        # roundoff floor: accept a detected stall within 50x of tolerance
-        stalled = stalled + 1 if res > 0.95 * best else 0
-        best = min(best, res)
-        if stalled >= 4 and res < 50.0 * iter_params.lin_tol:
-            converged = True
-            info["stalled"] = True
-            break
-        # impose Dirichlet rows in place (the assembly pattern is fixed per grid)
-        A.data[g.dir_data_mask] = 0.0
-        A.data[g.diag_pos] = 1.0
-        c[g.dir_rows] = dirichlet_vals
-        # chord iteration: reuse the LU factorization while it still contracts
-        if lu is None or its_since_factor >= 15 or (prev_res > 0 and res > 0.85 * prev_res and its_since_factor > 2):
-            lu = spla.splu(A.tocsc())
-            its_since_factor = 0
-        its_since_factor += 1
-        prev_res = res
-        resid_bc = A @ phi.ravel() - c
-        x = phi.ravel()
-        step = -lu.solve(resid_bc)
-        aa_x.append(x.copy())
-        aa_g.append(step.copy())
-        if len(aa_x) > 4:
-            aa_x.pop(0)
-            aa_g.pop(0)
-        x_new = x + step
-        if len(aa_x) >= 2:
-            dg = np.column_stack([aa_g[k + 1] - aa_g[k] for k in range(len(aa_g) - 1)])
-            dx = np.column_stack([aa_x[k + 1] - aa_x[k] for k in range(len(aa_x) - 1)])
-            gamma, *_ = np.linalg.lstsq(dg, step, rcond=None)
-            if np.all(np.isfinite(gamma)) and np.linalg.norm(gamma) < 1e3:
-                x_new = x + step - (dx + dg) @ gamma
-        phi = x_new.reshape(n1, n2)
-        phi[:, -1] = dirichlet_vals
-    if not converged:
-        raise NoConvergence(
-            f"Picard stalled at relative residual {res:.3e} (tol {iter_params.lin_tol:.1e})"
-        )
-
-    grad = mesh.gradient(phi)
-    rho, active = capped_density(phi, grad, config.params, cap)
+    lin = _residual(disc, phi, params, cap, build_rhs)
+    scale = _residual_scale(disc, lin.rho)
+    res = float(np.max(np.abs(lin.r))) / scale
+    its = 0
+    while res >= max(iter_params.lin_tol, _roundoff_floor(disc, lin) / scale):
+        if its == MAX_NEWTON:
+            raise NoConvergence(f"Newton at relative residual {res:.3e} (tol {iter_params.lin_tol:.1e})")
+        its += 1
+        step = spla.splu(_jacobian(disc, lin, cap, params.gamma).tocsc()).solve(-lin.r)
+        # Armijo on the 2-norm: the max norm can stall for good where the
+        # largest residual sits next to a node on the Mach cap's kink
+        merit = np.linalg.norm(lin.r)
+        t = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            try:
+                trial = _residual(disc, lin.phi + t * step.reshape(phi.shape), params, cap, build_rhs)
+            except VacuumReached as exc:
+                failure = exc
+            else:
+                if np.linalg.norm(trial.r) <= (1.0 - ARMIJO * t) * merit:
+                    break
+                failure = NoConvergence(f"Newton line search: no decrease from residual {res:.3e}")
+            t *= 0.5
+        else:
+            raise failure
+        lin = trial
+        res = float(np.max(np.abs(lin.r))) / scale
     outside_band = sonic_distance(config, mesh.nodes) > cutoff_band_width(config, iter_params.cutoff_width)
-    bad = active & outside_band
-    info["cap_outside_band"] = int(np.count_nonzero(bad))
+    bad = lin.active & outside_band
+    info = {"newton_iters": its, "residual": res, "stalled": res >= iter_params.lin_tol,
+            "cap_outside_band": int(np.count_nonzero(bad))}
     if enforce_ellipticity and info["cap_outside_band"] > 0:
         # tolerate marginally sonic points: only raise when Mach^2 exceeds
         # 1 + 1e-6 outside the band
-        q2 = np.sum(grad * grad, axis=-1)
-        a_val = config.params.rho0_pow - (config.params.gamma - 1.0) * phi
-        base = a_val - 0.5 * (config.params.gamma - 1.0) * q2
+        q2 = np.sum(lin.grad * lin.grad, axis=-1)
+        base = bernoulli_base(q2, lin.phi, params)
         mach2 = np.where(base > 0.0, q2 / np.where(base > 0, base, 1.0), np.inf)
         worst = float(np.max(mach2[bad]))
         if worst > 1.0 + 1e-6:
             raise EllipticityLost(
                 f"Mach^2 = {worst:.6f} outside the cutoff band at a converged BVP solution"
             )
-    return phi, info
+    return lin.phi, info
 
 
 # ----------------------------------------------------------------------
@@ -544,7 +539,7 @@ def shock_interior_normals(shock, t=None):
     return (-(e[None, :] - fd[:, None] * ep[None, :])) / nrm[:, None]
 
 
-def update_shock(phi, config, shock, mesh=None, relax=1.0, n1=None, n2=None):
+def update_shock(phi, config, shock, mesh, relax=1.0):
     """Move shock nodes along the graph direction to the zero of phi - phi1.
 
     phi is extrapolated linearly past the shock from its boundary value and
@@ -557,8 +552,6 @@ def update_shock(phi, config, shock, mesh=None, relax=1.0, n1=None, n2=None):
 
     Raises GraphPropertyLost / AttachedShockDetected on invalid updates.
     """
-    if mesh is None:
-        mesh = build_square_map(config, shock, n1 or 65, n2 or 65)
     e = shock.e
     pts = mesh.nodes[0, :, :].copy()          # j = 0 foot ... j = n2-1 top
     grad = mesh.gradient(phi)[0, :, :]
@@ -704,8 +697,8 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         )
         movement = upd["movement"]
         disc, cap, _, rhs = _bvp_data(sol.config, sol.mesh, iter_params, None)
-        rho, _, _, r = _residual(disc, sol.phi, params, cap, rhs)
-        res = float(np.max(np.abs(r))) / _residual_scale(disc, rho)
+        lin = _residual(disc, sol.phi, params, cap, rhs)
+        res = float(np.max(np.abs(lin.r))) / _residual_scale(disc, lin.rho)
         sol.residual_history.append((1, movement, res))
         sol.metadata.update(_shock_rh_report(sol.config, curve, sol.mesh, sol.phi))
         sol.metadata["converged"] = bool(movement < iter_params.tol_fixed_point)
@@ -838,9 +831,8 @@ def _shock_rh_report(config, shock, mesh, phi):
     s1 = config.state1
     pot = np.abs(phi[0, :] - s1.potential(pts))
     nu = shock_interior_normals(shock, t=pts @ shock.e_perp)
-    g = config.params.gamma
-    base = config.params.rho0_pow - (g - 1.0) * (phi[0, :] + 0.5 * (grad * grad).sum(-1))
-    rho = np.where(base > 0, np.abs(base) ** (1.0 / (g - 1.0)), np.nan)
+    base = bernoulli_base((grad * grad).sum(-1), phi[0, :], config.params)
+    rho = np.where(base > 0, np.abs(base) ** (1.0 / (config.params.gamma - 1.0)), np.nan)
     mass = rho * (grad * nu).sum(-1) - s1.rho * (s1.gradient(pts) * nu).sum(-1)
     return {
         "rh_potential_max": float(np.nanmax(pot)),
@@ -850,14 +842,18 @@ def _shock_rh_report(config, shock, mesh, phi):
 
 @dataclass(eq=False)
 class SweepResult:
-    """Continuation family with pairwise distances and the stopping cause."""
+    """Continuation family with its stopping cause."""
 
     members: list
     thetas: list
-    distances: list
     status: str
     stop_reason: str | None = None
     failed_theta: float | None = None
+
+    @functools.cached_property
+    def distances(self):
+        """c1_family_distance of each consecutive pair of members, computed on first use."""
+        return [c1_family_distance(a, b) for a, b in zip(self.members, self.members[1:])]
 
 
 def continuation_sweep(params, theta_grid, iter_params=None, max_halvings=6):
@@ -889,7 +885,6 @@ def continuation_sweep(params, theta_grid, iter_params=None, max_halvings=6):
 
     members = [fixed_point_solve(params, thetas[0], iter_params)]
     out_thetas = [thetas[0]]
-    distances = []
     status = "completed"
     stop_reason = None
     failed_theta = None
@@ -901,13 +896,11 @@ def continuation_sweep(params, theta_grid, iter_params=None, max_halvings=6):
             stop_reason = str(exc)
             failed_theta = target
             break
-        distances.append(c1_family_distance(members[-1], sol))
         members.append(sol)
         out_thetas.append(target)
     return SweepResult(
         members=members,
         thetas=out_thetas,
-        distances=distances,
         status=status,
         stop_reason=stop_reason,
         failed_theta=failed_theta,

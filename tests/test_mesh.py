@@ -89,6 +89,28 @@ def test_gradient_second_order_on_curved_mesh(gas_122):
     assert errs[2] < errs[0] / 3.0  # converging under refinement
 
 
+@pytest.mark.parametrize("deg", [85.0, 55.0])
+def test_gradient_operators_match_node_metric(gas_122, deg):
+    """gradient is Gx @ phi, Gy @ phi: the (a, w) stencil through the inverse
+    metric, with a collapsed sonic row extrapolated from the two rows below."""
+    th = math.radians(deg)
+    cfg = build_configuration(gas_122, th, state2_solve(gas_122, th))
+    sm = build_square_map(cfg, initial_shock(cfg), 17, 15)
+    phi = cfg.state2.potential(sm.nodes) + 0.1 * np.sin(3.0 * sm.nodes[..., 0])
+    pa = (sm.grid.Da_n @ phi.ravel()).reshape(phi.shape)
+    pw = (sm.grid.Dw_n @ phi.ravel()).reshape(phi.shape)
+    jac = np.where(sm.jac != 0.0, sm.jac, 1.0)
+    ref = np.stack([sm.xw[..., 1] * pa - sm.xa[..., 1] * pw, sm.xa[..., 0] * pw - sm.xw[..., 0] * pa], -1)
+    ref /= jac[..., None]
+    if sm.degenerate_sonic:
+        ref[:, -1] = 2.0 * ref[:, -2] - ref[:, -3]
+    gx, gy = sm.gradient_operators
+    grad = sm.gradient(phi)
+    assert np.abs(grad - ref).max() <= 1e-11 * np.abs(ref).max()
+    assert np.array_equal(grad[..., 0].ravel(), gx @ phi.ravel())
+    assert np.array_equal(grad[..., 1].ravel(), gy @ phi.ravel())
+
+
 def test_folded_mesh_detected():
     # crossed quadrilateral: p4 and p1 swapped horizontally
     with pytest.raises(FoldedMesh):

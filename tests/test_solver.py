@@ -53,10 +53,43 @@ def test_solve_bvp_recovers_uniform_state_on_rectangle(gas_122):
     # run is a pure exactness check of the discrete scheme
     height = cfg.p1[1] * (1.0 - 1e-6)
     sm = quad_map([xbar, 0.0], [0.0, 0.0], [0.0, height], [xbar, height], 17, 19)
-    ip = IterationParams(n1=17, n2=19, lin_tol=1e-12, cutoff_width=1e-9)
     phi_exact = rest.potential(sm.nodes)
-    phi, info = solve_bvp(cfg, None, math.pi / 2.0, ip, phi_exact + 0.01, mesh=sm)
-    assert np.abs(phi - phi_exact).max() < 1e-8
+    # a tolerance below the residual's rounding error ends at the computed
+    # floor, flagged as stalled, not in NoConvergence
+    for lin_tol, stalled in ((1e-12, False), (1e-16, True)):
+        ip = IterationParams(n1=17, n2=19, lin_tol=lin_tol, cutoff_width=1e-9)
+        phi, info = solve_bvp(cfg, None, math.pi / 2.0, ip, phi_exact + 0.01, mesh=sm)
+        assert np.abs(phi - phi_exact).max() < 1e-8
+        assert info["stalled"] == stalled and info["residual"] < 1e-11
+
+
+@pytest.mark.parametrize("deg, n1, n2", [(85.0, 13, 11), (55.0, 11, 12)])
+def test_newton_jacobian_matches_central_differences(gas_122, deg, n1, n2):
+    """The exact Jacobian agrees with central differences of the residual on a
+    curved reflection mesh and on a collapsed-sonic (subsonic) mesh, both with
+    some cap-active nodes; Dirichlet rows are the identity."""
+    th = math.radians(deg)
+    cfg = build_configuration(gas_122, th, state2_solve(gas_122, th))
+    mesh = build_square_map(cfg, initial_shock(cfg), n1, n2)
+    assert mesh.degenerate_sonic == (deg < 60.0)
+    disc, cap, dirichlet_vals, rhs = solver._bvp_data(cfg, mesh, IterationParams(n1=n1, n2=n2), None)
+    phi = cfg.state2.potential(mesh.nodes) + 0.02 * np.random.default_rng(1).standard_normal((n1, n2))
+    phi[:, -1] = dirichlet_vals
+    lin = solver._residual(disc, phi, gas_122, cap, rhs)
+    assert lin.active.any() and not lin.active.all()
+    J = solver._jacobian(disc, lin, cap, gas_122.gamma).toarray()
+    h = 1e-6
+    fd = np.empty_like(J)
+    for k in range(phi.size):
+        e = np.zeros(phi.size)
+        e[k] = h
+        e = e.reshape(phi.shape)
+        fd[:, k] = (solver._residual(disc, phi + e, gas_122, cap, rhs).r
+                    - solver._residual(disc, phi - e, gas_122, cap, rhs).r) / (2.0 * h)
+    rows = disc.grid.dir_rows
+    fd[rows] = 0.0
+    fd[rows, rows] = 1.0
+    assert np.abs(J - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 def _product_form(disc, rho):
@@ -257,6 +290,16 @@ def test_solver_invariants_on_converged_run(gas_122, sol85_n65):
     grad = sol.gradient()
     base = gas_122.rho0_pow - (g - 1) * (sol.phi + 0.5 * (grad * grad).sum(-1))
     assert np.all(base > 0.0)
+
+
+def test_sweep_distances_computed_on_first_use(gas_122, monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver, "c1_family_distance", lambda a, b: calls.append(1) or 0.5)
+    grid = [math.pi / 2.0, math.radians(89.5), math.radians(89.0)]
+    sweep = solver.continuation_sweep(gas_122, grid, IterationParams(n1=17, n2=17))
+    assert sweep.status == "completed" and not calls
+    assert sweep.distances == [0.5, 0.5] and len(calls) == 2
+    assert sweep.distances == [0.5, 0.5] and len(calls) == 2  # cached, not recomputed
 
 
 def test_multi_start_consistency_cheap(gas_122, sol85_n65):
