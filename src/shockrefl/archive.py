@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 
@@ -30,8 +31,12 @@ from .solver import SolutionField
 FMT = "%.17g"
 
 
-def _fmt(x):
-    return FMT % float(x)
+def _write_csv(path, header, rows, int_cols=0):
+    """One CSV: a header line, then rows (possibly none) with the first
+    int_cols columns as integers and the rest as FMT floats."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
+    fmt = ["%d"] * int_cols + [FMT] * (rows.shape[1] - int_cols)
+    np.savetxt(path, rows, fmt=fmt, delimiter=",", header=header, comments="")
 
 
 def _hash_file(path):
@@ -62,14 +67,9 @@ def write_solution(sol, outdir, extra_meta=None):
     os.makedirs(outdir, exist_ok=True)
     cfg = sol.config
 
-    rows = ["T,S,xi1,xi2"]
-    t = sol.shock.t_values
-    s = sol.shock.s_values
-    for k in range(len(t)):
-        x, y = sol.shock.points[k]
-        rows.append(",".join(_fmt(v) for v in (t[k], s[k], x, y)))
-    with open(os.path.join(outdir, "shock.csv"), "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    shock = sol.shock
+    _write_csv(os.path.join(outdir, "shock.csv"), "T,S,xi1,xi2",
+               np.column_stack([shock.t_values, shock.s_values, shock.points]))
 
     grad = sol.gradient()
     speed = np.linalg.norm(grad, axis=-1)
@@ -78,25 +78,12 @@ def write_solution(sol, outdir, extra_meta=None):
     base = bernoulli_base(speed ** 2, sol.phi, cfg.params)
     rho = np.where(base > 0, np.abs(base) ** (1.0 / (g - 1.0)), np.nan)
     n1, n2 = sol.phi.shape
-    rows = ["i,j,xi1,xi2,phi,speed,rho,ellipticity_margin"]
-    for i in range(n1):
-        for j in range(n2):
-            x, y = sol.mesh.nodes[i, j]
-            rows.append(
-                "%d,%d," % (i, j)
-                + ",".join(
-                    _fmt(v)
-                    for v in (x, y, sol.phi[i, j], speed[i, j], rho[i, j], margin[i, j])
-                )
-            )
-    with open(os.path.join(outdir, "field.csv"), "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-
-    rows = ["outer_iteration,shock_movement,interior_residual"]
-    for outer, movement, res in sol.residual_history:
-        rows.append("%d,%s,%s" % (outer, _fmt(movement), _fmt(res)))
-    with open(os.path.join(outdir, "residuals.csv"), "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
+    columns = [ii, jj, sol.mesh.nodes[..., 0], sol.mesh.nodes[..., 1], sol.phi, speed, rho, margin]
+    _write_csv(os.path.join(outdir, "field.csv"), "i,j,xi1,xi2,phi,speed,rho,ellipticity_margin",
+               np.stack([c.ravel() for c in columns], axis=1), int_cols=2)
+    _write_csv(os.path.join(outdir, "residuals.csv"), "outer_iteration,shock_movement,interior_residual",
+               sol.residual_history, int_cols=1)
 
     meta = {
         "format": "shockrefl-archive-1",
@@ -193,7 +180,10 @@ def read_solution(indir):
     history = []
     res_path = os.path.join(indir, "residuals.csv")
     if os.path.isfile(res_path):
-        data = np.loadtxt(res_path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # a header-only file is an empty history
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(res_path, delimiter=",", skiprows=1, ndmin=2)
         history = [(int(r[0]), float(r[1]), float(r[2])) for r in data]
 
     metadata = dict(meta.get("metadata", {}))

@@ -11,6 +11,14 @@ three conditions: slip along the wedge, phi2 = phi1, and the mass flux jump
 against state (1).  With the slip condition (u2, v2) = u2*(1, tan(theta_w))
 and phi-continuity fixing k2, the system collapses to one scalar equation
 F(u2) = 0 whose two entropic roots are the weak and strong states (2).
+
+Every 1-D solve here is bracketed bisection through one helper, `_bisect`:
+the u2 roots, xi1_bar of the normal reflection, theta_d (sign of the
+existence indicator), theta_s (Mach - 1) and rho^c.  No derivative method
+is used, since the roots near detachment can be nearly tangent.  Each angle
+samples F once on its entropic window (`_window_scan`); the root count and
+the lobe extremum both read that scan.  `angle_diagram` finds theta_d once
+and brackets theta_s above it.
 """
 
 import math
@@ -30,9 +38,11 @@ from .gas import UniformState, density, make_uniform_state
 
 # Scan/bisection controls (see module notes: bracketed bisection only, no
 # derivative methods; roots near detachment can be nearly tangent).
-SCAN_POINTS = 10_000
+SCAN_POINTS = 10_000                 # samples of F per entropic window
 BISECT_STEPS = 120
-ANGLE_TOL = 1e-10
+ANGLE_TOL = 1e-10                    # bracket width of theta_d and theta_s
+PROBE_THETA = math.pi / 2.0 - 0.01   # angle at which the sign of F between the roots is read
+SONIC_TOL = 1e-8                     # |Mach - 1| counted as sonic
 
 
 @dataclass(frozen=True)
@@ -77,6 +87,11 @@ class Regime(Enum):
     SUBSONIC_AWAY = "subsonic_away_from_sonic"
 
 
+def _incident_speed(r0, r1, g):
+    """u1 behind the incident shock from rho0 < rho1 (closed form below)."""
+    return math.sqrt(2.0 * (r1 - r0) * (r1 ** (g - 1.0) - r0 ** (g - 1.0)) / ((g - 1.0) * (r1 + r0)))
+
+
 def incident_state(params):
     """Solve the Rankine-Hugoniot conditions across the vertical incident shock.
 
@@ -88,10 +103,10 @@ def incident_state(params):
 
     Raises NoCompression when rho1 <= rho0.
     """
-    r0, r1, g = params.rho0, params.rho1, params.gamma
+    r0, r1 = params.rho0, params.rho1
     if not r1 > r0:
         raise NoCompression("incident shock needs rho1 > rho0")
-    u1 = math.sqrt(2.0 * (r1 - r0) * (r1 ** (g - 1.0) - r0 ** (g - 1.0)) / ((g - 1.0) * (r1 + r0)))
+    u1 = _incident_speed(r0, r1, params.gamma)
     xi1_0 = r1 * u1 / (r1 - r0)
     return IncidentData(u1=u1, xi1_0=xi1_0, k1=-u1 * xi1_0, c1=params.c1)
 
@@ -166,61 +181,57 @@ def _state2_pieces(u2, theta_w, params, inc):
     return lhs - rhs, rho2
 
 
-def _entropic_window(theta_w, params, inc):
-    """(u_lo, u_hi) inside which rho2 > rho1 and Dphi2(P0) points down-wedge.
+def _window_scan(theta_w, params, inc):
+    """(grid, F) on SCAN_POINTS points of the entropic window, or None when it is empty.
 
-    rho2 = rho1 at u*(xi10 - u/2) = delta*cos^2/( g-1 ); the lower quadratic
-    root bounds the window from below and u2 = xi1_0 caps it from above.
+    The window is where rho2 > rho1 and Dphi2(P0) points down-wedge:
+    rho2 = rho1 at u*(xi10 - u/2) = delta*cos^2/(g-1), whose lower root
+    bounds it from below, and u2 = xi1_0 caps it from above.  The grid
+    includes u2 = xi1_0 itself: F there is strictly negative, and the strong
+    root crowds against it as theta_w -> pi/2.
     """
     g = params.gamma
     delta = params.rho1 ** (g - 1.0) - params.rho0_pow
-    a_val = delta * math.cos(theta_w) ** 2 / (g - 1.0)
-    disc = inc.xi1_0 ** 2 - 2.0 * a_val
+    disc = inc.xi1_0 ** 2 - 2.0 * delta * math.cos(theta_w) ** 2 / (g - 1.0)
     if disc <= 0.0:
         return None
     u_lo = inc.xi1_0 - math.sqrt(disc)
-    return u_lo, inc.xi1_0
+    grid = np.linspace(u_lo * (1.0 + 1e-14) + 1e-300, inc.xi1_0, SCAN_POINTS)
+    return grid, _state2_pieces(grid, theta_w, params, inc)[0]
 
 
-def _bisect(f, a, b, fa=None, fb=None, steps=BISECT_STEPS):
-    """Plain bracketed bisection to full float resolution.
+def _bisect(f, a, b, fa, fb, tol=0.0):
+    """Bracketed bisection of f on [a, b], a < b, with f(a) = fa and f(b) = fb.
 
-    Unconditionally safe for tangent-prone roots; terminates when the
-    midpoint can no longer be distinguished from the bracket endpoints,
-    so small roots keep full relative precision.
+    Stops at the first exact zero, once b - a <= tol, or (tol = 0) when the
+    midpoint can no longer be told from the bracket ends, so small roots keep
+    full relative precision.  Unconditionally safe for tangent-prone roots.
     """
-    fa = f(a) if fa is None else fa
-    fb = f(b) if fb is None else fb
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
     if fa * fb > 0.0:
         raise BracketingFailure(f"no sign change on [{a}, {b}]")
-    for _ in range(steps):
+    for _ in range(BISECT_STEPS):
         m = 0.5 * (a + b)
-        if m == a or m == b:
+        if b - a <= tol or m == a or m == b:
             return m
         fm = f(m)
         if fm == 0.0:
             return m
         if fa * fm < 0.0:
-            b, fb = m, fm
+            b = m
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
 
 
-def _scan_roots(theta_w, params, inc, n=SCAN_POINTS):
-    """Bracket-scan the entropic window; returns refined roots of F sorted by u2."""
-    win = _entropic_window(theta_w, params, inc)
-    if win is None:
+def _scan_roots(scan, theta_w, params, inc):
+    """Roots of F bracketed by the window scan, refined by bisection, sorted by u2."""
+    if scan is None:
         return []
-    u_lo, u_hi = win
-    # Include u_hi = xi1_0 itself: F there is strictly negative, and the
-    # strong root crowds against it as theta_w -> pi/2.
-    grid = np.linspace(u_lo * (1.0 + 1e-14) + 1e-300, u_hi, n)
-    fval, _ = _state2_pieces(grid, theta_w, params, inc)
+    grid, fval = scan
     sign = np.sign(fval)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     scalar = lambda u: float(_state2_pieces(u, theta_w, params, inc)[0])
@@ -232,18 +243,14 @@ def _scan_roots(theta_w, params, inc, n=SCAN_POINTS):
     return sorted(roots)
 
 
-def _lobe_extremum(theta_w, params, inc, s_in, n=SCAN_POINTS):
+def _lobe_extremum(scan, theta_w, params, inc, s_in):
     """F at the interior lobe extremum (argmax of s_in*F); crosses zero at theta_d."""
-    win = _entropic_window(theta_w, params, inc)
-    if win is None:
+    if scan is None:
         return -math.inf * s_in, math.nan
-    u_lo, u_hi = win
-    grid = np.linspace(u_lo * (1.0 + 1e-14) + 1e-300, u_hi, n)
-    fval, _ = _state2_pieces(grid, theta_w, params, inc)
-    fval = s_in * fval
-    i = int(np.nanargmax(fval))
+    grid, fval = scan
+    i = int(np.nanargmax(s_in * fval))
     a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, n - 1)]
+    b = grid[min(i + 1, len(grid) - 1)]
     # golden-section refine the smooth lobe maximum
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
@@ -263,10 +270,10 @@ def _lobe_extremum(theta_w, params, inc, s_in, n=SCAN_POINTS):
     return float(_state2_pieces(u_star, theta_w, params, inc)[0]), u_star
 
 
-def _inner_sign(params, inc, probe_theta=None):
+def _inner_sign(params, inc):
     """Sign of F between the weak and strong roots, fixed per parameter set."""
-    th = probe_theta if probe_theta is not None else math.pi / 2.0 - 0.01
-    roots = _scan_roots(th, params, inc)
+    th = PROBE_THETA
+    roots = _scan_roots(_window_scan(th, params, inc), th, params, inc)
     if len(roots) < 2:
         raise BracketingFailure("no two reflection roots near pi/2; cannot orient lobe")
     mid = 0.5 * (roots[0] + roots[-1])
@@ -336,19 +343,20 @@ def normal_reflection_state(params):
 
     lo = -max(1.0, inc.xi1_0)
     for _ in range(200):
-        if mass_mismatch(lo) > 0.0:
+        f_lo = mass_mismatch(lo)
+        if f_lo > 0.0:
             break
         lo *= 2.0
     else:
         raise BracketingFailure("normal reflection: no bracket for the vertical shock")
-    xbar = _bisect(mass_mismatch, lo, -1e-300)
+    xbar = _bisect(mass_mismatch, lo, -1e-300, f_lo, mass_mismatch(-1e-300))
     rest = make_uniform_state(0.0, 0.0, inc.u1 * xbar + inc.k1, params)
     if not rest.rho > params.rho1:
         raise BracketingFailure("normal reflection root violates entropy")
     return xbar, rest
 
 
-def state2_solve(params, theta_w, n_scan=SCAN_POINTS):
+def state2_solve(params, theta_w):
     """Both roots of the reflection-point system at wedge angle theta_w.
 
     The 3x3 system is reduced to a scalar F(u2) = 0 on the entropic window
@@ -376,14 +384,15 @@ def state2_solve(params, theta_w, n_scan=SCAN_POINTS):
             theta_w=theta_w,
         )
 
-    roots = _scan_roots(theta_w, params, inc, n=n_scan)
+    scan = _window_scan(theta_w, params, inc)
+    roots = _scan_roots(scan, theta_w, params, inc)
     tangent_pair = False
     if len(roots) == 0:
         # Possibly a tangent double root the scan cannot split: accept it when
         # the interior lobe extremum of F is indistinguishable from zero
         # (angles within ~1e-8 of the detachment angle).
         s_in = _inner_sign(params, inc)
-        lobe, u_star = _lobe_extremum(theta_w, params, inc, s_in)
+        lobe, u_star = _lobe_extremum(scan, theta_w, params, inc, s_in)
         fscale = abs(float(_state2_pieces(inc.xi1_0 * (1 - 1e-14), theta_w, params, inc)[0]))
         if math.isfinite(lobe) and abs(lobe) <= 1e-8 * max(fscale, 1.0):
             roots = [u_star, u_star]
@@ -433,62 +442,56 @@ def state2_solve(params, theta_w, n_scan=SCAN_POINTS):
     return pair
 
 
-def detachment_angle(params, angle_tol=ANGLE_TOL):
-    """Smallest wedge angle with real reflection states, by bisection.
+def detachment_angle(params):
+    """Smallest wedge angle with real reflection states, to ANGLE_TOL by bisection.
 
     The existence indicator is the sign of the extremal value of F over the
     entropic window (oriented so it is positive iff F crosses zero), which
     stays resolvable even when the two roots are closer than the scan spacing.
+    Each probed angle samples F once.
     """
     inc = incident_state(params)
     lo, hi = 0.01, math.pi / 2.0 - 0.01
     s_in = _inner_sign(params, inc)
 
     def exists(theta):
-        if len(_scan_roots(theta, params, inc)) >= 2:
-            return True
-        lobe, _ = _lobe_extremum(theta, params, inc, s_in)
-        return s_in * lobe > 0.0
+        scan = _window_scan(theta, params, inc)
+        if len(_scan_roots(scan, theta, params, inc)) >= 2:
+            return 1.0
+        lobe, _ = _lobe_extremum(scan, theta, params, inc, s_in)
+        return 1.0 if s_in * lobe > 0.0 else -1.0
 
-    if not exists(hi):
+    f_hi = exists(hi)
+    if f_hi < 0.0:
         raise BracketingFailure("no reflection states even near pi/2")
-    if exists(lo):
+    f_lo = exists(lo)
+    if f_lo > 0.0:
         raise BracketingFailure("reflection states persist at 0.01 rad; no detachment bracket")
-    while hi - lo > angle_tol:
-        mid = 0.5 * (lo + hi)
-        if exists(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect(exists, lo, hi, f_lo, f_hi, tol=ANGLE_TOL)
 
 
-def _mach_weak(params, theta_w):
-    return state2_solve(params, theta_w).mach_p0_weak
-
-
-def sonic_angle(params, angle_tol=ANGLE_TOL):
-    """Angle where the weak state (2) is exactly sonic at P0, by bisection.
+def sonic_angle(params):
+    """Angle where the weak state (2) is exactly sonic at P0, to ANGLE_TOL by bisection.
 
     Near pi/2 state (2) is supersonic at P0 and near the detachment angle it
     is subsonic, so mach - 1 brackets a sign change on (theta_d, pi/2).
     """
-    theta_d = detachment_angle(params)
+    return _sonic_angle(params, detachment_angle(params))
+
+
+def _sonic_angle(params, theta_d):
+    def mach_minus_one(theta):
+        return state2_solve(params, theta).mach_p0_weak - 1.0
+
     lo = theta_d + 1e-7
     hi = math.pi / 2.0 - 1e-4
-    f_lo = _mach_weak(params, lo) - 1.0
-    f_hi = _mach_weak(params, hi) - 1.0
+    f_lo = mach_minus_one(lo)
+    f_hi = mach_minus_one(hi)
     if f_lo >= 0.0 or f_hi <= 0.0:
         raise BracketingFailure(
             f"mach-1 does not change sign on ({lo}, {hi}): {f_lo:.3e}, {f_hi:.3e}"
         )
-    while hi - lo > angle_tol:
-        mid = 0.5 * (lo + hi)
-        if _mach_weak(params, mid) - 1.0 > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect(mach_minus_one, lo, hi, f_lo, f_hi, tol=ANGLE_TOL)
 
 
 def critical_density(params_gamma, rho0, tol=1e-12):
@@ -503,8 +506,7 @@ def critical_density(params_gamma, rho0, tol=1e-12):
         raise NonpositiveDensity("need gamma > 1 and rho0 > 0")
 
     def mismatch(r1):
-        u1sq = 2.0 * (r1 - rho0) * (r1 ** (g - 1.0) - rho0 ** (g - 1.0)) / ((g - 1.0) * (r1 + rho0))
-        return math.sqrt(u1sq) - r1 ** ((g - 1.0) / 2.0)
+        return _incident_speed(rho0, r1, g) - r1 ** ((g - 1.0) / 2.0)
 
     if g >= 3.0:
         return math.inf
@@ -514,15 +516,10 @@ def critical_density(params_gamma, rho0, tol=1e-12):
         if hi > 1e14 * rho0:
             return math.inf
     lo = rho0 * (1.0 + 1e-12)
-    if mismatch(lo) >= 0.0:
+    f_lo = mismatch(lo)
+    if f_lo >= 0.0:
         raise BracketingFailure("u1 - c1 not negative just above rho0")
-    while hi - lo > tol * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        if mismatch(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect(mismatch, lo, hi, f_lo, mismatch(hi), tol=tol * max(1.0, lo))
 
 
 def attachment_possible(params):
@@ -532,23 +529,24 @@ def attachment_possible(params):
 
 def angle_diagram(params):
     """Detachment angle, sonic angle, rho^c, and the attachment flag."""
+    theta_d = detachment_angle(params)
     return AngleDiagram(
-        theta_d=detachment_angle(params),
-        theta_s=sonic_angle(params),
+        theta_d=theta_d,
+        theta_s=_sonic_angle(params, theta_d),
         rho_c=critical_density(params.gamma, params.rho0),
         attachment_possible=attachment_possible(params),
     )
 
 
-def mach_regime(mach, sigma=0.1, sonic_tol=1e-8):
+def mach_regime(mach, sigma=0.1):
     """Regime of the weak state (2) from its Mach number |Dphi2(P0)|/c2 at P0.
 
-    Sonic within sonic_tol of 1, supersonic above that, subsonic-near-sonic
+    Sonic within SONIC_TOL of 1, supersonic above that, subsonic-near-sonic
     on (1-sigma, 1), subsonic-away-from-sonic at or below 1-sigma.  sigma is
     a reporting convention (default 0.1), not a claim about the true
     regularity threshold.
     """
-    if abs(mach - 1.0) <= sonic_tol:
+    if abs(mach - 1.0) <= SONIC_TOL:
         return Regime.SONIC
     if mach > 1.0:
         return Regime.SUPERSONIC
@@ -557,8 +555,8 @@ def mach_regime(mach, sigma=0.1, sonic_tol=1e-8):
     return Regime.SUBSONIC_AWAY
 
 
-def classify_regime(params, theta_w, sigma=0.1, sonic_tol=1e-8):
+def classify_regime(params, theta_w, sigma=0.1):
     """Regime of the weak state (2) at wedge angle theta_w (see mach_regime)."""
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0,1), got {sigma}")
-    return mach_regime(state2_solve(params, theta_w).mach_p0_weak, sigma, sonic_tol)
+    return mach_regime(state2_solve(params, theta_w).mach_p0_weak, sigma)

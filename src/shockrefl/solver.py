@@ -48,6 +48,8 @@ ZETA0 = 0.02  # cap depth of the ellipticity cutoff at the sonic arc
 MAX_NEWTON = 120    # Newton steps per BVP solve
 MAX_HALVINGS = 30   # step halvings before a line search gives up
 ARMIJO = 1e-4       # sufficient-decrease fraction of the line search
+COARSE_LEVEL = 65   # grid sequencing: finer grids first converge the shock at this resolution
+SWEEP_HALVINGS = 6  # depth of recursive midpoint bridging in a continuation step
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,6 @@ class IterationParams:
     max_outer: int = 60
     lin_tol: float = 1e-9              # relative interior residual of the BVP
     settle: float = 1.0                # optional deep-convergence factor on tol_fixed_point
-    coarse_level: int | None = 65      # grid sequencing: pre-solve at this resolution
 
     def __post_init__(self):
         if not 0.0 < self.relax <= 1.0:
@@ -452,9 +453,8 @@ def _jacobian(disc, lin, cap, gamma):
     return sp.diags(g.interior) @ (lin.A + dr_drho @ drho) + sp.diags(1.0 - g.interior)
 
 
-def solve_bvp(config, shock, theta_w, iter_params, phi_init, mesh=None, mms=None,
-              enforce_ellipticity=True):
-    """Solve the (cutoff-regularized) elliptic BVP on the current domain.
+def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
+    """Solve the (cutoff-regularized) elliptic BVP on `mesh`, starting from phi_init.
 
     Dirichlet phi = phi2 on the sonic side, state-(1) mass flux through the
     shock side, zero flux on wedge and symmetry sides.  Newton's method with
@@ -467,11 +467,9 @@ def solve_bvp(config, shock, theta_w, iter_params, phi_init, mesh=None, mms=None
 
     Returns (phi, info); raises NoConvergence (MAX_NEWTON steps, or no
     sufficient decrease in a line search), VacuumReached (also when every
-    trial step reaches vacuum), or EllipticityLost (only when the Mach cap
-    is active outside the cutoff band at the solution and enforcement is on).
+    trial step reaches vacuum), or EllipticityLost (when the Mach cap is
+    active outside the cutoff band at the solution with Mach^2 > 1 + 1e-6).
     """
-    if mesh is None:
-        mesh = build_square_map(config, shock, iter_params.n1, iter_params.n2)
     disc, cap, dirichlet_vals, build_rhs = _bvp_data(config, mesh, iter_params, mms)
     params = config.params
     phi = np.array(phi_init, dtype=float).reshape(mesh.n1, mesh.n2).copy()
@@ -508,7 +506,7 @@ def solve_bvp(config, shock, theta_w, iter_params, phi_init, mesh=None, mms=None
     bad = lin.active & outside_band
     info = {"newton_iters": its, "residual": res, "stalled": res >= iter_params.lin_tol,
             "cap_outside_band": int(np.count_nonzero(bad))}
-    if enforce_ellipticity and info["cap_outside_band"] > 0:
+    if info["cap_outside_band"] > 0:
         # tolerate marginally sonic points: only raise when Mach^2 exceeds
         # 1 + 1e-6 outside the band
         q2 = np.sum(lin.grad * lin.grad, axis=-1)
@@ -706,9 +704,8 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         return sol
 
     # grid sequencing: converge the shock on a coarse grid first
-    cl = iter_params.coarse_level
-    if cl is not None and min(n1, n2) > 1.5 * cl:
-        coarse = replace(iter_params, n1=cl, n2=cl)
+    if min(n1, n2) > 1.5 * COARSE_LEVEL:
+        coarse = replace(iter_params, n1=COARSE_LEVEL, n2=COARSE_LEVEL)
         init = fixed_point_solve(params, theta_w, coarse, init=init)
 
     pair = state2_solve(params, theta_w)
@@ -741,10 +738,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
                 phi_ab = config.state2.potential(mesh.nodes)
         # the BVP only needs to be as accurate as the next shock correction
         lin_eff = max(iter_params.lin_tol, min(1e-5, 1e-3 * move_prev))
-        phi, info = solve_bvp(
-            config, shock, theta_w, replace(iter_params, lin_tol=lin_eff), phi_ab, mesh=mesh,
-            enforce_ellipticity=(outer > 2),
-        )
+        phi, info = solve_bvp(config, mesh, phi_ab, replace(iter_params, lin_tol=lin_eff))
         shock_new, upd = update_shock(
             phi, config, shock, mesh=mesh, relax=omega
         )
@@ -781,7 +775,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
 
     # final solve on the converged geometry so the field matches the shock
     mesh = build_square_map(config, shock, n1, n2)
-    phi, info = solve_bvp(config, shock, theta_w, iter_params, phi_ab, mesh=mesh)
+    phi, info = solve_bvp(config, mesh, phi_ab, iter_params)
     moves = [h[1] for h in history]
     monotone_after_3 = all(b <= a * 1.5 for a, b in zip(moves[3:], moves[4:]))
     meta = {
@@ -856,13 +850,13 @@ class SweepResult:
         return [c1_family_distance(a, b) for a, b in zip(self.members, self.members[1:])]
 
 
-def continuation_sweep(params, theta_grid, iter_params=None, max_halvings=6):
+def continuation_sweep(params, theta_grid, iter_params=None):
     """March the family downward in angle, warm-starting each solve.
 
     theta_grid must start at pi/2 and decrease.  On NoConvergence the step is
-    bridged by up to `max_halvings` recursive midpoint solves.  Stops with a
-    typed status at DetachedWedgeAngle, AttachedShockDetected, or unresolved
-    NoConvergence; the partial family is returned.
+    bridged by recursive midpoint solves, SWEEP_HALVINGS levels deep.  Stops
+    with a typed status at DetachedWedgeAngle, AttachedShockDetected, or
+    unresolved NoConvergence; the partial family is returned.
     """
     iter_params = iter_params or IterationParams()
     thetas = [float(t) for t in theta_grid]
@@ -877,7 +871,7 @@ def continuation_sweep(params, theta_grid, iter_params=None, max_halvings=6):
         try:
             return fixed_point_solve(params, target, iter_params, init=from_sol)
         except NoConvergence:
-            if depth >= max_halvings:
+            if depth >= SWEEP_HALVINGS:
                 raise
             mid = 0.5 * (from_sol.theta_w + target)
             bridge = advance(from_sol, mid, depth + 1)

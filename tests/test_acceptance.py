@@ -230,7 +230,7 @@ def test_criterion_06_manufactured_solution_order():
     for n in (33, 65, 129):
         ip = IterationParams(n1=n, n2=n, lin_tol=1e-11)
         mesh = build_square_map(cfg, shock, n, n)
-        phi, _ = solve_bvp(cfg, shock, th, ip, mms.phi(mesh.nodes), mesh=mesh, mms=mms)
+        phi, _ = solve_bvp(cfg, mesh, mms.phi(mesh.nodes), ip, mms=mms)
         errs.append(float(np.abs(phi - mms.phi(mesh.nodes)).max()))
     order = 0.5 * math.log2(errs[0] / errs[2])
     dt = time.time() - t0

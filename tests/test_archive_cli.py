@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from shockrefl import GasParams, IterationParams, fixed_point_solve
 from shockrefl.archive import read_solution, write_solution
 from shockrefl.cli import main
 from shockrefl.errors import ArchiveError
+from shockrefl.gas import bernoulli_base, ellipticity_margin
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +182,40 @@ def test_cli_config_file(tmp_path):
     payload = json.loads((tmp_path / "angles.json").read_text())
     assert payload["params"]["rho1"] == 2.5
     assert payload["params"]["gamma"] == 1.4
+
+
+def _old_csv_texts(sol):
+    """The archive CSVs as formatted value by value with "%.17g", for comparison."""
+    fmt = lambda v: "%.17g" % float(v)
+    shock = ["T,S,xi1,xi2"]
+    for t, s, (x, y) in zip(sol.shock.t_values, sol.shock.s_values, sol.shock.points):
+        shock.append(",".join(fmt(v) for v in (t, s, x, y)))
+    grad = sol.gradient()
+    speed = np.linalg.norm(grad, axis=-1)
+    params = sol.config.params
+    margin = ellipticity_margin(grad, sol.phi, params)
+    base = bernoulli_base(speed ** 2, sol.phi, params)
+    rho = np.where(base > 0, np.abs(base) ** (1.0 / (params.gamma - 1.0)), np.nan)
+    field = ["i,j,xi1,xi2,phi,speed,rho,ellipticity_margin"]
+    for i in range(sol.phi.shape[0]):
+        for j in range(sol.phi.shape[1]):
+            x, y = sol.mesh.nodes[i, j]
+            values = (x, y, sol.phi[i, j], speed[i, j], rho[i, j], margin[i, j])
+            field.append("%d,%d," % (i, j) + ",".join(fmt(v) for v in values))
+    residuals = ["outer_iteration,shock_movement,interior_residual"]
+    for outer, movement, res in sol.residual_history:
+        residuals.append("%d,%s,%s" % (outer, fmt(movement), fmt(res)))
+    return {name: "\n".join(rows) + "\n" for name, rows in
+            (("shock.csv", shock), ("field.csv", field), ("residuals.csv", residuals))}
+
+
+def test_archive_csvs_match_per_value_formatting(sol85_n65, sol_normal65, small_run, tmp_path):
+    empty_history = dataclasses.replace(small_run[0], residual_history=[])
+    for k, sol in enumerate((sol85_n65, sol_normal65, empty_history)):
+        outdir = tmp_path / f"arch{k}"
+        write_solution(sol, str(outdir))
+        for name, text in _old_csv_texts(sol).items():
+            assert (outdir / name).read_text() == text, name
+    assert (tmp_path / "arch2" / "residuals.csv").read_text().count("\n") == 1
+    back, tampered = read_solution(str(tmp_path / "arch2"))
+    assert not tampered and back.residual_history == []

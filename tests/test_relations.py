@@ -244,3 +244,41 @@ def test_normal_reflection_state(gas_122):
     assert rest.rho == pytest.approx(10.0 / 3.0, rel=1e-13)
     assert rest.u == 0.0 and rest.v == 0.0
     assert rest.rho > gas_122.rho1  # compression on reflection
+
+
+@pytest.mark.parametrize("gas", [GasParams(1.0, 2.0, 2.0), GasParams(1.0, 2.0, 1.4)])
+def test_angle_diagram_finds_detachment_once(gas, monkeypatch):
+    from shockrefl import relations
+
+    calls = []
+    original = relations.detachment_angle
+
+    def counted(params):
+        calls.append(params)
+        return original(params)
+
+    monkeypatch.setattr(relations, "detachment_angle", counted)
+    diagram = relations.angle_diagram(gas)
+    assert len(calls) == 1
+    assert (diagram.theta_d, diagram.theta_s) == (original(gas), sonic_angle(gas))
+
+
+def _bisect_while_loop(pred, lo, hi, tol):
+    """Reference: the `while hi - lo > tol` loop that moves hi where pred > 0."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if pred(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-6])
+def test_bisect_with_tolerance_matches_while_loop(tol):
+    from shockrefl.relations import _bisect
+
+    cubic = lambda x: x ** 3 - 2.0
+    step = lambda x: 1.0 if x > 0.7390851332151607 else -1.0
+    for f, lo, hi in ((cubic, 0.3, 3.1), (step, 0.01, math.pi / 2.0 - 0.01)):
+        assert _bisect(f, lo, hi, f(lo), f(hi), tol=tol) == _bisect_while_loop(f, lo, hi, tol)

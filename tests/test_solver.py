@@ -58,7 +58,7 @@ def test_solve_bvp_recovers_uniform_state_on_rectangle(gas_122):
     # floor, flagged as stalled, not in NoConvergence
     for lin_tol, stalled in ((1e-12, False), (1e-16, True)):
         ip = IterationParams(n1=17, n2=19, lin_tol=lin_tol, cutoff_width=1e-9)
-        phi, info = solve_bvp(cfg, None, math.pi / 2.0, ip, phi_exact + 0.01, mesh=sm)
+        phi, info = solve_bvp(cfg, sm, phi_exact + 0.01, ip)
         assert np.abs(phi - phi_exact).max() < 1e-8
         assert info["stalled"] == stalled and info["residual"] < 1e-11
 
@@ -215,7 +215,7 @@ def test_update_shock_contracts_after_perturbation(gas_122, sol85_n65):
     cfg = sol.config.with_foot(shock_pert.points[-1])
     mesh = build_square_map(cfg, shock_pert, 65, 65)
     ip = IterationParams(n1=65, n2=65)
-    phi, _ = solve_bvp(cfg, shock_pert, sol.theta_w, ip, cfg.state2.potential(mesh.nodes), mesh=mesh)
+    phi, _ = solve_bvp(cfg, mesh, cfg.state2.potential(mesh.nodes), ip)
     curve, info = update_shock(phi, cfg, shock_pert, mesh=mesh, relax=1.0)
     # compare distance to the converged shock before and after one update
     t_ref = sol.shock.t_values
@@ -268,7 +268,7 @@ def test_mms_convergence_small():
     for n in (17, 33):
         ip = IterationParams(n1=n, n2=n, lin_tol=1e-11)
         mesh = build_square_map(cfg, shock, n, n)
-        phi, _ = solve_bvp(cfg, shock, th, ip, phi_fn(mesh.nodes), mesh=mesh, mms=mms)
+        phi, _ = solve_bvp(cfg, mesh, phi_fn(mesh.nodes), ip, mms=mms)
         errs.append(float(np.abs(phi - phi_fn(mesh.nodes)).max()))
     assert errs[1] < errs[0] / 2.5
 
