@@ -8,9 +8,9 @@ Subcommands:
     sweep    continuation family over a descending angle grid
     verify   recompute the admissibility report of an existing archive
 
-Exit codes: 0 ok, 2 validation/input, 3 no convergence, 4 admissibility
-failure, 5 attached shock.  Angles are degrees on the command line and
-radians internally.
+Exit codes: 0 ok, 2 validation/input, 3 no convergence or a continuation
+step that broke down, 4 admissibility failure, 5 attached shock.  Angles are
+degrees on the command line and radians internally.
 """
 
 import argparse
@@ -34,7 +34,7 @@ from .errors import (
 )
 from .gas import GasParams
 from .relations import angle_diagram, state2_solve, detachment_angle
-from .solver import IterationParams, continuation_sweep, fixed_point_solve
+from .solver import BRIDGED_FAILURES, IterationParams, continuation_sweep, fixed_point_solve
 
 log = logging.getLogger("shockrefl")
 
@@ -45,7 +45,8 @@ EXIT_REPORT_FAIL = 4
 EXIT_ATTACHED = 5
 # exit codes of a continuation that stops short of its last angle; a sweep
 # that ends at detachment keeps its partial family and exits 0
-_SWEEP_EXIT = {"NoConvergence": EXIT_NO_CONVERGENCE, "AttachedShockDetected": EXIT_ATTACHED}
+_SWEEP_EXIT = {exc.__name__: EXIT_NO_CONVERGENCE for exc in BRIDGED_FAILURES}
+_SWEEP_EXIT["AttachedShockDetected"] = EXIT_ATTACHED
 
 
 @dataclass
@@ -60,7 +61,6 @@ class RunConfig:
     n1: int = 65
     n2: int = 65
     cutoff_width: float | None = None
-    relax: float = 0.7
     tol_fixed_point: float = 1e-7
     max_outer: int = 60
     lin_tol: float = 1e-9
@@ -76,7 +76,6 @@ class RunConfig:
             n1=self.n1,
             n2=self.n2,
             cutoff_width=self.cutoff_width,
-            relax=self.relax,
             tol_fixed_point=self.tol_fixed_point,
             max_outer=self.max_outer,
             lin_tol=self.lin_tol,
@@ -98,7 +97,6 @@ def _solver_opts(parser):
     parser.add_argument("--n1", type=int, default=None)
     parser.add_argument("--n2", type=int, default=None)
     parser.add_argument("--cutoff-width", type=float, default=None)
-    parser.add_argument("--relax", type=float, default=None)
     parser.add_argument("--tol-fp", type=float, default=None)
     parser.add_argument("--max-outer", type=int, default=None)
     parser.add_argument("--lin-tol", type=float, default=None)

@@ -4,9 +4,9 @@ One outer iteration mirrors the fixed-point map of the continuation
 argument: solve a cutoff-regularized elliptic boundary value problem for
 the pseudo-potential on the current domain (Dirichlet phi = phi2 on the
 sonic side, prescribed state-(1) mass flux on the shock side, zero flux on
-wedge and symmetry sides), then move the shock to the zero of
-phi - phi1 along the graph direction and under-relax.  The iteration is
-warm-started in angle by a continuation sweep from the normal reflection
+wedge and symmetry sides), then move the shock toward the zero of
+phi - phi1 along the graph direction by an IQN-ILS quasi-Newton step over
+the solve's earlier iterates.  The iteration is warm-started in angle by a continuation sweep from the normal reflection
 at theta_w = pi/2, which is known in closed form.
 
 Discretization: vertex-centered conservative finite volumes on the mapped
@@ -35,6 +35,7 @@ from .errors import (
     AttachedShockDetected,
     DetachedWedgeAngle,
     EllipticityLost,
+    FoldedMesh,
     GraphPropertyLost,
     NoConvergence,
     VacuumReached,
@@ -59,15 +60,12 @@ class IterationParams:
     n1: int = 65
     n2: int = 65
     cutoff_width: float | None = None  # physical width; None -> 0.1 * sonic radius
-    relax: float = 0.7                 # under-relaxation of shock updates
     tol_fixed_point: float = 1e-7      # sup-norm of shock movement at convergence
     max_outer: int = 60
     lin_tol: float = 1e-9              # relative interior residual of the BVP
     settle: float = 1.0                # optional deep-convergence factor on tol_fixed_point
 
     def __post_init__(self):
-        if not 0.0 < self.relax <= 1.0:
-            raise ValueError("relax must lie in (0, 1]")
         if self.cutoff_width is not None and self.cutoff_width <= 0.0:
             raise ValueError("cutoff_width must be positive in supersonic/near-sonic regimes")
 
@@ -537,27 +535,44 @@ def shock_interior_normals(shock, t=None):
     return (-(e[None, :] - fd[:, None] * ep[None, :])) / nrm[:, None]
 
 
-def update_shock(phi, config, shock, mesh, relax=1.0):
-    """Move shock nodes along the graph direction to the zero of phi - phi1.
+def quasi_newton_step(x, r, earlier):
+    """IQN-ILS step (Degroote et al., Comput. Struct. 87, 2009) from x with residual r.
+
+    V and W stack the differences of r and of x + r against every earlier
+    (x_i, r_i); the step is r + W c with c = lstsq(V, -r), or r with no history.
+    """
+    if not earlier:
+        return r
+    v = np.column_stack([r - ri for _, ri in earlier])
+    w = v + np.column_stack([x - xi for xi, _ in earlier])
+    c = np.linalg.lstsq(v, -r, rcond=None)[0]
+    return r + w @ c
+
+
+def update_shock(phi, config, shock, mesh, earlier=()):
+    """Move shock nodes along the graph direction toward the zero of phi - phi1.
 
     phi is extrapolated linearly past the shock from its boundary value and
     gradient; with phi1 quadratic the crossing solves
-    s^2/2 + s * d(phi - phi1)/de + (phi - phi1) = 0 in closed form.  The top
-    node stays pinned to P1 (P0 in subsonic regimes); the foot is re-pinned
-    to the axis by the vertical-tangency closure (C1 reflected extension)
-    through the two nodes above it.  Returns (new_curve, movement) with
-    movement the sup-norm of applied displacements.
+    s^2/2 + s * d(phi - phi1)/de + (phi - phi1) = 0 in closed form.  That
+    displacement, clipped to 0.2 sonic radii, is the residual r of the
+    interior nodes' S = node . e, which move by quasi_newton_step(S, r,
+    earlier).  The top node stays pinned to P1 (P0 in subsonic regimes); the
+    foot is re-pinned to the axis by the vertical-tangency closure (C1
+    reflected extension) through the two nodes above it.  Returns (new_curve,
+    info) with info["movement"] the sup-norm of applied displacements and
+    info["iterate"] = (S, r).
 
     Raises GraphPropertyLost / AttachedShockDetected on invalid updates.
     """
     e = shock.e
-    pts = mesh.nodes[0, :, :].copy()          # j = 0 foot ... j = n2-1 top
+    pts = mesh.nodes[0, :, :]                 # j = 0 foot ... j = n2-1 top
     grad = mesh.gradient(phi)[0, :, :]
     s1 = config.state1
     dphi = phi[0, :] - s1.potential(pts)
     dge = ((grad - s1.gradient(pts)) * e).sum(-1)
 
-    s_move = np.zeros(len(pts))
+    raw = np.zeros(len(pts) - 2)
     s_cap = 0.2 * config.sonic_radius
     for j in range(1, len(pts) - 1):
         b = dge[j]
@@ -571,8 +586,11 @@ def update_shock(phi, config, shock, mesh, relax=1.0):
             s = -c / b
         else:
             s = 0.0
-        s_move[j] = max(-s_cap, min(s_cap, s))
-    new_pts = pts + relax * s_move[:, None] * e[None, :]
+        raw[j - 1] = max(-s_cap, min(s_cap, s))
+    x = pts[1:-1] @ e
+    step = quasi_newton_step(x, raw, earlier)
+    new_pts = pts.copy()
+    new_pts[1:-1] += step[:, None] * e[None, :]
     new_pts[-1] = config.p1
 
     # vertical-tangency closure at the foot through the two updated nodes above
@@ -588,7 +606,7 @@ def update_shock(phi, config, shock, mesh, relax=1.0):
     if alpha > -config.attach_eps:
         raise AttachedShockDetected(f"shock foot xi1={alpha:.6f} reached the wedge vertex")
 
-    movement = float(max(np.max(np.abs(relax * s_move)), abs(foot_shift)))
+    movement = float(max(np.max(np.abs(step)), abs(foot_shift)))
     curve = ShockCurve(
         e=e,
         points=new_pts[::-1].copy(),
@@ -599,7 +617,7 @@ def update_shock(phi, config, shock, mesh, relax=1.0):
     # graph property itself is a hard requirement here (the admissibility
     # checker enforces the strict Lemma-type bounds on converged shocks)
     curve.check_graph(tol=0.5)
-    info = {"movement": movement, "raw": s_move, "foot_shift": float(foot_shift)}
+    info = {"movement": movement, "iterate": (x, raw), "foot_shift": float(foot_shift)}
     return curve, info
 
 
@@ -678,21 +696,20 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     At theta_w = pi/2 the explicit normal reflection is returned after one
     verification pass of the shock update (which must not move the exact
     flat shock).  Otherwise the shock is warm-started from `init` (transport
-    between angles) or from the cold-start curve, and the loop runs until the
-    sup-norm of the shock displacement drops below
-    tol_fixed_point * settle.
+    between angles) or from the cold-start curve, and each outer iteration
+    moves it by one `update_shock` over all earlier iterates of this solve,
+    until the applied displacement drops below tol_fixed_point * settle.
 
-    Raises NoConvergence, DetachedWedgeAngle, AttachedShockDetected,
-    VacuumReached, EllipticityLost as encountered.
+    Raises NoConvergence after max_outer iterations, and DetachedWedgeAngle,
+    AttachedShockDetected, VacuumReached, EllipticityLost, GraphPropertyLost
+    as encountered.
     """
     iter_params = iter_params or IterationParams()
     n1, n2 = iter_params.n1, iter_params.n2
 
     if abs(theta_w - math.pi / 2.0) < 1e-14:
         sol = normal_reflection(params, n1, n2)
-        curve, upd = update_shock(
-            sol.phi, sol.config, sol.shock, mesh=sol.mesh, relax=1.0
-        )
+        curve, upd = update_shock(sol.phi, sol.config, sol.shock, sol.mesh)
         movement = upd["movement"]
         disc, cap, _, rhs = _bvp_data(sol.config, sol.mesh, iter_params, None)
         lin = _residual(disc, sol.phi, params, cap, rhs)
@@ -722,13 +739,9 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     warm_field = init
 
     history = []
-    mesh = None
-    phi = None
-    converged = False
+    earlier = []  # (S, r) of every earlier iterate, for the quasi-Newton step
     tol_eff = iter_params.tol_fixed_point * iter_params.settle
-    move_prev = math.inf
-    omega = iter_params.relax
-    raw_prev = None
+    movement = math.inf
     for outer in range(1, iter_params.max_outer + 1):
         mesh = build_square_map(config, shock, n1, n2)
         if phi_ab is None:
@@ -737,47 +750,25 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
             else:
                 phi_ab = config.state2.potential(mesh.nodes)
         # the BVP only needs to be as accurate as the next shock correction
-        lin_eff = max(iter_params.lin_tol, min(1e-5, 1e-3 * move_prev))
+        lin_eff = max(iter_params.lin_tol, min(1e-5, 1e-3 * movement))
         phi, info = solve_bvp(config, mesh, phi_ab, replace(iter_params, lin_tol=lin_eff))
-        shock_new, upd = update_shock(
-            phi, config, shock, mesh=mesh, relax=omega
-        )
+        shock, upd = update_shock(phi, config, shock, mesh, earlier)
+        earlier.append(upd["iterate"])
         movement = upd["movement"]
         history.append((outer, movement, info["residual"]))
-        shock = shock_new
         config = config.with_foot(shock.points[-1])
         phi_ab = phi
-        move_prev = movement
         if movement < tol_eff:
-            converged = True
             break
-        # Aitken dynamic relaxation on the raw displacement vectors
-        raw = upd["raw"]
-        if raw_prev is not None and raw.shape == raw_prev.shape:
-            dr = raw - raw_prev
-            denom = float(dr @ dr)
-            if denom > 0.0:
-                omega = -omega * float(raw_prev @ dr) / denom
-                omega = min(1.0, max(0.2, abs(omega)))
-        raw_prev = raw
-    stalled_margin = None
-    if not converged:
-        # accept a marginal stall just above tolerance: the movement floor is
-        # set by inner-solve noise and can sit within a factor of tol
-        if history and history[-1][1] <= 3.0 * tol_eff:
-            converged = True
-            stalled_margin = history[-1][1] / tol_eff
-        else:
-            raise NoConvergence(
-                f"shock movement {history[-1][1]:.3e} after {iter_params.max_outer} outer iterations "
-                f"(tol {tol_eff:.1e}) at theta_w={math.degrees(theta_w):.4f} deg"
-            )
+    else:
+        raise NoConvergence(
+            f"shock movement {movement:.3e} after {iter_params.max_outer} outer iterations "
+            f"(tol {tol_eff:.1e}) at theta_w={math.degrees(theta_w):.4f} deg"
+        )
 
     # final solve on the converged geometry so the field matches the shock
     mesh = build_square_map(config, shock, n1, n2)
     phi, info = solve_bvp(config, mesh, phi_ab, iter_params)
-    moves = [h[1] for h in history]
-    monotone_after_3 = all(b <= a * 1.5 for a, b in zip(moves[3:], moves[4:]))
     meta = {
         "theta_deg": math.degrees(theta_w),
         "regime": config.regime.value,
@@ -788,8 +779,6 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         "interior_residual": info["residual"],
         "cap_outside_band": info["cap_outside_band"],
         "converged": True,
-        "stall_margin": stalled_margin,
-        "movement_monotone_after_3": bool(monotone_after_3),
     }
     meta.update(_tolerance_metadata(iter_params))
     sol = SolutionField(
@@ -809,7 +798,6 @@ def _tolerance_metadata(iter_params):
     return {
         "cutoff_width": iter_params.cutoff_width,
         "zeta0": ZETA0,
-        "relax": iter_params.relax,
         "tol_fixed_point": iter_params.tol_fixed_point,
         "lin_tol": iter_params.lin_tol,
         "settle": iter_params.settle,
@@ -834,6 +822,10 @@ def _shock_rh_report(config, shock, mesh, phi):
     }
 
 
+# step failures that a smaller angle step can get past
+BRIDGED_FAILURES = (NoConvergence, GraphPropertyLost, EllipticityLost, VacuumReached, FoldedMesh)
+
+
 @dataclass(eq=False)
 class SweepResult:
     """Continuation family with its stopping cause."""
@@ -853,10 +845,11 @@ class SweepResult:
 def continuation_sweep(params, theta_grid, iter_params=None):
     """March the family downward in angle, warm-starting each solve.
 
-    theta_grid must start at pi/2 and decrease.  On NoConvergence the step is
-    bridged by recursive midpoint solves, SWEEP_HALVINGS levels deep.  Stops
-    with a typed status at DetachedWedgeAngle, AttachedShockDetected, or
-    unresolved NoConvergence; the partial family is returned.
+    theta_grid must start at pi/2 and decrease.  A step that fails with one
+    of BRIDGED_FAILURES is bridged by recursive midpoint solves,
+    SWEEP_HALVINGS levels deep.  Stops with the error's type name as status at
+    DetachedWedgeAngle, AttachedShockDetected or an unbridged failure; the
+    partial family is returned.
     """
     iter_params = iter_params or IterationParams()
     thetas = [float(t) for t in theta_grid]
@@ -870,7 +863,7 @@ def continuation_sweep(params, theta_grid, iter_params=None):
     def advance(from_sol, target, depth):
         try:
             return fixed_point_solve(params, target, iter_params, init=from_sol)
-        except NoConvergence:
+        except BRIDGED_FAILURES:
             if depth >= SWEEP_HALVINGS:
                 raise
             mid = 0.5 * (from_sol.theta_w + target)
@@ -885,7 +878,7 @@ def continuation_sweep(params, theta_grid, iter_params=None):
     for target in thetas[1:]:
         try:
             sol = advance(members[-1], target, 0)
-        except (DetachedWedgeAngle, AttachedShockDetected, NoConvergence) as exc:
+        except (DetachedWedgeAngle, AttachedShockDetected) + BRIDGED_FAILURES as exc:
             status = type(exc).__name__
             stop_reason = str(exc)
             failed_theta = target

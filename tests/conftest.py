@@ -12,7 +12,7 @@ def gas_122():
 
 @pytest.fixture(scope="session")
 def iter_n65():
-    return IterationParams(n1=65, n2=65, relax=0.7)
+    return IterationParams(n1=65, n2=65)
 
 
 @pytest.fixture(scope="session")

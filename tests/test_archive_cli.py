@@ -6,10 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from shockrefl import GasParams, IterationParams, fixed_point_solve
+from shockrefl import GasParams, IterationParams, fixed_point_solve, solver
 from shockrefl.archive import read_solution, write_solution
 from shockrefl.cli import main
-from shockrefl.errors import ArchiveError
+from shockrefl.errors import ArchiveError, EllipticityLost, GraphPropertyLost
 from shockrefl.gas import bernoulli_base, ellipticity_margin
 
 
@@ -142,6 +142,42 @@ def test_cli_solve_warmup_no_convergence_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("NoConvergence: ")
 
 
+@pytest.mark.parametrize("error", [GraphPropertyLost, EllipticityLost])
+def test_sweep_keeps_partial_family_when_a_step_breaks_down(tmp_path, monkeypatch, capsys, gas_122,
+                                                           error):
+    """A step that fails below 88.6 degrees, at every halving, stops the
+    sweep with the error's name as its status; the members above it are
+    kept and archived, and sweep and solve exit 3."""
+    real = solver.fixed_point_solve
+    attempts = []
+
+    def failing_below(params, theta_w, iter_params=None, init=None):
+        attempts.append(math.degrees(theta_w))
+        if theta_w < math.radians(88.6):
+            raise error("injected breakdown")
+        return real(params, theta_w, iter_params, init=init)
+
+    monkeypatch.setattr(solver, "fixed_point_solve", failing_below)
+    ip = IterationParams(n1=17, n2=17)
+    grid = [math.pi / 2.0] + [math.radians(d) for d in (89.0, 88.0, 87.0)]
+    sweep = solver.continuation_sweep(gas_122, grid, ip)
+    assert sweep.status == error.__name__
+    assert [round(math.degrees(t), 9) for t in sweep.thetas] == [90.0, 89.0]
+    assert len(sweep.members) == 2 and math.isclose(math.degrees(sweep.failed_theta), 88.0)
+    assert any(88.6 <= a < 89.0 for a in attempts)  # the step was halved before giving up
+
+    rc = main(["sweep", "--theta-grid", "90:87:1", "--n1", "17", "--n2", "17",
+               "--out", str(tmp_path)])
+    assert rc == 3
+    rows = (tmp_path / "family.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["90", "89"]
+    assert f"sweep {error.__name__}: 2 members" in capsys.readouterr().out
+
+    rc = main(["solve", "--theta", "88", "--n1", "17", "--n2", "17", "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(f"{error.__name__}: ")
+
+
 def test_cli_solve_at_90_passes_with_flat_note(tmp_path):
     rc = main(["solve", "--rho0", "1", "--rho1", "2", "--gamma", "2",
                "--theta", "90", "--n1", "33", "--n2", "33", "--out", str(tmp_path)])
@@ -182,6 +218,9 @@ def test_cli_config_file(tmp_path):
     payload = json.loads((tmp_path / "angles.json").read_text())
     assert payload["params"]["rho1"] == 2.5
     assert payload["params"]["gamma"] == 1.4
+    # the shock update has no relaxation factor: a config naming one is rejected
+    cfgfile.write_text(json.dumps({"relax": 0.7}))
+    assert main(["angles", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
 
 
 def _old_csv_texts(sol):

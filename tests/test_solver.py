@@ -21,7 +21,14 @@ from shockrefl import (
 )
 from shockrefl import solver
 from shockrefl.relations import state1
-from shockrefl.solver import _Discretization, capped_density, fixed_point_solve, _state1_flux_fn
+from shockrefl.admissibility import full_report
+from shockrefl.solver import (
+    _Discretization,
+    _state1_flux_fn,
+    capped_density,
+    fixed_point_solve,
+    quasi_newton_step,
+)
 
 
 def test_scheme_exact_on_uniform_state_rectangle(gas_122):
@@ -193,7 +200,7 @@ def test_normal_reflection_exactness_and_rh(gas_122):
 
 def test_update_shock_fixed_point_and_flatness(gas_122):
     sol = normal_reflection(gas_122, 33, 33)
-    curve, info = update_shock(sol.phi, sol.config, sol.shock, mesh=sol.mesh, relax=1.0)
+    curve, info = update_shock(sol.phi, sol.config, sol.shock, mesh=sol.mesh)
     assert info["movement"] < 1e-12
     # flat shock stays flat
     assert np.ptp(curve.points[:, 0]) < 1e-12
@@ -216,7 +223,7 @@ def test_update_shock_contracts_after_perturbation(gas_122, sol85_n65):
     mesh = build_square_map(cfg, shock_pert, 65, 65)
     ip = IterationParams(n1=65, n2=65)
     phi, _ = solve_bvp(cfg, mesh, cfg.state2.potential(mesh.nodes), ip)
-    curve, info = update_shock(phi, cfg, shock_pert, mesh=mesh, relax=1.0)
+    curve, info = update_shock(phi, cfg, shock_pert, mesh=mesh)
     # compare distance to the converged shock before and after one update
     t_ref = sol.shock.t_values
     f_ref, _ = sol.shock.graph_value(t_ref)
@@ -227,6 +234,29 @@ def test_update_shock_contracts_after_perturbation(gas_122, sol85_n65):
     after = np.abs(f_new - f_ref)[sl].max()
     # one unrelaxed update contracts at roughly the outer-iteration rate
     assert after < 0.85 * before
+
+
+def test_quasi_newton_step_solves_affine_map():
+    """On G(x) = Mx + b in m = 8 dimensions with spectral radius 1.5, the
+    IQN-ILS step over the full history reaches x* in m + 1 steps, where
+    plain iteration x <- G(x) diverges."""
+    m = 8
+    rng = np.random.default_rng(1)
+    p = np.eye(m) + 0.3 * rng.standard_normal((m, m))
+    mat = p @ np.diag(np.linspace(-1.5, 0.9, m)) @ np.linalg.inv(p)
+    b = rng.standard_normal(m)
+    assert abs(np.max(np.abs(np.linalg.eigvals(mat))) - 1.5) < 1e-12
+    x_star = np.linalg.solve(np.eye(m) - mat, b)
+    x, earlier = np.zeros(m), []
+    plain = np.zeros(m)
+    for _ in range(m + 1):
+        r = mat @ x + b - x
+        step = quasi_newton_step(x, r, earlier)
+        earlier.append((x, r))
+        x = x + step
+        plain = mat @ plain + b
+    assert np.abs(x - x_star).max() < 1e-10
+    assert np.abs(plain - x_star).max() > 2.0 * np.abs(x_star).max()
 
 
 def test_fixed_point_at_right_angle_returns_exact(gas_122):
@@ -312,3 +342,16 @@ def test_multi_start_consistency_cheap(gas_122, sol85_n65):
         sol = fixed_point_solve(gas_122, math.radians(deg), ip, init=sol)
     d = c1_family_distance(sol, sol85_n65)
     assert d < 5e-4
+
+
+@pytest.mark.slow
+def test_sweep_33_reaches_64_degrees_with_passing_reports(gas_122):
+    """At 33^2 the quasi-Newton shock update carries the family from 90 to 64
+    degrees in 2-degree steps, and every member's report passes."""
+    degs = list(range(88, 63, -2))
+    grid = [math.pi / 2.0] + [math.radians(d) for d in degs]
+    sweep = solver.continuation_sweep(gas_122, grid, IterationParams(n1=33, n2=33))
+    assert sweep.status == "completed", sweep.stop_reason
+    assert [round(math.degrees(t), 9) for t in sweep.thetas[1:]] == degs
+    failed = [round(math.degrees(s.theta_w)) for s in sweep.members if not full_report(s).verdict]
+    assert not failed
