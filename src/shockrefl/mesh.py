@@ -172,6 +172,15 @@ def _first_derivative_1d(h):
     return d
 
 
+def sonic_extension(n1, n2):
+    """(N, N) CSR map that replaces each node value on the row w = 1 by the
+    linear extrapolation 2 u[j-1] - u[j-2] from the two rows below, and
+    keeps every other node value."""
+    ext = sp.identity(n2, format="lil")
+    ext[-1, -3:] = [-1.0, 2.0, 0.0]
+    return sp.kron(sp.identity(n1), ext, format="csr")
+
+
 def read_only(*objs):
     """Mark arrays, and the arrays behind sparse matrices, read-only."""
     for obj in objs:
@@ -262,27 +271,33 @@ class SquareMap:
         return max(float(d1), float(d2))
 
     @functools.cached_property
+    def stencil_coefficients(self):
+        """(2, 2, N) array c with D_xk phi = c[k, 0] * Da_n phi + c[k, 1] * Dw_n phi.
+
+        The inverse Jacobian transpose of the stored node metric, raveled
+        over the nodes; where the Jacobian vanishes it is divided by 1.
+        """
+        js = np.where(np.abs(self.jac) > 1e-300, self.jac, 1.0)
+        xa, xw = (self.xa / js[..., None]).reshape(-1, 2), (self.xw / js[..., None]).reshape(-1, 2)
+        coefs = np.array([[xw[:, 1], -xa[:, 1]], [-xw[:, 0], xa[:, 0]]])
+        read_only(coefs)
+        return coefs
+
+    @functools.cached_property
     def gradient_operators(self):
         """Sparse (Gx, Gy) with gradient(phi)[..., k] = Gk @ phi.ravel().
 
-        The grid's (a, w) stencil mapped through the inverse Jacobian
-        transpose of the stored node metric; on a collapsed sonic row
-        (subsonic regime) each row is extrapolated linearly from the two
-        rows below.  Built on first use, once per mesh.
+        The grid's (a, w) stencil mapped through stencil_coefficients; on a
+        collapsed sonic row (subsonic regime) each row is extrapolated
+        linearly from the two rows below (sonic_extension).  Built on first
+        use, once per mesh.
         """
-        n1, n2 = self.n1, self.n2
-        js = np.where(np.abs(self.jac) > 1e-300, self.jac, 1.0)[..., None]
-        xa = (self.xa / js).reshape(-1, 2)
-        xw = (self.xw / js).reshape(-1, 2)
         da, dw = self.grid.Da_n, self.grid.Dw_n
-        gx = sp.diags(xw[:, 1]) @ da - sp.diags(xa[:, 1]) @ dw
-        gy = sp.diags(xa[:, 0]) @ dw - sp.diags(xw[:, 0]) @ da
+        ops = [sp.diags(ca) @ da + sp.diags(cw) @ dw for ca, cw in self.stencil_coefficients]
         if self.degenerate_sonic:
-            ext = sp.identity(n2, format="lil")
-            ext[-1, -3:] = [-1.0, 2.0, 0.0]
-            ext = sp.kron(sp.identity(n1), ext, format="csr")
-            gx, gy = ext @ gx, ext @ gy
-        return gx.tocsr(), gy.tocsr()
+            ext = sonic_extension(self.n1, self.n2)
+            ops = [ext @ op for op in ops]
+        return tuple(op.tocsr() for op in ops)
 
     def gradient(self, phi):
         """Physical gradient D_xi phi at every node, shape (n1, n2, 2)."""

@@ -6,8 +6,13 @@ the pseudo-potential on the current domain (Dirichlet phi = phi2 on the
 sonic side, prescribed state-(1) mass flux on the shock side, zero flux on
 wedge and symmetry sides), then move the shock toward the zero of
 phi - phi1 along the graph direction by an IQN-ILS quasi-Newton step over
-the solve's earlier iterates.  The iteration is warm-started in angle by a continuation sweep from the normal reflection
-at theta_w = pi/2, which is known in closed form.
+the solve's earlier iterates.  The iteration is warm-started in angle by a
+continuation sweep from the normal reflection at theta_w = pi/2, which is
+known in closed form.  Each BVP starts from the state-(2) potential of its
+own configuration and mesh plus the previous field's deviation from its
+state-(2) potential: by the stability of admissible solutions in the wedge
+angle that deviation changes little from one angle to the next, and the
+sonic row starts exactly at its Dirichlet values.
 
 Discretization: vertex-centered conservative finite volumes on the mapped
 (a, w) square.  Face densities are averages of nodal densities, which makes
@@ -19,6 +24,8 @@ inactive outside the band at any accepted solution.
 The discrete BVP, A(rho(phi)) phi = rhs(rho(phi)), is solved by Newton's
 method with its exact Jacobian and Armijo backtracking, down to the
 requested residual or to the residual's roundoff floor if that is larger.
+A and the Jacobian are gathered into fixed sparsity patterns built once per
+logical grid.
 """
 
 import functools
@@ -42,7 +49,7 @@ from .errors import (
 )
 from .gas import bernoulli_base
 from .geometry import ReflectionConfiguration, ShockCurve, build_configuration, initial_shock
-from .mesh import build_square_map, logical_grid, read_only
+from .mesh import build_square_map, logical_grid, read_only, sonic_extension
 from .relations import state2_solve
 
 ZETA0 = 0.02  # cap depth of the ellipticity cutoff at the sonic arc
@@ -143,18 +150,20 @@ def _difference_1d(n):
     return sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n), format="csr")
 
 
+def _product_pairs(left_cols, right_indptr):
+    """(k, p) of every product of a left entry k, in column left_cols[k], with
+    an entry p (position in the CSR data) of row left_cols[k] of the right factor."""
+    counts = np.diff(right_indptr)[left_cols]
+    pos = np.repeat(right_indptr[left_cols] - (np.cumsum(counts) - counts), counts)
+    pos += np.arange(pos.size)
+    return np.repeat(np.arange(left_cols.size), counts), pos
+
+
 def _product_terms(div, op):
     """(row, col, weight, face) of every nonzero product div[row, face] * op[face, col]."""
     div = div.tocoo()
-    counts = np.diff(op.indptr)[div.col]
-    pos = np.repeat(op.indptr[div.col] - (np.cumsum(counts) - counts), counts)
-    pos += np.arange(pos.size)
-    return (
-        np.repeat(div.row, counts),
-        op.indices[pos],
-        np.repeat(div.data, counts) * op.data[pos],
-        np.repeat(div.col, counts),
-    )
+    k, pos = _product_pairs(div.col, op.indptr)
+    return div.row[k], op.indices[pos], div.data[k] * op.data[pos], div.col[k]
 
 
 class _GridStructure:
@@ -169,8 +178,9 @@ class _GridStructure:
         A = Div_a C_a1 Da_f + Div_a C_a2 AaDw + Div_w C_w1 AwDa + Div_w C_w2 Dw_f
 
     (C diagonal face coefficients) has a fixed CSR pattern (indptr,
-    indices): each product term adds weight * coef[face] to data[slot],
-    with coef the four coefficient vectors concatenated in that order.
+    indices; slot_rows is the row of each slot): each product term adds
+    weight * coef[face] to data[slot], with coef the four coefficient
+    vectors concatenated in that order.
     dir_rows are the sonic-side (Dirichlet) rows and interior is 0 on them,
     1 elsewhere.  All arrays are read-only.
     """
@@ -219,6 +229,7 @@ class _GridStructure:
             offset += div.shape[1]
         rows, cols, self.weight, self.face = map(np.concatenate, zip(*terms))
         keys, self.slot = np.unique(rows * N + cols, return_inverse=True)
+        self.slot_rows = keys // N
         pattern = sp.csr_matrix(
             (np.zeros(keys.size), keys % N, np.r_[0, np.cumsum(np.bincount(keys // N, minlength=N))]),
             shape=(N, N),
@@ -236,14 +247,88 @@ def _grid_structure(n1, n2, stretch):
     return _GridStructure(n1, n2, stretch)
 
 
-def _face_metric(coons, a, w):
-    """Metric ratios (|x_w|^2, -x_a.x_w, |x_a|^2) / J at the points (a, w)."""
+class _JacobianPlan:
+    """Fixed CSC pattern of the Newton Jacobian on one logical grid.
+
+    With D = diag(interior) and S = diag(slope) (see _jacobian),
+
+        J = D (A + M S Q) + (I - D),
+        M = Div_a diag(fa) Aa_f + Div_w diag(fw) Aw_f + diag(2 volw),
+        Q = I + diag(gx) E Gx + diag(gy) E Gy,
+
+    where Gk = diag(c[k, 0]) Da_n + diag(c[k, 1]) Dw_n (c the mesh's
+    stencil_coefficients) and E is the sonic_extension on a collapsed sonic
+    side, the identity otherwise.  M's data sum m_weight * coef[m_face] into
+    m_slot, coef = (fa, fw, 2 volw) concatenated; m_cols is each M slot's
+    column.  Q's data are q_eye plus q_weight * (gx[q_row] c[0][q_src] +
+    gy[q_row] c[1][q_src]) summed into q_slot, c[k] = (c[k, 0], c[k, 1])
+    concatenated.  J's data sum M[t_m] * S Q[t_q] over the (M slot, Q slot)
+    pairs of the interior rows, A.data[a_src] and 1 on each Dirichlet
+    diagonal into slot; the Dirichlet rows hold their diagonal only.  All
+    arrays are read-only.
+    """
+
+    def __init__(self, n1, n2, stretch, degenerate):
+        g = _grid_structure(n1, n2, stretch)
+        grid = logical_grid(n1, n2, stretch)
+        N = n1 * n2
+        nodes = np.arange(N)
+        n_fa, n_fw = g.Div_a.shape[1], g.Div_w.shape[1]
+
+        (ra, ca, wa, fa), (rw, cw, ww, fw) = _product_terms(g.Div_a, g.Aa_f), _product_terms(g.Div_w, g.Aw_f)
+        self.m_weight = np.concatenate([wa, ww, np.ones(N)])
+        self.m_face = np.concatenate([fa, fw + n_fa, nodes + n_fa + n_fw])
+        keys, self.m_slot = np.unique(np.concatenate([ra * N + ca, rw * N + cw, nodes * N + nodes]),
+                                      return_inverse=True)
+        m_rows, self.m_cols = np.divmod(keys, N)
+
+        ext = sonic_extension(n1, n2) if degenerate else sp.identity(N, format="csr")
+        (ra, ca, wa, sa), (rw, cw, ww, sw) = _product_terms(ext, grid.Da_n), _product_terms(ext, grid.Dw_n)
+        self.q_weight = np.concatenate([wa, ww])
+        self.q_row = np.concatenate([ra, rw])
+        self.q_src = np.concatenate([sa, sw + N])
+        keys, q_slot = np.unique(np.concatenate([nodes * N + nodes, ra * N + ca, rw * N + cw]),
+                                 return_inverse=True)
+        self.q_eye = np.bincount(q_slot[:N], minlength=keys.size).astype(float)
+        self.q_slot = q_slot[N:]
+        q_rows, q_cols = np.divmod(keys, N)
+
+        # Q's slots are in row-major order, so a slot is its position in CSR data
+        live = np.flatnonzero(g.interior[m_rows] == 1.0)
+        k, self.t_q = _product_pairs(self.m_cols[live], np.r_[0, np.cumsum(np.bincount(q_rows, minlength=N))])
+        self.t_m = live[k]
+        self.a_src = np.flatnonzero(g.interior[g.slot_rows] == 1.0)
+        self.dir_ones = np.ones(g.dir_rows.size)
+        rows = np.concatenate([m_rows[self.t_m], g.slot_rows[self.a_src], g.dir_rows])
+        cols = np.concatenate([q_cols[self.t_q], g.indices[self.a_src], g.dir_rows])
+        keys, self.slot = np.unique(cols * N + rows, return_inverse=True)
+        pattern = sp.csc_matrix(
+            (np.zeros(keys.size), keys % N, np.r_[0, np.cumsum(np.bincount(keys // N, minlength=N))]),
+            shape=(N, N),
+        )
+        self.indptr, self.indices = pattern.indptr, pattern.indices
+        read_only(*vars(self).values())
+
+
+@functools.lru_cache(maxsize=8)
+def _jacobian_plan(n1, n2, stretch, degenerate):
+    """The _JacobianPlan of a logical grid; a pure function of its arguments."""
+    return _JacobianPlan(n1, n2, stretch, degenerate)
+
+
+def _face_metric(coons, a, w, collapsed):
+    """Metric ratios (|x_w|^2, -x_a.x_w, |x_a|^2) / J at the points (a, w).
+
+    With `collapsed` (a sonic side shrunk to a point), points on w = 1 get
+    metric 0: J can vanish there, and the faces on that side join Dirichlet
+    nodes only, so no interior row reads them.
+    """
     xa, xw = coons.derivs(a, w)
     jac = xa[..., 0] * xw[..., 1] - xa[..., 1] * xw[..., 0]
-    return (
-        ((xw * xw).sum(-1) / jac).ravel(),
-        (-(xa * xw).sum(-1) / jac).ravel(),
-        ((xa * xa).sum(-1) / jac).ravel(),
+    live = ~(collapsed & (w == 1.0))
+    return tuple(
+        np.divide(num, jac, out=np.zeros_like(jac), where=live).ravel()
+        for num in ((xw * xw).sum(-1), -(xa * xw).sum(-1), (xa * xa).sum(-1))
     )
 
 
@@ -261,8 +346,9 @@ class _Discretization:
         self.mesh = mesh
         self.n1, self.n2 = mesh.n1, mesh.n2
         self.grid = _grid_structure(mesh.n1, mesh.n2, mesh.grid.stretch)
-        self.g11_f, self.g12_f, _ = _face_metric(mesh.coons, *self.grid.a_faces)
-        _, self.g21_g, self.g22_g = _face_metric(mesh.coons, *self.grid.w_faces)
+        collapsed = mesh.degenerate_sonic
+        self.g11_f, self.g12_f, _ = _face_metric(mesh.coons, *self.grid.a_faces, collapsed)
+        _, self.g21_g, self.g22_g = _face_metric(mesh.coons, *self.grid.w_faces, collapsed)
         self.volw = (mesh.jac * self.grid.ea[:, None] * self.grid.ew[None, :]).ravel()
 
     # -- boundary quadrature -------------------------------------------------
@@ -424,31 +510,50 @@ def _residual_scale(disc, rho):
 
 def _roundoff_floor(disc, lin):
     """eps * max over interior rows of |A||phi| + |c|, the rounding error
-    of the computed residual."""
-    bound = (abs(lin.A) @ np.abs(lin.phi.ravel()) + np.abs(lin.c)) * disc.grid.interior
+    of the computed residual; |A| is read off A's data on the grid pattern."""
+    g = disc.grid
+    x = np.abs(lin.phi.ravel())
+    bound = (np.bincount(g.slot_rows, np.abs(lin.A.data) * x[g.indices], minlength=x.size)
+             + np.abs(lin.c)) * g.interior
     return np.finfo(float).eps * float(np.max(bound))
 
 
 def _jacobian(disc, lin, cap, gamma):
     """Exact Jacobian of the residual at lin.phi, identity on the Dirichlet rows.
 
-    J = A(rho) + (B(phi) + 2 diag(volw)) drho/dphi, where B(phi) rho equals
-    A(rho) phi (A is linear in rho) and 2 diag(volw) is -d rhs/d rho.  Off
-    the cap, drho/dphi = -rho^(2-g) (I + diag(phi_x) Gx + diag(phi_y) Gy);
-    where the cap is active rho depends on phi alone, through
-    -rho^(2-g) / (1 + cap (g-1)/2).
+    J = D (A(rho) + M S Q) + (I - D) with D = diag(interior): M = B(phi) +
+    2 diag(volw), where B(phi) rho equals A(rho) phi (A is linear in rho)
+    and 2 diag(volw) is -d rhs/d rho, and S Q = drho/dphi.  Off the cap,
+    S = -rho^(2-g) and Q = I + diag(phi_x) Gx + diag(phi_y) Gy; where the
+    cap is active rho depends on phi alone, so S = -rho^(2-g) / (1 + cap
+    (g-1)/2) and Q's row is the identity's.  The data are gathered and
+    summed by one bincount into the grid's fixed pattern (_JacobianPlan),
+    whose entries that come out exactly 0 are dropped; J is returned in
+    CSC, the format splu factors.
     """
+    mesh = disc.mesh
+    plan = _jacobian_plan(disc.n1, disc.n2, mesh.grid.stretch, mesh.degenerate_sonic)
     g = disc.grid
     x = lin.phi.ravel()
     fa = g.ew_face_a * (disc.g11_f * (g.Da_f @ x) + disc.g12_f * (g.AaDw @ x))
     fw = g.ea_face_w * (disc.g21_g * (g.AwDa @ x) + disc.g22_g * (g.Dw_f @ x))
-    dr_drho = g.Div_a @ sp.diags(fa) @ g.Aa_f + g.Div_w @ sp.diags(fw) @ g.Aw_f + sp.diags(2.0 * disc.volw)
+    coef = np.concatenate([fa, fw, 2.0 * disc.volw])
     active = lin.active.ravel()
     slope = -lin.rho.ravel() ** (2.0 - gamma) / np.where(active, 1.0 + 0.5 * (gamma - 1.0) * cap.ravel(), 1.0)
-    grad = np.where(active[:, None], 0.0, lin.grad.reshape(-1, 2))
-    gx, gy = disc.mesh.gradient_operators
-    drho = sp.diags(slope) @ (sp.identity(x.size) + sp.diags(grad[:, 0]) @ gx + sp.diags(grad[:, 1]) @ gy)
-    return sp.diags(g.interior) @ (lin.A + dr_drho @ drho) + sp.diags(1.0 - g.interior)
+    m = np.bincount(plan.m_slot, plan.m_weight * coef[plan.m_face], minlength=plan.m_cols.size)
+    ms = m * slope[plan.m_cols]
+    grad = np.where(active[:, None], 0.0, lin.grad.reshape(-1, 2))[plan.q_row]
+    c = mesh.stencil_coefficients.reshape(2, -1)
+    qw = plan.q_weight * (grad[:, 0] * c[0][plan.q_src] + grad[:, 1] * c[1][plan.q_src])
+    q = plan.q_eye + np.bincount(plan.q_slot, qw, minlength=plan.q_eye.size)
+    weights = np.concatenate([ms[plan.t_m] * q[plan.t_q], lin.A.data[plan.a_src], plan.dir_ones])
+    data = np.bincount(plan.slot, weights, minlength=plan.indices.size)
+    # leave out the entries that vanish, as a sparse product does: splu's
+    # ordering reads the stored pattern, and stored zeros add fill
+    keep = data != 0.0
+    kept = np.zeros(keep.size + 1, dtype=plan.indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    return sp.csc_matrix((data[keep], plan.indices[keep], kept[plan.indptr]), shape=(x.size, x.size))
 
 
 def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
@@ -459,7 +564,8 @@ def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
     the exact Jacobian, one sparse LU per step and Armijo backtracking (step
     halving on the residual's 2-norm), until the relative max-norm residual
     is below iter_params.lin_tol or below its roundoff floor, whichever is
-    larger; info["stalled"] marks a stop at the floor above lin_tol.  With
+    larger; info["stalled"] marks a stop at the floor above lin_tol, and
+    info["residual_evals"] counts the line searches' trial residuals.  With
     `mms` given, the manufactured source and boundary data replace the
     physical ones (convergence testing).
 
@@ -476,17 +582,18 @@ def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
     lin = _residual(disc, phi, params, cap, build_rhs)
     scale = _residual_scale(disc, lin.rho)
     res = float(np.max(np.abs(lin.r))) / scale
-    its = 0
+    its = trials = 0
     while res >= max(iter_params.lin_tol, _roundoff_floor(disc, lin) / scale):
         if its == MAX_NEWTON:
             raise NoConvergence(f"Newton at relative residual {res:.3e} (tol {iter_params.lin_tol:.1e})")
         its += 1
-        step = spla.splu(_jacobian(disc, lin, cap, params.gamma).tocsc()).solve(-lin.r)
+        step = spla.splu(_jacobian(disc, lin, cap, params.gamma)).solve(-lin.r)
         # Armijo on the 2-norm: the max norm can stall for good where the
         # largest residual sits next to a node on the Mach cap's kink
         merit = np.linalg.norm(lin.r)
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
+            trials += 1
             try:
                 trial = _residual(disc, lin.phi + t * step.reshape(phi.shape), params, cap, build_rhs)
             except VacuumReached as exc:
@@ -502,8 +609,8 @@ def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
         res = float(np.max(np.abs(lin.r))) / scale
     outside_band = sonic_distance(config, mesh.nodes) > cutoff_band_width(config, iter_params.cutoff_width)
     bad = lin.active & outside_band
-    info = {"newton_iters": its, "residual": res, "stalled": res >= iter_params.lin_tol,
-            "cap_outside_band": int(np.count_nonzero(bad))}
+    info = {"newton_iters": its, "residual_evals": trials, "residual": res,
+            "stalled": res >= iter_params.lin_tol, "cap_outside_band": int(np.count_nonzero(bad))}
     if info["cap_outside_band"] > 0:
         # tolerate marginally sonic points: only raise when Mach^2 exceeds
         # 1 + 1e-6 outside the band
@@ -699,6 +806,12 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     between angles) or from the cold-start curve, and each outer iteration
     moves it by one `update_shock` over all earlier iterates of this solve,
     until the applied displacement drops below tol_fixed_point * settle.
+    Every BVP starts from the state-(2) potential on its own mesh plus the
+    previous field's deviation from its state-(2) potential (resampled
+    through the logical square when the grid size differs, zero on a cold
+    start), so the sonic row starts at its Dirichlet values.
+    metadata["newton_steps"] sums the Newton steps of every BVP of the
+    solve, the final one included.
 
     Raises NoConvergence after max_outer iterations, and DetachedWedgeAngle,
     AttachedShockDetected, VacuumReached, EllipticityLost, GraphPropertyLost
@@ -717,6 +830,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         sol.residual_history.append((1, movement, res))
         sol.metadata.update(_shock_rh_report(sol.config, curve, sol.mesh, sol.phi))
         sol.metadata["converged"] = bool(movement < iter_params.tol_fixed_point)
+        sol.metadata["newton_steps"] = 0
         sol.metadata.update(_tolerance_metadata(iter_params))
         return sol
 
@@ -729,35 +843,32 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     config = build_configuration(params, theta_w, pair)
     if init is not None:
         shock = _transport_shock(init.shock, config)
+        dev = init.phi - init.config.state2.potential(init.mesh.nodes)
     else:
         shock = initial_shock(config, n=max(n2, 65))
+        dev = np.zeros((n1, n2))
     config = config.with_foot(shock.points[-1])
-
-    phi_ab = None
-    if init is not None and init.phi.shape == (n1, n2):
-        phi_ab = init.phi.copy()
-    warm_field = init
 
     history = []
     earlier = []  # (S, r) of every earlier iterate, for the quasi-Newton step
+    newton_steps = 0
     tol_eff = iter_params.tol_fixed_point * iter_params.settle
     movement = math.inf
     for outer in range(1, iter_params.max_outer + 1):
         mesh = build_square_map(config, shock, n1, n2)
-        if phi_ab is None:
-            if warm_field is not None:
-                phi_ab = _interp_logical(warm_field.phi, warm_field.mesh, mesh)
-            else:
-                phi_ab = config.state2.potential(mesh.nodes)
+        if dev.shape != (n1, n2):  # grid sequencing: from the coarse solution
+            dev = _interp_logical(dev, init.mesh, mesh)
         # the BVP only needs to be as accurate as the next shock correction
         lin_eff = max(iter_params.lin_tol, min(1e-5, 1e-3 * movement))
-        phi, info = solve_bvp(config, mesh, phi_ab, replace(iter_params, lin_tol=lin_eff))
+        phi, info = solve_bvp(config, mesh, config.state2.potential(mesh.nodes) + dev,
+                              replace(iter_params, lin_tol=lin_eff))
+        newton_steps += info["newton_iters"]
         shock, upd = update_shock(phi, config, shock, mesh, earlier)
         earlier.append(upd["iterate"])
         movement = upd["movement"]
         history.append((outer, movement, info["residual"]))
+        dev = phi - config.state2.potential(mesh.nodes)
         config = config.with_foot(shock.points[-1])
-        phi_ab = phi
         if movement < tol_eff:
             break
     else:
@@ -768,7 +879,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
 
     # final solve on the converged geometry so the field matches the shock
     mesh = build_square_map(config, shock, n1, n2)
-    phi, info = solve_bvp(config, mesh, phi_ab, iter_params)
+    phi, info = solve_bvp(config, mesh, config.state2.potential(mesh.nodes) + dev, iter_params)
     meta = {
         "theta_deg": math.degrees(theta_w),
         "regime": config.regime.value,
@@ -776,6 +887,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         "n2": n2,
         "exact": False,
         "outer_iterations": len(history),
+        "newton_steps": newton_steps + info["newton_iters"],
         "interior_residual": info["residual"],
         "cap_outside_band": info["cap_outside_band"],
         "converged": True,

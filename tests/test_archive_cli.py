@@ -31,6 +31,7 @@ def test_archive_round_trip(small_run):
     assert np.abs(back.phi - sol.phi).max() < 1e-14
     assert np.abs(back.shock.points - sol.shock.points).max() < 1e-14
     assert back.metadata["regime"] == sol.metadata["regime"]
+    assert back.metadata["newton_steps"] == sol.metadata["newton_steps"] > 0
 
 
 def test_archive_tamper_detection(small_run, tmp_path):

@@ -13,6 +13,9 @@ from shockrefl import (
     state2_solve,
 )
 
+# a silent inf or nan in the mesh is a failure
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture(scope="module")
 def mesh85(gas_122):

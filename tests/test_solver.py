@@ -22,6 +22,7 @@ from shockrefl import (
 from shockrefl import solver
 from shockrefl.relations import state1
 from shockrefl.admissibility import full_report
+from shockrefl.mesh import CoonsMap, Segment, _assemble_map
 from shockrefl.solver import (
     _Discretization,
     _state1_flux_fn,
@@ -29,6 +30,9 @@ from shockrefl.solver import (
     fixed_point_solve,
     quasi_newton_step,
 )
+
+# a silent inf or nan in the solver is a failure
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_scheme_exact_on_uniform_state_rectangle(gas_122):
@@ -97,6 +101,88 @@ def test_newton_jacobian_matches_central_differences(gas_122, deg, n1, n2):
     fd[rows] = 0.0
     fd[rows, rows] = 1.0
     assert np.abs(J - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def _jacobian_product_form(disc, lin, cap, gamma):
+    """The Newton Jacobian built term by term from the grid's and the mesh's sparse operators."""
+    g = disc.grid
+    x = lin.phi.ravel()
+    fa = g.ew_face_a * (disc.g11_f * (g.Da_f @ x) + disc.g12_f * (g.AaDw @ x))
+    fw = g.ea_face_w * (disc.g21_g * (g.AwDa @ x) + disc.g22_g * (g.Dw_f @ x))
+    dr_drho = g.Div_a @ sp.diags(fa) @ g.Aa_f + g.Div_w @ sp.diags(fw) @ g.Aw_f + sp.diags(2.0 * disc.volw)
+    active = lin.active.ravel()
+    slope = -lin.rho.ravel() ** (2.0 - gamma) / np.where(active, 1.0 + 0.5 * (gamma - 1.0) * cap.ravel(), 1.0)
+    grad = np.where(active[:, None], 0.0, lin.grad.reshape(-1, 2))
+    gx, gy = disc.mesh.gradient_operators
+    drho = sp.diags(slope) @ (sp.identity(x.size) + sp.diags(grad[:, 0]) @ gx + sp.diags(grad[:, 1]) @ gy)
+    return sp.diags(g.interior) @ (lin.A + dr_drho @ drho) + sp.diags(1.0 - g.interior)
+
+
+@pytest.mark.parametrize("deg, n1, n2", [(85.0, 13, 11), (55.0, 11, 12)])
+def test_fixed_pattern_jacobian_matches_product_form(gas_122, deg, n1, n2):
+    """The Jacobian gathered into its fixed pattern equals the sparse-product
+    form on a curved and on a collapsed-sonic mesh with cap-active nodes, and
+    its Dirichlet rows store the diagonal only."""
+    th = math.radians(deg)
+    cfg = build_configuration(gas_122, th, state2_solve(gas_122, th))
+    mesh = build_square_map(cfg, initial_shock(cfg), n1, n2)
+    disc, cap, dirichlet_vals, rhs = solver._bvp_data(cfg, mesh, IterationParams(n1=n1, n2=n2), None)
+    # noise that fades toward the sonic side, so that part of a collapsed
+    # sonic row, whose gradient is extrapolated, stays off the cap
+    noise = np.random.default_rng(1).standard_normal((n1, n2)) * (1.0 - mesh.w_grid) ** 2
+    phi = cfg.state2.potential(mesh.nodes) + 0.02 * noise
+    phi[:, -1] = dirichlet_vals
+    lin = solver._residual(disc, phi, gas_122, cap, rhs)
+    assert lin.active.any() and not lin.active.all()
+    assert not (mesh.degenerate_sonic and lin.active[:, -1].all())
+    J = solver._jacobian(disc, lin, cap, gas_122.gamma)
+    ref = _jacobian_product_form(disc, lin, cap, gas_122.gamma)
+    assert abs(J - ref).max() <= 1e-13 * abs(ref).max()
+    rows = J.tocsr()[disc.grid.dir_rows]
+    assert rows.nnz == rows.shape[0] and np.array_equal(rows.indices, disc.grid.dir_rows)
+    assert np.all(rows.data == 1.0)
+
+
+def test_collapsed_sonic_row_gets_zero_metric(gas_122):
+    """With integer corners x_a is exactly 0 on a collapsed sonic side, so the
+    face Jacobian there is 0: those faces get metric 0, and the operators
+    and the Jacobian stay finite."""
+    n1, n2 = 9, 10
+    p2, p3, p0 = np.array([-2.0, 0.0]), np.array([0.0, 0.0]), np.array([0.0, 2.0])
+    coons = CoonsMap(Segment(p2, p0), Segment(p3, p0), Segment(p2, p3), Segment(p0, p0), (p2, p3, p0, p0))
+    mesh = _assemble_map(coons, n1, n2, "sqrt", degenerate=True)
+    assert np.all(mesh.xa[:, -1] == 0.0) and np.all(mesh.jac[:, -1] == 0.0)
+    x, y = mesh.nodes[..., 0], mesh.nodes[..., 1]
+    phi = -1.0 + 0.1 * x - 0.05 * y * y
+    cap = np.full((n1, n2), 0.98)
+    with np.errstate(all="raise"):
+        disc = _Discretization(mesh)
+        lin = solver._residual(disc, phi, gas_122, cap, lambda rho: -2.0 * rho.ravel() * disc.volw)
+        floor = solver._roundoff_floor(disc, lin)
+        J = solver._jacobian(disc, lin, cap, gas_122.gamma)
+    for metric in (disc.g11_f, disc.g12_f):
+        assert np.all(metric.reshape(n1 - 1, n2)[:, -1] == 0.0)
+    assert np.all(np.isfinite(lin.r)) and np.isfinite(floor) and np.all(np.isfinite(J.data))
+
+
+def test_first_bvp_after_an_angle_step_is_warm(gas_122, monkeypatch):
+    """The first BVP of the 33^2 step 90 -> 89 deg starts from the 90-degree
+    field's deviation from its state-(2) potential and needs few Newton
+    steps; newton_steps sums the steps of every BVP of the solve."""
+    infos = []
+    unrecorded = solver.solve_bvp
+
+    def recording(*args, **kwargs):
+        phi, info = unrecorded(*args, **kwargs)
+        infos.append(info)
+        return phi, info
+
+    monkeypatch.setattr(solver, "solve_bvp", recording)
+    ip = IterationParams(n1=33, n2=33)
+    sol = fixed_point_solve(gas_122, math.radians(89.0), ip, init=fixed_point_solve(gas_122, math.pi / 2.0, ip))
+    assert infos[0]["newton_iters"] <= 5
+    assert sol.metadata["newton_steps"] == sum(info["newton_iters"] for info in infos)
+    assert all(info["residual_evals"] >= info["newton_iters"] for info in infos)
 
 
 def _product_form(disc, rho):
