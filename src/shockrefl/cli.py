@@ -28,7 +28,6 @@ from .errors import (
     ArchiveError,
     AttachedShockDetected,
     DetachedWedgeAngle,
-    NoConvergence,
     ShockReflError,
     ValidationError,
 )
@@ -43,8 +42,9 @@ EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_REPORT_FAIL = 4
 EXIT_ATTACHED = 5
-# exit codes of a continuation that stops short of its last angle; a sweep
-# that ends at detachment keeps its partial family and exits 0
+# exit codes of a continuation that stops short of its last angle, and of a
+# solve from an archive whose step breaks down; a sweep that ends at
+# detachment keeps its partial family and exits 0
 _SWEEP_EXIT = {exc.__name__: EXIT_NO_CONVERGENCE for exc in BRIDGED_FAILURES}
 _SWEEP_EXIT["AttachedShockDetected"] = EXIT_ATTACHED
 
@@ -120,7 +120,7 @@ def build_parser():
     _solver_opts(p)
     p.add_argument("--theta", type=float, required=True, help="wedge angle in degrees")
     p.add_argument("--init", default=None, help="warm-start archive directory")
-    p.add_argument("--sweep-step", type=float, default=1.0,
+    p.add_argument("--sweep-step", type=float, default=None,
                    help="internal warm-up sweep step in degrees")
 
     p = sub.add_parser("sweep", help="continuation family over a descending grid")
@@ -237,7 +237,11 @@ def cmd_solve(args):
         init, tampered = archive.read_solution(cfg.init)
         if tampered:
             log.warning("init archive %s failed its hash check", cfg.init)
-        sol = fixed_point_solve(gas, theta, cfg.iteration_params(), init=init)
+        try:
+            sol = fixed_point_solve(gas, theta, cfg.iteration_params(), init=init)
+        except BRIDGED_FAILURES as exc:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return _SWEEP_EXIT[type(exc).__name__]
     else:
         result = continuation_sweep(gas, _warmup_grid(theta, cfg.sweep_step), cfg.iteration_params())
         if result.status != "completed":
@@ -319,9 +323,6 @@ def main(argv=None):
     except AttachedShockDetected as exc:
         print(f"AttachedShockDetected: {exc}", file=sys.stderr)
         return EXIT_ATTACHED
-    except NoConvergence as exc:
-        print(f"NoConvergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except (ValidationError, DetachedWedgeAngle, ArchiveError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -283,27 +283,20 @@ class SquareMap:
         read_only(coefs)
         return coefs
 
-    @functools.cached_property
-    def gradient_operators(self):
-        """Sparse (Gx, Gy) with gradient(phi)[..., k] = Gk @ phi.ravel().
+    def gradient(self, phi):
+        """Physical gradient D_xi phi at every node, shape (n1, n2, 2).
 
         The grid's (a, w) stencil mapped through stencil_coefficients; on a
-        collapsed sonic row (subsonic regime) each row is extrapolated
-        linearly from the two rows below (sonic_extension).  Built on first
-        use, once per mesh.
+        collapsed sonic row (subsonic regime) the gradient is extrapolated
+        linearly from the two rows below, as sonic_extension does.
         """
-        da, dw = self.grid.Da_n, self.grid.Dw_n
-        ops = [sp.diags(ca) @ da + sp.diags(cw) @ dw for ca, cw in self.stencil_coefficients]
-        if self.degenerate_sonic:
-            ext = sonic_extension(self.n1, self.n2)
-            ops = [ext @ op for op in ops]
-        return tuple(op.tocsr() for op in ops)
-
-    def gradient(self, phi):
-        """Physical gradient D_xi phi at every node, shape (n1, n2, 2)."""
         phi = np.asarray(phi, dtype=float)
-        gx, gy = self.gradient_operators
-        return np.stack([gx @ phi.ravel(), gy @ phi.ravel()], axis=-1).reshape(phi.shape + (2,))
+        pa, pw = self.grid.Da_n @ phi.ravel(), self.grid.Dw_n @ phi.ravel()
+        c = self.stencil_coefficients
+        g = (c[:, 0] * pa + c[:, 1] * pw).reshape(2, self.n1, self.n2)
+        if self.degenerate_sonic:
+            g[..., -1] = 2.0 * g[..., -2] - g[..., -3]
+        return np.stack(g, axis=-1).reshape(phi.shape + (2,))
 
     def inverse(self, xi, tol=1e-10, max_iter=100):
         """Invert the map by damped Newton from the nearest grid node.

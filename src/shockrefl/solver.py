@@ -159,15 +159,42 @@ def _product_pairs(left_cols, right_indptr):
     return np.repeat(np.arange(left_cols.size), counts), pos
 
 
-def _product_terms(div, op):
-    """(row, col, weight, face) of every nonzero product div[row, face] * op[face, col]."""
-    div = div.tocoo()
-    k, pos = _product_pairs(div.col, op.indptr)
-    return div.row[k], op.indices[pos], div.data[k] * op.data[pos], div.col[k]
+def _product_terms(pairs):
+    """(row, col, weight, offset index) of every term of sum_k L_k diag(v_k) R_k.
+
+    `pairs` holds the (L_k, R_k), R_k in CSR.  A term L_k[row, f] R_k[f, col]
+    has weight L_k[row, f] * R_k[f, col] and offset index f plus the widths of
+    the earlier L's: its position in v = (v_1, v_2, ...) concatenated.
+    """
+    terms = []
+    offset = 0
+    for left, right in pairs:
+        left = left.tocoo()
+        k, pos = _product_pairs(left.col, right.indptr)
+        terms.append((left.row[k], right.indices[pos], left.data[k] * right.data[pos], left.col[k] + offset))
+        offset += left.shape[1]
+    return tuple(map(np.concatenate, zip(*terms)))
+
+
+def _pattern(major, minor, n):
+    """Compressed pattern of the entries (major, minor) of an n x n matrix.
+
+    Returns (slot, indptr, indices, majors): the slot of each entry, shared
+    by duplicates, and the compressed arrays (CSR for major = row, CSC for
+    major = column) with each slot's major index; slots are sorted by
+    (major, minor).  The keys major * n + minor are int64, as n^2 can
+    exceed int32; the sparse constructor picks the index dtype.
+    """
+    keys, slot = np.unique(np.asarray(major, dtype=np.int64) * n + minor, return_inverse=True)
+    majors = keys // n
+    indptr = np.r_[0, np.cumsum(np.bincount(majors, minlength=n))]
+    pattern = sp.csr_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n))
+    return slot, pattern.indptr, pattern.indices, majors
 
 
 class _GridStructure:
-    """The parts of the finite-volume scheme that depend on the logical grid only.
+    """The parts of the finite-volume scheme that depend on the logical grid only
+    (and, for the Jacobian, on whether its sonic side is collapsed).
 
     a-faces join nodes (i, j) and (i+1, j), w-faces join (i, j) and (i, j+1).
     On them live the differences Da_f, Dw_f, the averages Aa_f, Aw_f and the
@@ -182,10 +209,28 @@ class _GridStructure:
     weight * coef[face] to data[slot], with coef the four coefficient
     vectors concatenated in that order.
     dir_rows are the sonic-side (Dirichlet) rows and interior is 0 on them,
-    1 elsewhere.  All arrays are read-only.
+    1 elsewhere.
+
+    The Newton Jacobian has a fixed CSC pattern (j_indptr, j_indices) too.
+    With D = diag(interior) and S = diag(slope) (see _jacobian),
+
+        J = D (A + M S Q) + (I - D),
+        M = Div_a diag(fa) Aa_f + Div_w diag(fw) Aw_f + diag(2 volw),
+        Q = I + diag(gx) E Gx + diag(gy) E Gy,
+
+    where Gk = diag(c[k, 0]) Da_n + diag(c[k, 1]) Dw_n (c the mesh's
+    stencil_coefficients) and E is the sonic_extension on a collapsed sonic
+    side (`degenerate`), the identity otherwise.  M's data sum m_weight *
+    coef[m_face] into m_slot, coef = (fa, fw, 2 volw) concatenated; m_cols
+    is each M slot's column.  Q's data are q_eye plus q_weight * (gx[q_row]
+    c[0][q_src] + gy[q_row] c[1][q_src]) summed into q_slot, c[k] = (c[k, 0],
+    c[k, 1]) concatenated.  J's data sum M[t_m] * S Q[t_q] over the (M slot,
+    Q slot) pairs of the interior rows, A.data[a_src] and 1 on each
+    Dirichlet diagonal into j_slot; the Dirichlet rows hold their diagonal
+    only.  All arrays are read-only.
     """
 
-    def __init__(self, n1, n2, stretch):
+    def __init__(self, n1, n2, stretch, degenerate):
         grid = logical_grid(n1, n2, stretch)
         a, w = grid.a, grid.w
         N = n1 * n2
@@ -220,100 +265,42 @@ class _GridStructure:
         self.wspan = np.stack([np.r_[w[0], w_mid], np.r_[w_mid, w[-1]]])
         self.aspan = np.stack([np.r_[a[0], a_mid], np.r_[a_mid, a[-1]]])
 
-        terms = []
-        offset = 0  # of each coefficient vector in the concatenation
-        for div, op in ((self.Div_a, self.Da_f), (self.Div_a, self.AaDw),
-                        (self.Div_w, self.AwDa), (self.Div_w, self.Dw_f)):
-            r, c, wt, f = _product_terms(div, op)
-            terms.append((r, c, wt, f + offset))
-            offset += div.shape[1]
-        rows, cols, self.weight, self.face = map(np.concatenate, zip(*terms))
-        keys, self.slot = np.unique(rows * N + cols, return_inverse=True)
-        self.slot_rows = keys // N
-        pattern = sp.csr_matrix(
-            (np.zeros(keys.size), keys % N, np.r_[0, np.cumsum(np.bincount(keys // N, minlength=N))]),
-            shape=(N, N),
+        rows, cols, self.weight, self.face = _product_terms(
+            ((self.Div_a, self.Da_f), (self.Div_a, self.AaDw), (self.Div_w, self.AwDa), (self.Div_w, self.Dw_f))
         )
-        self.indptr, self.indices = pattern.indptr, pattern.indices
-
+        self.slot, self.indptr, self.indices, self.slot_rows = _pattern(rows, cols, N)
         self.dir_rows = np.arange(n1) * n2 + (n2 - 1)
         self.interior = np.where(np.arange(N) % n2 == n2 - 1, 0.0, 1.0)
-        read_only(*vars(self).values())
 
+        eye = sp.identity(N, format="csr")
+        rows, cols, self.m_weight, self.m_face = _product_terms(
+            ((self.Div_a, self.Aa_f), (self.Div_w, self.Aw_f), (eye, eye))
+        )
+        self.m_slot, _, self.m_cols, m_rows = _pattern(rows, cols, N)
 
-@functools.lru_cache(maxsize=8)
-def _grid_structure(n1, n2, stretch):
-    """The _GridStructure of a logical grid; a pure function of its arguments."""
-    return _GridStructure(n1, n2, stretch)
-
-
-class _JacobianPlan:
-    """Fixed CSC pattern of the Newton Jacobian on one logical grid.
-
-    With D = diag(interior) and S = diag(slope) (see _jacobian),
-
-        J = D (A + M S Q) + (I - D),
-        M = Div_a diag(fa) Aa_f + Div_w diag(fw) Aw_f + diag(2 volw),
-        Q = I + diag(gx) E Gx + diag(gy) E Gy,
-
-    where Gk = diag(c[k, 0]) Da_n + diag(c[k, 1]) Dw_n (c the mesh's
-    stencil_coefficients) and E is the sonic_extension on a collapsed sonic
-    side, the identity otherwise.  M's data sum m_weight * coef[m_face] into
-    m_slot, coef = (fa, fw, 2 volw) concatenated; m_cols is each M slot's
-    column.  Q's data are q_eye plus q_weight * (gx[q_row] c[0][q_src] +
-    gy[q_row] c[1][q_src]) summed into q_slot, c[k] = (c[k, 0], c[k, 1])
-    concatenated.  J's data sum M[t_m] * S Q[t_q] over the (M slot, Q slot)
-    pairs of the interior rows, A.data[a_src] and 1 on each Dirichlet
-    diagonal into slot; the Dirichlet rows hold their diagonal only.  All
-    arrays are read-only.
-    """
-
-    def __init__(self, n1, n2, stretch, degenerate):
-        g = _grid_structure(n1, n2, stretch)
-        grid = logical_grid(n1, n2, stretch)
-        N = n1 * n2
+        ext = sonic_extension(n1, n2) if degenerate else eye
+        self.q_row, cols, self.q_weight, self.q_src = _product_terms(((ext, grid.Da_n), (ext, grid.Dw_n)))
         nodes = np.arange(N)
-        n_fa, n_fw = g.Div_a.shape[1], g.Div_w.shape[1]
-
-        (ra, ca, wa, fa), (rw, cw, ww, fw) = _product_terms(g.Div_a, g.Aa_f), _product_terms(g.Div_w, g.Aw_f)
-        self.m_weight = np.concatenate([wa, ww, np.ones(N)])
-        self.m_face = np.concatenate([fa, fw + n_fa, nodes + n_fa + n_fw])
-        keys, self.m_slot = np.unique(np.concatenate([ra * N + ca, rw * N + cw, nodes * N + nodes]),
-                                      return_inverse=True)
-        m_rows, self.m_cols = np.divmod(keys, N)
-
-        ext = sonic_extension(n1, n2) if degenerate else sp.identity(N, format="csr")
-        (ra, ca, wa, sa), (rw, cw, ww, sw) = _product_terms(ext, grid.Da_n), _product_terms(ext, grid.Dw_n)
-        self.q_weight = np.concatenate([wa, ww])
-        self.q_row = np.concatenate([ra, rw])
-        self.q_src = np.concatenate([sa, sw + N])
-        keys, q_slot = np.unique(np.concatenate([nodes * N + nodes, ra * N + ca, rw * N + cw]),
-                                 return_inverse=True)
-        self.q_eye = np.bincount(q_slot[:N], minlength=keys.size).astype(float)
+        q_slot, q_indptr, q_cols, _ = _pattern(np.r_[nodes, self.q_row], np.r_[nodes, cols], N)
+        self.q_eye = np.bincount(q_slot[:N], minlength=q_cols.size).astype(float)
         self.q_slot = q_slot[N:]
-        q_rows, q_cols = np.divmod(keys, N)
 
         # Q's slots are in row-major order, so a slot is its position in CSR data
-        live = np.flatnonzero(g.interior[m_rows] == 1.0)
-        k, self.t_q = _product_pairs(self.m_cols[live], np.r_[0, np.cumsum(np.bincount(q_rows, minlength=N))])
+        live = np.flatnonzero(self.interior[m_rows] == 1.0)
+        k, self.t_q = _product_pairs(self.m_cols[live], q_indptr)
         self.t_m = live[k]
-        self.a_src = np.flatnonzero(g.interior[g.slot_rows] == 1.0)
-        self.dir_ones = np.ones(g.dir_rows.size)
-        rows = np.concatenate([m_rows[self.t_m], g.slot_rows[self.a_src], g.dir_rows])
-        cols = np.concatenate([q_cols[self.t_q], g.indices[self.a_src], g.dir_rows])
-        keys, self.slot = np.unique(cols * N + rows, return_inverse=True)
-        pattern = sp.csc_matrix(
-            (np.zeros(keys.size), keys % N, np.r_[0, np.cumsum(np.bincount(keys // N, minlength=N))]),
-            shape=(N, N),
-        )
-        self.indptr, self.indices = pattern.indptr, pattern.indices
+        self.a_src = np.flatnonzero(self.interior[self.slot_rows] == 1.0)
+        self.dir_ones = np.ones(self.dir_rows.size)
+        rows = np.concatenate([m_rows[self.t_m], self.slot_rows[self.a_src], self.dir_rows])
+        cols = np.concatenate([q_cols[self.t_q], self.indices[self.a_src], self.dir_rows])
+        self.j_slot, self.j_indptr, self.j_indices, _ = _pattern(cols, rows, N)
         read_only(*vars(self).values())
 
 
 @functools.lru_cache(maxsize=8)
-def _jacobian_plan(n1, n2, stretch, degenerate):
-    """The _JacobianPlan of a logical grid; a pure function of its arguments."""
-    return _JacobianPlan(n1, n2, stretch, degenerate)
+def _grid_structure(n1, n2, stretch, degenerate):
+    """The _GridStructure of a logical grid; a pure function of its arguments."""
+    return _GridStructure(n1, n2, stretch, degenerate)
 
 
 def _face_metric(coons, a, w, collapsed):
@@ -336,17 +323,17 @@ class _Discretization:
     """Finite-volume operators on one mesh; density enters through face coefficients.
 
     Everything that depends on the logical grid alone (stencils, face
-    operators, the CSR pattern of A and its Dirichlet rows) is the shared,
-    read-only `grid` structure; this object adds the mesh's own metric: the
-    face metric ratios g11_f, g12_f (a-faces) and g21_g, g22_g (w-faces),
-    and the node volume weights volw = J * Ea * Ew.
+    operators, the patterns of A and of the Jacobian, the Dirichlet rows)
+    is the shared, read-only `grid` structure; this object adds the mesh's
+    own metric: the face metric ratios g11_f, g12_f (a-faces) and g21_g,
+    g22_g (w-faces), and the node volume weights volw = J * Ea * Ew.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
         self.n1, self.n2 = mesh.n1, mesh.n2
-        self.grid = _grid_structure(mesh.n1, mesh.n2, mesh.grid.stretch)
         collapsed = mesh.degenerate_sonic
+        self.grid = _grid_structure(mesh.n1, mesh.n2, mesh.grid.stretch, collapsed)
         self.g11_f, self.g12_f, _ = _face_metric(mesh.coons, *self.grid.a_faces, collapsed)
         _, self.g21_g, self.g22_g = _face_metric(mesh.coons, *self.grid.w_faces, collapsed)
         self.volw = (mesh.jac * self.grid.ea[:, None] * self.grid.ew[None, :]).ravel()
@@ -354,35 +341,24 @@ class _Discretization:
     # -- boundary quadrature -------------------------------------------------
     _GPTS = (-0.5773502691896258, 0.5773502691896258)
 
-    def flux_line_a(self, a_val, flux_fn):
-        """Prescribed +a-direction flux through the boundary faces on a = a_val.
+    def flux_line(self, side, value, state):
+        """Prescribed flux rho Dphi . n through the boundary faces on `side` = value.
 
-        flux_fn(points, x_w) -> rho * Dphi . (x_w2, -x_w1) evaluated pointwise.
-        Two-point Gauss per face span.
+        side is "a" or "w"; n is the mapped normal in the +side direction,
+        (x_w2, -x_w1) on a line a = const and (-x_a2, x_a1) on a line
+        w = const, and state(points) -> (rho, Dphi).  Two-point Gauss per
+        face span.
         """
-        lo, hi = self.grid.wspan
-        out = np.zeros(self.n2)
+        on_a = side == "a"
+        lo, hi = self.grid.wspan if on_a else self.grid.aspan
+        out = np.zeros(lo.size)
         for gp in self._GPTS:
-            wq = (lo + hi) / 2.0 + gp * (hi - lo) / 2.0
-            aq = np.full_like(wq, a_val)
-            pts = self.mesh.coons.point(aq, wq)
-            _, xw = self.mesh.coons.derivs(aq, wq)
-            out += 0.5 * (hi - lo) * flux_fn(pts, xw)
-        return out
-
-    def flux_line_w(self, w_val, flux_fn):
-        """Prescribed +w-direction flux through the boundary faces on w = w_val.
-
-        flux_fn(points, x_a) -> rho * Dphi . (-x_a2, x_a1) evaluated pointwise.
-        """
-        lo, hi = self.grid.aspan
-        out = np.zeros(self.n1)
-        for gp in self._GPTS:
-            aq = (lo + hi) / 2.0 + gp * (hi - lo) / 2.0
-            wq = np.full_like(aq, w_val)
-            pts = self.mesh.coons.point(aq, wq)
-            xa, _ = self.mesh.coons.derivs(aq, wq)
-            out += 0.5 * (hi - lo) * flux_fn(pts, xa)
+            t = (lo + hi) / 2.0 + gp * (hi - lo) / 2.0
+            a, w = (np.full_like(t, value), t) if on_a else (t, np.full_like(t, value))
+            xa, xw = self.mesh.coons.derivs(a, w)
+            nx, ny = (xw[..., 1], -xw[..., 0]) if on_a else (-xa[..., 1], xa[..., 0])
+            rho, g = state(self.mesh.coons.point(a, w))
+            out += 0.5 * (hi - lo) * (rho * (g[..., 0] * nx + g[..., 1] * ny))
         return out
 
     def assemble(self, rho_nodes):
@@ -423,31 +399,6 @@ class MMSProblem:
         drho = -(rho ** (2.0 - params.gamma))[..., None] * (g + hdot)
         return rho * (trace + 2.0) + (drho * g).sum(-1)
 
-    def boundary_flux_a(self, params):
-        def fn(pts, xw):
-            rho = self.density(pts, params)
-            g = self.grad(pts)
-            return rho * (g[..., 0] * xw[..., 1] - g[..., 1] * xw[..., 0])
-        return fn
-
-    def boundary_flux_w(self, params):
-        def fn(pts, xa):
-            rho = self.density(pts, params)
-            g = self.grad(pts)
-            return rho * (-g[..., 0] * xa[..., 1] + g[..., 1] * xa[..., 0])
-        return fn
-
-
-def _state1_flux_fn(config):
-    """rho1 * Dphi1 . (x_w2, -x_w1) along the shock side, in closed form."""
-    s1 = config.state1
-
-    def fn(pts, xw):
-        g = s1.gradient(pts)
-        return s1.rho * (g[..., 0] * xw[..., 1] - g[..., 1] * xw[..., 0])
-
-    return fn
-
 
 def _bvp_data(config, mesh, iter_params, mms):
     """Operators, Mach cap, sonic Dirichlet values and right-hand side of the BVP.
@@ -462,17 +413,18 @@ def _bvp_data(config, mesh, iter_params, mms):
     cap = _mach_cap(config, pts, iter_params.cutoff_width)
     if mms is None:
         dirichlet_vals = config.state2.potential(pts[:, -1, :])
-        shock_flux = disc.flux_line_a(0.0, _state1_flux_fn(config))
+        s1 = config.state1
+        shock_flux = disc.flux_line("a", 0.0, lambda pts: (s1.rho, s1.gradient(pts)))
         wedge_flux = np.zeros(n2)
         sym_flux = np.zeros(n1)
         source_extra = 0.0
     else:
         dirichlet_vals = mms.phi(pts[:, -1, :])
-        fa = mms.boundary_flux_a(config.params)
-        fw = mms.boundary_flux_w(config.params)
-        shock_flux = disc.flux_line_a(0.0, fa)
-        wedge_flux = disc.flux_line_a(1.0, fa)
-        sym_flux = disc.flux_line_w(0.0, fw)
+        def state(pts):
+            return mms.density(pts, config.params), mms.grad(pts)
+        shock_flux = disc.flux_line("a", 0.0, state)
+        wedge_flux = disc.flux_line("a", 1.0, state)
+        sym_flux = disc.flux_line("w", 0.0, state)
         source_extra = mms.source(pts, config.params).ravel() * disc.volw
 
     def rhs(rho):
@@ -527,12 +479,10 @@ def _jacobian(disc, lin, cap, gamma):
     S = -rho^(2-g) and Q = I + diag(phi_x) Gx + diag(phi_y) Gy; where the
     cap is active rho depends on phi alone, so S = -rho^(2-g) / (1 + cap
     (g-1)/2) and Q's row is the identity's.  The data are gathered and
-    summed by one bincount into the grid's fixed pattern (_JacobianPlan),
+    summed by one bincount into the grid's fixed pattern (_GridStructure),
     whose entries that come out exactly 0 are dropped; J is returned in
     CSC, the format splu factors.
     """
-    mesh = disc.mesh
-    plan = _jacobian_plan(disc.n1, disc.n2, mesh.grid.stretch, mesh.degenerate_sonic)
     g = disc.grid
     x = lin.phi.ravel()
     fa = g.ew_face_a * (disc.g11_f * (g.Da_f @ x) + disc.g12_f * (g.AaDw @ x))
@@ -540,20 +490,20 @@ def _jacobian(disc, lin, cap, gamma):
     coef = np.concatenate([fa, fw, 2.0 * disc.volw])
     active = lin.active.ravel()
     slope = -lin.rho.ravel() ** (2.0 - gamma) / np.where(active, 1.0 + 0.5 * (gamma - 1.0) * cap.ravel(), 1.0)
-    m = np.bincount(plan.m_slot, plan.m_weight * coef[plan.m_face], minlength=plan.m_cols.size)
-    ms = m * slope[plan.m_cols]
-    grad = np.where(active[:, None], 0.0, lin.grad.reshape(-1, 2))[plan.q_row]
-    c = mesh.stencil_coefficients.reshape(2, -1)
-    qw = plan.q_weight * (grad[:, 0] * c[0][plan.q_src] + grad[:, 1] * c[1][plan.q_src])
-    q = plan.q_eye + np.bincount(plan.q_slot, qw, minlength=plan.q_eye.size)
-    weights = np.concatenate([ms[plan.t_m] * q[plan.t_q], lin.A.data[plan.a_src], plan.dir_ones])
-    data = np.bincount(plan.slot, weights, minlength=plan.indices.size)
+    m = np.bincount(g.m_slot, g.m_weight * coef[g.m_face], minlength=g.m_cols.size)
+    ms = m * slope[g.m_cols]
+    grad = np.where(active[:, None], 0.0, lin.grad.reshape(-1, 2))[g.q_row]
+    c = disc.mesh.stencil_coefficients.reshape(2, -1)
+    qw = g.q_weight * (grad[:, 0] * c[0][g.q_src] + grad[:, 1] * c[1][g.q_src])
+    q = g.q_eye + np.bincount(g.q_slot, qw, minlength=g.q_eye.size)
+    weights = np.concatenate([ms[g.t_m] * q[g.t_q], lin.A.data[g.a_src], g.dir_ones])
+    data = np.bincount(g.j_slot, weights, minlength=g.j_indices.size)
     # leave out the entries that vanish, as a sparse product does: splu's
     # ordering reads the stored pattern, and stored zeros add fill
     keep = data != 0.0
-    kept = np.zeros(keep.size + 1, dtype=plan.indptr.dtype)
+    kept = np.zeros(keep.size + 1, dtype=g.j_indptr.dtype)
     np.cumsum(keep, out=kept[1:])
-    return sp.csc_matrix((data[keep], plan.indices[keep], kept[plan.indptr]), shape=(x.size, x.size))
+    return sp.csc_matrix((data[keep], g.j_indices[keep], kept[g.j_indptr]), shape=(x.size, x.size))
 
 
 def solve_bvp(config, mesh, phi_init, iter_params, mms=None):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from shockrefl import GasParams, IterationParams, fixed_point_solve, solver
+from shockrefl import GasParams, IterationParams, cli, fixed_point_solve, solver
 from shockrefl.archive import read_solution, write_solution
 from shockrefl.cli import main
 from shockrefl.errors import ArchiveError, EllipticityLost, GraphPropertyLost
@@ -148,7 +148,7 @@ def test_sweep_keeps_partial_family_when_a_step_breaks_down(tmp_path, monkeypatc
                                                            error):
     """A step that fails below 88.6 degrees, at every halving, stops the
     sweep with the error's name as its status; the members above it are
-    kept and archived, and sweep and solve exit 3."""
+    kept and archived, and sweep and solve exit 3, a solve from an archive too."""
     real = solver.fixed_point_solve
     attempts = []
 
@@ -159,6 +159,7 @@ def test_sweep_keeps_partial_family_when_a_step_breaks_down(tmp_path, monkeypatc
         return real(params, theta_w, iter_params, init=init)
 
     monkeypatch.setattr(solver, "fixed_point_solve", failing_below)
+    monkeypatch.setattr(cli, "fixed_point_solve", failing_below)
     ip = IterationParams(n1=17, n2=17)
     grid = [math.pi / 2.0] + [math.radians(d) for d in (89.0, 88.0, 87.0)]
     sweep = solver.continuation_sweep(gas_122, grid, ip)
@@ -174,9 +175,10 @@ def test_sweep_keeps_partial_family_when_a_step_breaks_down(tmp_path, monkeypatc
     assert [r.split(",")[0] for r in rows[1:]] == ["90", "89"]
     assert f"sweep {error.__name__}: 2 members" in capsys.readouterr().out
 
-    rc = main(["solve", "--theta", "88", "--n1", "17", "--n2", "17", "--out", str(tmp_path)])
-    assert rc == 3
-    assert capsys.readouterr().err.startswith(f"{error.__name__}: ")
+    for init in ([], ["--init", str(tmp_path / "theta089.000")]):
+        rc = main(["solve", "--theta", "88", "--n1", "17", "--n2", "17", "--out", str(tmp_path)] + init)
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"{error.__name__}: ")
 
 
 def test_cli_solve_at_90_passes_with_flat_note(tmp_path):
@@ -211,7 +213,7 @@ def test_cli_sweep_empty_grid_rejected(tmp_path):
     assert main(["sweep", "--theta-grid", "80:90:1", "--out", str(tmp_path)]) == 2
 
 
-def test_cli_config_file(tmp_path):
+def test_cli_config_file(tmp_path, monkeypatch):
     cfgfile = tmp_path / "rc.json"
     cfgfile.write_text(json.dumps({"rho1": 2.5, "gamma": 1.4}))
     rc = main(["angles", "--config", str(cfgfile), "--out", str(tmp_path)])
@@ -222,6 +224,19 @@ def test_cli_config_file(tmp_path):
     # the shock update has no relaxation factor: a config naming one is rejected
     cfgfile.write_text(json.dumps({"relax": 0.7}))
     assert main(["angles", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+    # a sweep_step from the file sets the solve's warm-up grid unless
+    # --sweep-step is given
+    grids = []
+
+    def stub_sweep(params, theta_grid, iter_params):
+        grids.append([round(math.degrees(t), 9) for t in theta_grid])
+        return solver.SweepResult(members=[], thetas=[], status="NoConvergence", stop_reason="stub")
+
+    monkeypatch.setattr(cli, "continuation_sweep", stub_sweep)
+    cfgfile.write_text(json.dumps({"sweep_step": 2.0}))
+    for extra, grid in (([], [90.0, 88.0, 86.0]), (["--sweep-step", "1"], [90.0, 89.0, 88.0, 87.0, 86.0])):
+        assert main(["solve", "--theta", "86", "--config", str(cfgfile), "--out", str(tmp_path)] + extra) == 3
+        assert grids.pop() == grid
 
 
 def _old_csv_texts(sol):
