@@ -33,13 +33,15 @@ from scipy.interpolate import LinearNDInterpolator
 from .archive import jsonable
 from .errors import TooFewSamples
 from .gas import bernoulli_base, ellipticity_margin
-from .geometry import ShockCurve, interior_cone_directions
+from .geometry import E_XI2, ShockCurve, interior_cone_directions
 from .relations import rh_residual
-from .solver import cutoff_band_width, shock_interior_normals, sonic_distance
+from .solver import cutoff_band_width, sonic_distance
 
 TOL_COEFF = 10.0          # tol = TOL_COEFF * h^1.5
 ENDPOINT_SKIP = 2         # nodes skipped at arc endpoints for strict checks
 FARFIELD_TOL = 1e-10
+FLAT_TOL = 1e-8           # |f''| bound of the flat shock at theta_w = pi/2
+TAU_OFFSET = 2.0          # phi_tautau probes: offset and step off the shock, in grid spacings
 MANDATORY = (
     "ellipticity",
     "shock_inequalities",
@@ -177,7 +179,7 @@ def check_shock_inequalities(sol, tol=None):
     tol = tol if tol is not None else grid_tolerance(sol)
     k = ENDPOINT_SKIP
     pts = sol.mesh.nodes[0, :, :]
-    nu = shock_interior_normals(sol.shock, t=pts @ sol.shock.e_perp)
+    nu = sol.shock.normals(t=pts @ sol.shock.e_perp)
     grad = sol.gradient()[0, :, :]
     dn_phi = (grad * nu).sum(-1)
     dn_phi1 = (sol.config.state1.gradient(pts) * nu).sum(-1)
@@ -250,7 +252,7 @@ def check_cone_monotonicity(sol, tol=None):
             worst, loc = w, l
     k = ENDPOINT_SKIP
     shock_diff = diff[0, k:-k, :]
-    for name, e in (("e_s1", cfg.e_s1), ("e_xi2", np.array([0.0, 1.0]))):
+    for name, e in (("e_s1", cfg.e_s1), ("e_xi2", np.array(E_XI2))):
         vals = (shock_diff * e).sum(-1)
         w = float(vals.max())
         details[f"shock_{name}"] = w
@@ -296,13 +298,13 @@ def _second_derivative(t, f):
     return 2.0 * (hm * f[2:] - (hm + hp) * f[1:-1] + hp * f[:-2]) / (hm * hp * (hm + hp))
 
 
-def check_graph_and_convexity(shock, theta_w=None, config=None, tol=None, flat_tol=1e-8):
+def check_graph_and_convexity(shock, theta_w=None, config=None, tol=None):
     """Graph/tangent bounds plus strict convexity, cross-validated in 3 cone directions.
 
     The shock must be a graph with slopes between the endpoint tangents and
     discrete f'' <= tol everywhere with f'' < 0 on the middle 80% of the arc,
     with the same verdict in all sampled directions.  At theta_w = pi/2 the
-    flat-shock exemption applies: |f''| < flat_tol is asserted instead.
+    flat-shock exemption applies: |f''| < FLAT_TOL is asserted instead.
     """
     if shock.points.shape[0] < 5:
         raise TooFewSamples("convexity check needs at least 5 shock samples")
@@ -351,7 +353,7 @@ def check_graph_and_convexity(shock, theta_w=None, config=None, tol=None, flat_t
             inner = np.ones(len(fpp), dtype=bool)
         if degenerate:
             flat = float(np.max(np.abs(fpp)))
-            verdicts.append(flat < flat_tol and slope_exc <= tol)
+            verdicts.append(flat < FLAT_TOL and slope_exc <= tol)
             details[f"dir_{idx}_flatness"] = flat
             worst = max(worst, flat)
         else:
@@ -373,28 +375,24 @@ def check_graph_and_convexity(shock, theta_w=None, config=None, tol=None, flat_t
         passed=bool(passed),
         mandatory=True,
         worst=worst,
-        tolerance=flat_tol if degenerate else tol,
+        tolerance=FLAT_TOL if degenerate else tol,
         note=note,
         details=details,
     )
 
 
-def check_phi_tau_tau_equivalence(sol, offset_factor=2.0):
+def check_phi_tau_tau_equivalence(sol):
     """Diagnostic: sign agreement between phi_tautau of phi - phi1 near the
     shock and -f'' of the graph (noisy near endpoints; never gates)."""
     shock = sol.shock
-    cur = ShockCurve(e=shock.e, points=shock.points, tau_p1=shock.tau_p1, tau_p2=shock.tau_p2)
-    t = cur.t_values
-    s = cur.s_values
-    fpp = _second_derivative(t, s)
+    fpp = _second_derivative(shock.t_values, shock.s_values)
     pts_nodes = sol.mesh.nodes.reshape(-1, 2)
     vals = (sol.phi - sol.config.state1.potential(sol.mesh.nodes)).reshape(-1)
     interp = LinearNDInterpolator(pts_nodes, vals)
     h = sol.mesh.max_spacing()
-    eps = offset_factor * h
-    nu = shock_interior_normals(shock)
-    _, fd = shock.graph_value(t)
-    tau = (fd[:, None] * shock.e[None, :] + shock.e_perp[None, :]) / np.sqrt(1 + fd * fd)[:, None]
+    eps = TAU_OFFSET * h
+    nu = shock.normals()
+    tau = shock.tangents()
     inner = shock.points[1:-1] + eps * nu[1:-1]
     delta = eps
     plus = interp(inner + delta * tau[1:-1])
@@ -417,14 +415,12 @@ def check_phi_tau_tau_equivalence(sol, offset_factor=2.0):
     )
 
 
-def check_tangent_distance(shock, center=(0.0, 0.0)):
-    """Diagnostic: distance from O0 to the shock tangent lines along the curve
-    should vary monotonically between the endpoint tangent distances."""
-    t = shock.t_values
-    f, fd = shock.graph_value(t)
-    e, ep = shock.e, shock.e_perp
-    tau = (fd[:, None] * e[None, :] + ep[None, :]) / np.sqrt(1 + fd * fd)[:, None]
-    pts = shock.points - np.asarray(center, dtype=float)
+def check_tangent_distance(shock):
+    """Diagnostic: distance from O0 (the origin) to the shock tangent lines
+    along the curve should vary monotonically between the endpoint tangent
+    distances."""
+    tau = shock.tangents()
+    pts = shock.points
     d = np.abs(tau[:, 0] * pts[:, 1] - tau[:, 1] * pts[:, 0])
     dd = np.diff(d)
     tol = 1e-9 + 1e-6 * float(np.max(d))

@@ -23,9 +23,8 @@ import numpy as np
 
 from .errors import ArchiveError
 from .gas import GasParams, bernoulli_base, ellipticity_margin
-from .geometry import ShockCurve, build_configuration
+from .geometry import build_configuration
 from .mesh import build_square_map
-from .relations import state2_solve
 from .solver import SolutionField
 
 FMT = "%.17g"
@@ -151,17 +150,8 @@ def read_solution(indir):
     except (KeyError, ValueError, OSError) as exc:
         raise ArchiveError(f"inconsistent archive: {exc}") from exc
 
-    pair = None
-    if abs(theta - math.pi / 2.0) > 1e-14:
-        pair = state2_solve(params, theta)
-    config = build_configuration(params, theta, pair)
-    pts = shock_rows[:, 2:4]
-    shock = ShockCurve(
-        e=config.wedge_normal(),
-        points=pts,
-        tau_p1=config.e_s1.copy(),
-        tau_p2=np.array([0.0, 1.0]),
-    )
+    config = build_configuration(params, theta)
+    shock = config.shock_curve(shock_rows[:, 2:4])
     config = config.with_foot(shock.points[-1])
     mesh = build_square_map(config, shock, n1, n2)
 

@@ -24,17 +24,19 @@ from .errors import (
 )
 from .gas import GasParams, UniformState
 from .relations import (
+    NORMAL_ANGLE_TOL,
     IncidentData,
     Regime,
-    State2Pair,
     incident_state,
     mach_regime,
     normal_reflection_state,
     state0,
     state1,
+    state2_solve,
 )
 
 ATTACH_EPS_FACTOR = 1e-3  # attached-shock trigger: xi1(P2) > -factor * c2
+E_XI2 = (0.0, 1.0)        # the vertical edge of the monotonicity cone
 
 
 class ConeDirections(NamedTuple):
@@ -55,16 +57,15 @@ def cone_directions(pair, params):
     return _cone_dirs_from_states(inc.u1, pair.weak)
 
 
-def lambda_contains(xi, theta_w, boundary_tol=0.0):
+def lambda_contains(xi, theta_w):
     """Membership test for Lambda = upper half-plane minus the solid wedge.
 
     The wedge interior is {xi1 > 0, 0 < xi2*cos(theta) < xi1*sin(theta)}.
-    Points within boundary_tol of the boundary count as inside.
     """
     xi = np.asarray(xi, dtype=float)
     x1, x2 = xi[..., 0], xi[..., 1]
-    upper = x2 > -boundary_tol
-    in_wedge = (x1 > boundary_tol) & (x2 * math.cos(theta_w) < x1 * math.sin(theta_w) - boundary_tol)
+    upper = x2 > 0.0
+    in_wedge = (x1 > 0.0) & (x2 * math.cos(theta_w) < x1 * math.sin(theta_w))
     return upper & ~in_wedge
 
 
@@ -110,6 +111,12 @@ class ReflectionConfiguration:
     def with_foot(self, p2):
         return replace(self, p2=np.asarray(p2, dtype=float))
 
+    def shock_curve(self, points):
+        """The shock through points (P1 first) as a graph in the wedge normal,
+        leaving P1 along e_S1 and meeting the axis vertically."""
+        return ShockCurve(e=self.wedge_normal(), points=points, tau_p1=self.e_s1.copy(),
+                          tau_p2=np.array(E_XI2))
+
 
 def _cone_dirs_from_states(u1, state2):
     vec = np.array([state2.v, u1 - state2.u])
@@ -121,20 +128,19 @@ def _cone_dirs_from_states(u1, state2):
     if degenerate:
         # theta_w = pi/2: straight shock is vertical, cone has empty interior
         e_s1 = np.array([0.0, -math.copysign(1.0, u1 - state2.u)])
-    return ConeDirections(e_s1=e_s1, e_xi2=np.array([0.0, 1.0]), degenerate=degenerate)
+    return ConeDirections(e_s1=e_s1, e_xi2=np.array(E_XI2), degenerate=degenerate)
 
 
-def interior_cone_directions(e_s1, e_xi2=None, fractions=(0.25, 0.5, 0.75)):
+def interior_cone_directions(e_s1, fractions=(0.25, 0.5, 0.75)):
     """Unit directions sampled across the open cone Con(e_S1, e_xi2).
 
     Sampling is by angle from e_xi2 to e_s1 (the cone is nearly a half-plane
     for steep wedges, so linear combinations would pile up near e_S1).
     """
-    e_xi2 = np.array([0.0, 1.0]) if e_xi2 is None else np.asarray(e_xi2, dtype=float)
     e_s1 = np.asarray(e_s1, dtype=float)
     if np.linalg.norm(e_s1) < 1e-14:
         raise ZeroVector("cone edge direction degenerated")
-    a0 = math.atan2(e_xi2[1], e_xi2[0])
+    a0 = math.atan2(E_XI2[1], E_XI2[0])
     a1 = math.atan2(e_s1[1], e_s1[0])
     span = (a1 - a0) % (2.0 * math.pi)
     out = []
@@ -144,8 +150,11 @@ def interior_cone_directions(e_s1, e_xi2=None, fractions=(0.25, 0.5, 0.75)):
     return out
 
 
-def build_configuration(params, theta_w, pair):
-    """Assemble the reflection skeleton for a solved State2Pair.
+def build_configuration(params, theta_w):
+    """Assemble the reflection skeleton at wedge angle theta_w.
+
+    State (2) is the weak root of :func:`state2_solve`, which raises
+    DetachedWedgeAngle below the detachment angle.
 
     Supersonic case: P1 is the first intersection of the straight shock
     S1 = {phi1 = phi2} with the sonic circle |xi - O2| = c2, walking from P0
@@ -164,7 +173,7 @@ def build_configuration(params, theta_w, pair):
     s0 = state0(params)
     s1 = state1(params, inc)
 
-    if abs(theta_w - math.pi / 2.0) < 1e-14:
+    if abs(theta_w - math.pi / 2.0) < NORMAL_ANGLE_TOL:
         xbar, rest = normal_reflection_state(params)
         c2 = rest.c
         height = math.sqrt(c2 * c2 - xbar * xbar)
@@ -188,6 +197,7 @@ def build_configuration(params, theta_w, pair):
             cone_degenerate=True,
         )
 
+    pair = state2_solve(params, theta_w)
     st2 = pair.weak
     p0 = np.array([inc.xi1_0, inc.xi1_0 * math.tan(theta_w)])
     center = np.array([st2.u, st2.v])
@@ -235,8 +245,7 @@ def build_configuration(params, theta_w, pair):
         e_s1=e_s1,
         cone_degenerate=cone.degenerate,
     )
-    foot = _cold_foot(config)
-    return config.with_foot(foot)
+    return config.with_foot(_cold_control_points(config)[2])
 
 
 _COLD_CONTROL_FRACTION = 0.8
@@ -262,10 +271,6 @@ def _cold_control_points(config):
             f"cold-start shock foot xi1={foot[0]:.6f} reaches the wedge vertex"
         )
     return config.p1, q, foot
-
-
-def _cold_foot(config):
-    return _cold_control_points(config)[2]
 
 
 class ShockCurve:
@@ -307,11 +312,6 @@ class ShockCurve:
     def s_values(self):
         return self.points @ self.e
 
-    @property
-    def samples(self):
-        """(T, f_e(T)) pairs ordered by increasing T."""
-        return np.column_stack([self.t_values, self.s_values])
-
     def endpoint_slopes(self):
         """Graph slopes f'_e at P1 and P2 from the endpoint tangents."""
         ep = self.e_perp
@@ -338,19 +338,31 @@ class ShockCurve:
         t = np.asarray(t, dtype=float)
         return cs(t), dcs(t)
 
-    def side_point(self, w):
-        """Shock-side parameterization for the mesh: w = 0 -> P2, w = 1 -> P1."""
+    def point(self, w):
+        """The curve as the mesh's shock side: w = 0 -> P2, w = 1 -> P1."""
         cs, dcs, t0, t1 = self._graph_fit()
         t = t1 + np.asarray(w, dtype=float) * (t0 - t1)
         f, _ = self.graph_value(t)
         return f[..., None] * self.e + t[..., None] * self.e_perp
 
-    def side_deriv(self, w):
+    def deriv(self, w):
         cs, dcs, t0, t1 = self._graph_fit()
         t = t1 + np.asarray(w, dtype=float) * (t0 - t1)
         _, fd = self.graph_value(t)
         dt = t0 - t1
         return dt * (fd[..., None] * self.e + np.ones_like(t)[..., None] * self.e_perp)
+
+    def tangents(self, t=None):
+        """Unit tangents of the fitted graph, directed from P1 to P2, at the
+        samples or at given T values (e.g. the mesh's shock-row nodes)."""
+        _, fd = self.graph_value(self.t_values if t is None else t)
+        return (fd[:, None] * self.e + self.e_perp) / np.sqrt(1.0 + fd * fd)[:, None]
+
+    def normals(self, t=None):
+        """Unit normals of the fitted graph pointing into the subsonic region,
+        at the same points as :meth:`tangents`."""
+        _, fd = self.graph_value(self.t_values if t is None else t)
+        return -(self.e - fd[:, None] * self.e_perp) / np.sqrt(1.0 + fd * fd)[:, None]
 
     def check_graph(self, tol=1e-9):
         """Enforce the monotone-graph and tangent-slope bounds on the samples.
@@ -384,11 +396,6 @@ def initial_shock(config, n=65):
     p1, q, foot = _cold_control_points(config)
     u = np.linspace(0.0, 1.0, n)[:, None]
     pts = (1.0 - u) ** 2 * p1 + 2.0 * u * (1.0 - u) * q + u ** 2 * foot
-    curve = ShockCurve(
-        e=config.wedge_normal(),
-        points=pts,
-        tau_p1=config.e_s1.copy(),
-        tau_p2=np.array([0.0, 1.0]),
-    )
+    curve = config.shock_curve(pts)
     curve.check_graph(tol=1e-7)
     return curve

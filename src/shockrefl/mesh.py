@@ -76,24 +76,12 @@ class Arc:
         return self.radius * self.dang * np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
 
 
-class ShockSide:
-    """Shock side backed by the curve's smooth graph fit, running P2 -> P1."""
-
-    def __init__(self, shock):
-        self.shock = shock
-
-    def point(self, t):
-        return self.shock.side_point(t)
-
-    def deriv(self, t):
-        return self.shock.side_deriv(t)
-
-
 class CoonsMap:
     """Transfinite (Coons) interpolation of four parameterized sides.
 
     Sides are traversed as: shock(w): P2 -> P1, wedge(w): P3 -> P4,
-    sym(a): P2 -> P3, sonic(a): P1 -> P4.
+    sym(a): P2 -> P3, sonic(a): P1 -> P4.  Each side has point(t) and
+    deriv(t); on the reflection mesh the shock side is the ShockCurve itself.
     """
 
     def __init__(self, shock_side, wedge_side, sym_side, sonic_side, corners):
@@ -384,7 +372,6 @@ def build_square_map(config, shock, n1, n2, stretch="sqrt"):
     p1 = shock.points[0]
     p2 = shock.points[-1]
     p3, p4 = config.p3, config.p4
-    shock_side = ShockSide(shock)
     wedge_side = Segment(p3, p4)
     sym_side = Segment(p2, p3)
     degenerate = not config.has_sonic_arc
@@ -397,7 +384,7 @@ def build_square_map(config, shock, n1, n2, stretch="sqrt"):
         ang4 = math.atan2(v4[1], v4[0])
         dang = (ang4 - ang1 + math.pi) % (2.0 * math.pi) - math.pi
         sonic_side = Arc(config.sonic_center, config.sonic_radius, ang1, dang)
-    coons = CoonsMap(shock_side, wedge_side, sym_side, sonic_side, corners=(p2, p3, p1, p4))
+    coons = CoonsMap(shock, wedge_side, sym_side, sonic_side, corners=(p2, p3, p1, p4))
     return _assemble_map(coons, n1, n2, stretch, degenerate)
 
 

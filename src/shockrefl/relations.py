@@ -43,6 +43,7 @@ BISECT_STEPS = 120
 ANGLE_TOL = 1e-10                    # bracket width of theta_d and theta_s
 PROBE_THETA = math.pi / 2.0 - 0.01   # angle at which the sign of F between the roots is read
 SONIC_TOL = 1e-8                     # |Mach - 1| counted as sonic
+NORMAL_ANGLE_TOL = 1e-14             # |theta_w - pi/2| treated as normal reflection
 
 
 @dataclass(frozen=True)
@@ -186,16 +187,19 @@ def _window_scan(theta_w, params, inc):
 
     The window is where rho2 > rho1 and Dphi2(P0) points down-wedge:
     rho2 = rho1 at u*(xi10 - u/2) = delta*cos^2/(g-1), whose lower root
-    bounds it from below, and u2 = xi1_0 caps it from above.  The grid
+    bounds it from below, and u2 = xi1_0 caps it from above.  That root is
+    taken as c / (xi10 + sqrt(disc)): xi10 - sqrt(disc) cancels to the
+    trivial, non-entropic root u2 = 0 of F near pi/2.  The grid
     includes u2 = xi1_0 itself: F there is strictly negative, and the strong
     root crowds against it as theta_w -> pi/2.
     """
     g = params.gamma
     delta = params.rho1 ** (g - 1.0) - params.rho0_pow
-    disc = inc.xi1_0 ** 2 - 2.0 * delta * math.cos(theta_w) ** 2 / (g - 1.0)
+    c = 2.0 * delta * math.cos(theta_w) ** 2 / (g - 1.0)
+    disc = inc.xi1_0 ** 2 - c
     if disc <= 0.0:
         return None
-    u_lo = inc.xi1_0 - math.sqrt(disc)
+    u_lo = c / (inc.xi1_0 + math.sqrt(disc))
     grid = np.linspace(u_lo * (1.0 + 1e-14) + 1e-300, inc.xi1_0, SCAN_POINTS)
     return grid, _state2_pieces(grid, theta_w, params, inc)[0]
 
@@ -374,7 +378,7 @@ def state2_solve(params, theta_w):
         raise DetachedWedgeAngle(f"theta_w={theta_w} outside (0, pi/2]")
     inc = incident_state(params)
 
-    if abs(theta_w - math.pi / 2.0) < 1e-14:
+    if abs(theta_w - math.pi / 2.0) < NORMAL_ANGLE_TOL:
         _, rest = normal_reflection_state(params)
         return State2Pair(
             weak=rest,

@@ -50,7 +50,7 @@ from .errors import (
 from .gas import bernoulli_base
 from .geometry import ReflectionConfiguration, ShockCurve, build_configuration, initial_shock
 from .mesh import build_square_map, logical_grid, read_only, sonic_extension
-from .relations import state2_solve
+from .relations import NORMAL_ANGLE_TOL
 
 ZETA0 = 0.02  # cap depth of the ellipticity cutoff at the sonic arc
 MAX_NEWTON = 120    # Newton steps per BVP solve
@@ -578,20 +578,6 @@ def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
 # ----------------------------------------------------------------------
 # Shock update and the outer fixed-point loop.
 
-def shock_interior_normals(shock, t=None):
-    """Unit normals of the fitted graph pointing into the subsonic region.
-
-    Evaluated at the curve's own samples by default, or at given T values
-    (e.g. the mesh's shock-row nodes, whose count may differ).
-    """
-    t = shock.t_values if t is None else np.asarray(t, dtype=float)
-    _, fd = shock.graph_value(t)
-    e = shock.e
-    ep = shock.e_perp
-    nrm = np.sqrt(1.0 + fd * fd)
-    return (-(e[None, :] - fd[:, None] * ep[None, :])) / nrm[:, None]
-
-
 def quasi_newton_step(x, r, earlier):
     """IQN-ILS step (Degroote et al., Comput. Struct. 87, 2009) from x with residual r.
 
@@ -664,12 +650,7 @@ def update_shock(phi, config, shock, mesh, earlier=()):
         raise AttachedShockDetected(f"shock foot xi1={alpha:.6f} reached the wedge vertex")
 
     movement = float(max(np.max(np.abs(step)), abs(foot_shift)))
-    curve = ShockCurve(
-        e=e,
-        points=new_pts[::-1].copy(),
-        tau_p1=config.e_s1.copy(),
-        tau_p2=np.array([0.0, 1.0]),
-    )
+    curve = config.shock_curve(new_pts[::-1].copy())
     # transient iterates may overshoot the converged tangent bounds; only the
     # graph property itself is a hard requirement here (the admissibility
     # checker enforces the strict Lemma-type bounds on converged shocks)
@@ -685,7 +666,7 @@ def normal_reflection(params, n1=65, n2=65):
     it; the elliptic region is the strip capped by the rest state's sonic
     arc and phi is the exact uniform-state potential.
     """
-    config = build_configuration(params, math.pi / 2.0, None)
+    config = build_configuration(params, math.pi / 2.0)
     shock = initial_shock(config, n=max(n2, 65))
     mesh = build_square_map(config, shock, n1, n2)
     phi = config.state2.potential(mesh.nodes)
@@ -728,12 +709,7 @@ def _transport_shock(old, config):
     pts = np.column_stack([moved.real, moved.imag]) + foot
     pts[:, 1] = np.maximum(pts[:, 1], 0.0)
     pts[-1, 1] = 0.0
-    return ShockCurve(
-        e=config.wedge_normal(),
-        points=pts,
-        tau_p1=config.e_s1.copy(),
-        tau_p2=np.array([0.0, 1.0]),
-    )
+    return config.shock_curve(pts)
 
 
 def _interp_logical(phi, mesh_from, mesh_to):
@@ -770,7 +746,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     iter_params = iter_params or IterationParams()
     n1, n2 = iter_params.n1, iter_params.n2
 
-    if abs(theta_w - math.pi / 2.0) < 1e-14:
+    if abs(theta_w - math.pi / 2.0) < NORMAL_ANGLE_TOL:
         sol = normal_reflection(params, n1, n2)
         curve, upd = update_shock(sol.phi, sol.config, sol.shock, sol.mesh)
         movement = upd["movement"]
@@ -789,8 +765,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         coarse = replace(iter_params, n1=COARSE_LEVEL, n2=COARSE_LEVEL)
         init = fixed_point_solve(params, theta_w, coarse, init=init)
 
-    pair = state2_solve(params, theta_w)
-    config = build_configuration(params, theta_w, pair)
+    config = build_configuration(params, theta_w)
     if init is not None:
         shock = _transport_shock(init.shock, config)
         dev = init.phi - init.config.state2.potential(init.mesh.nodes)
@@ -874,7 +849,7 @@ def _shock_rh_report(config, shock, mesh, phi):
     grad = mesh.gradient(phi)[0, :, :]
     s1 = config.state1
     pot = np.abs(phi[0, :] - s1.potential(pts))
-    nu = shock_interior_normals(shock, t=pts @ shock.e_perp)
+    nu = shock.normals(t=pts @ shock.e_perp)
     base = bernoulli_base((grad * grad).sum(-1), phi[0, :], config.params)
     rho = np.where(base > 0, np.abs(base) ** (1.0 / (config.params.gamma - 1.0)), np.nan)
     mass = rho * (grad * nu).sum(-1) - s1.rho * (s1.gradient(pts) * nu).sum(-1)
@@ -917,7 +892,7 @@ def continuation_sweep(params, theta_grid, iter_params=None):
     thetas = [float(t) for t in theta_grid]
     if not thetas:
         raise ValueError("empty angle grid")
-    if abs(thetas[0] - math.pi / 2.0) > 1e-12:
+    if abs(thetas[0] - math.pi / 2.0) >= NORMAL_ANGLE_TOL:
         raise ValueError("continuation must start at theta_w = pi/2")
     if any(t2 >= t1 for t1, t2 in zip(thetas, thetas[1:])):
         raise ValueError("angle grid must be strictly decreasing")

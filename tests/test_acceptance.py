@@ -223,7 +223,7 @@ def test_criterion_06_manufactured_solution_order():
     """solve_bvp reaches observed order >= 1.8 on n = 33, 65, 129."""
     t0 = time.time()
     th = math.radians(85.0)
-    cfg = build_configuration(GAS, th, state2_solve(GAS, th))
+    cfg = build_configuration(GAS, th)
     shock = initial_shock(cfg, n=129)
     mms = _mms_problem()
     errs = []

@@ -9,6 +9,7 @@ from shockrefl import (
     Regime,
     ShockCurve,
     build_configuration,
+    build_square_map,
     cone_directions,
     initial_shock,
     interior_cone_directions,
@@ -20,7 +21,7 @@ from shockrefl import (
 @pytest.fixture(scope="module")
 def cfg85(gas_122):
     th = math.radians(85.0)
-    return build_configuration(gas_122, th, state2_solve(gas_122, th))
+    return build_configuration(gas_122, th)
 
 
 def test_lambda_membership_brute_force():
@@ -55,7 +56,7 @@ def test_configuration_supersonic_invariants(gas_122, cfg85):
 
 
 def test_configuration_normal_reflection(gas_122):
-    cfg = build_configuration(gas_122, math.pi / 2.0, None)
+    cfg = build_configuration(gas_122, math.pi / 2.0)
     assert np.allclose(cfg.sonic_center, 0.0)
     assert cfg.p0[0] == 0.0  # on the vertical wall
     assert cfg.p4[1] == pytest.approx(cfg.sonic_radius, rel=1e-14)
@@ -65,7 +66,7 @@ def test_configuration_normal_reflection(gas_122):
 
 def test_configuration_subsonic_collapses_sonic_arc(gas_122):
     th = math.radians(55.0)  # between detachment (54.41) and sonic (55.71)
-    cfg = build_configuration(gas_122, th, state2_solve(gas_122, th))
+    cfg = build_configuration(gas_122, th)
     assert cfg.regime in (Regime.SUBSONIC_NEAR_SONIC, Regime.SUBSONIC_AWAY)
     assert np.allclose(cfg.p1, cfg.p0)
     assert np.allclose(cfg.p4, cfg.p0)
@@ -108,6 +109,23 @@ def test_initial_shock_graph_and_tangency(gas_122, cfg85):
     d0 = curve.points[1] - curve.points[0]
     d0 /= np.linalg.norm(d0)
     assert float(d0 @ cfg85.e_s1) > 0.999
+
+
+def test_shock_normals_tangents_and_mesh_side(cfg85):
+    """The curve's normals and tangents are an orthonormal pair, the normals
+    point into the region, and the curve is the mesh's shock side."""
+    shock = initial_shock(cfg85)
+    mesh = build_square_map(cfg85, shock, 17, 17)
+    nu, tau = shock.normals(), shock.tangents()
+    assert np.allclose(np.linalg.norm(nu, axis=1), 1.0, atol=1e-14)
+    assert np.allclose(np.linalg.norm(tau, axis=1), 1.0, atol=1e-14)
+    assert np.max(np.abs((nu * tau).sum(-1))) < 1e-14
+    # on the mesh's shock row, each normal points toward the next row in
+    nu_row = shock.normals(t=mesh.nodes[0] @ shock.e_perp)
+    inward = (nu_row * (mesh.nodes[1] - mesh.nodes[0])).sum(-1)
+    assert np.all(inward[1:-1] > 0.0)
+    # the Coons blend reproduces its shock side up to roundoff
+    assert np.allclose(mesh.nodes[0], shock.point(mesh.w_grid), rtol=0.0, atol=1e-14)
 
 
 def test_shock_curve_graph_violation_raises():

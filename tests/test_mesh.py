@@ -10,14 +10,13 @@ from shockrefl import (
     build_square_map,
     initial_shock,
     quad_map,
-    state2_solve,
 )
 
 
 @pytest.fixture(scope="module")
 def mesh85(gas_122):
     th = math.radians(85.0)
-    cfg = build_configuration(gas_122, th, state2_solve(gas_122, th))
+    cfg = build_configuration(gas_122, th)
     return cfg, build_square_map(cfg, initial_shock(cfg), 33, 33)
 
 
@@ -46,7 +45,7 @@ def test_rectangle_map_is_affine():
 
 def test_normal_reflection_domain_map(gas_122):
     """The pi/2 domain: vertical strip capped by the rest-state sonic arc."""
-    cfg = build_configuration(gas_122, math.pi / 2.0, None)
+    cfg = build_configuration(gas_122, math.pi / 2.0)
     sm = build_square_map(cfg, initial_shock(cfg), 17, 17)
     assert np.abs(sm.nodes[0, :, 0] - cfg.p1[0]).max() < 1e-12  # flat shock side
     r = np.linalg.norm(sm.nodes[:, -1, :], axis=-1)
@@ -79,7 +78,7 @@ def test_gradient_exact_on_affine_rectangle(gas_122):
 
 def test_gradient_second_order_on_curved_mesh(gas_122):
     th = math.radians(85.0)
-    cfg = build_configuration(gas_122, th, state2_solve(gas_122, th))
+    cfg = build_configuration(gas_122, th)
     shock = initial_shock(cfg, n=129)
     errs = []
     for n in (33, 65, 129):
@@ -94,7 +93,7 @@ def test_gradient_operators_match_node_metric(gas_122, deg):
     """gradient is the (a, w) stencil through the inverse metric, with a
     collapsed sonic row extrapolated from the two rows below."""
     th = math.radians(deg)
-    cfg = build_configuration(gas_122, th, state2_solve(gas_122, th))
+    cfg = build_configuration(gas_122, th)
     sm = build_square_map(cfg, initial_shock(cfg), 17, 15)
     phi = cfg.state2.potential(sm.nodes) + 0.1 * np.sin(3.0 * sm.nodes[..., 0])
     pa = (sm.grid.Da_n @ phi.ravel()).reshape(phi.shape)
@@ -125,7 +124,7 @@ def test_boundary_polyline_closed(mesh85):
 
 def test_collapsed_sonic_side_subsonic(gas_122):
     th = math.radians(55.0)
-    cfg = build_configuration(gas_122, th, state2_solve(gas_122, th))
+    cfg = build_configuration(gas_122, th)
     sm = build_square_map(cfg, initial_shock(cfg), 17, 17)
     assert sm.degenerate_sonic
     assert np.abs(sm.nodes[:, -1, :] - cfg.p0).max() < 1e-12

@@ -116,6 +116,14 @@ def test_state2_at_right_angle_is_normal_reflection(gas_122):
     assert math.isinf(pair.mach_p0_weak)
 
 
+def test_state2_weak_root_entropic_next_to_right_angle(gas_122):
+    """Within 1e-10 of pi/2 the weak root is the rest state's density, not
+    the trivial root u2 = 0 (rho2 = rho0 < rho1) of the reduced equation."""
+    _, rest = normal_reflection_state(gas_122)
+    pair = state2_solve(gas_122, math.pi / 2.0 - 1e-10)
+    assert abs(pair.weak.rho - rest.rho) < 1e-9
+
+
 def test_state2_against_dense_scan_oracle(gas_122):
     """Brute-force sign-change scan of an independently coded reduction."""
     th = math.radians(85.0)

@@ -16,7 +16,6 @@ from shockrefl import (
     quad_map,
     rh_residual,
     solve_bvp,
-    state2_solve,
     update_shock,
 )
 from shockrefl import solver
@@ -34,7 +33,7 @@ from shockrefl.solver import (
 def test_scheme_exact_on_uniform_state_rectangle(gas_122):
     """Constant states solve the equation exactly; the conservative scheme
     must reproduce them to machine precision on affine cells."""
-    cfg = build_configuration(gas_122, math.pi / 2.0, None)
+    cfg = build_configuration(gas_122, math.pi / 2.0)
     rest = cfg.state2
     xbar = cfg.p2[0]
     height = cfg.p1[1]
@@ -53,7 +52,7 @@ def test_scheme_exact_on_uniform_state_rectangle(gas_122):
 
 
 def test_solve_bvp_recovers_uniform_state_on_rectangle(gas_122):
-    cfg = build_configuration(gas_122, math.pi / 2.0, None)
+    cfg = build_configuration(gas_122, math.pi / 2.0)
     rest = cfg.state2
     xbar = cfg.p2[0]
     # stay a hair below the sonic corner so the Mach cap is inactive and the
@@ -76,7 +75,7 @@ def test_newton_jacobian_matches_central_differences(gas_122, deg, n1, n2):
     curved reflection mesh and on a collapsed-sonic (subsonic) mesh, both with
     some cap-active nodes; Dirichlet rows are the identity."""
     th = math.radians(deg)
-    cfg = build_configuration(gas_122, th, state2_solve(gas_122, th))
+    cfg = build_configuration(gas_122, th)
     mesh = build_square_map(cfg, initial_shock(cfg), n1, n2)
     assert mesh.degenerate_sonic == (deg < 60.0)
     disc, cap, dirichlet_vals, rhs = solver._bvp_data(cfg, mesh, IterationParams(n1=n1, n2=n2), None)
@@ -125,7 +124,7 @@ def test_fixed_pattern_jacobian_matches_product_form(gas_122, deg, n1, n2):
     its Dirichlet rows store the diagonal only.  Entries that vanish are not
     stored, since stored zeros add fill to the LU factors."""
     th = math.radians(deg)
-    cfg = build_configuration(gas_122, th, state2_solve(gas_122, th))
+    cfg = build_configuration(gas_122, th)
     mesh = build_square_map(cfg, initial_shock(cfg), n1, n2)
     disc, cap, dirichlet_vals, rhs = solver._bvp_data(cfg, mesh, IterationParams(n1=n1, n2=n2), None)
     # noise that fades toward the sonic side, so that part of a collapsed
@@ -202,7 +201,7 @@ def _product_form(disc, rho):
 
 def test_fixed_pattern_assembly_matches_product_form(gas_122):
     th = math.radians(80.0)
-    cfg = build_configuration(gas_122, th, state2_solve(gas_122, th))
+    cfg = build_configuration(gas_122, th)
     meshes = [
         build_square_map(cfg, initial_shock(cfg), 21, 17),
         quad_map([-1.0, 0.0], [0.2, 0.1], [0.1, 1.1], [-0.9, 1.3], 13, 16, stretch="sqrt"),
@@ -220,7 +219,7 @@ def test_fixed_pattern_assembly_matches_product_form(gas_122):
 def test_grid_structure_shared_but_metric_per_mesh(gas_122):
     """Meshes of one logical grid share the grid structure, never the metric."""
     th = math.radians(85.0)
-    cfg = build_configuration(gas_122, th, state2_solve(gas_122, th))
+    cfg = build_configuration(gas_122, th)
     shock = initial_shock(cfg)
     pts = shock.points.copy()
     tau = np.linspace(0.0, 1.0, len(pts))
@@ -360,7 +359,7 @@ def test_mms_convergence_small():
     """Manufactured smooth solution on the 85-degree geometry, two levels."""
     gas = GasParams(1.0, 2.0, 2.0)
     th = math.radians(85.0)
-    cfg = build_configuration(gas, th, state2_solve(gas, th))
+    cfg = build_configuration(gas, th)
     shock = initial_shock(cfg, n=129)
 
     def phi_fn(x):
@@ -419,6 +418,14 @@ def test_sweep_distances_computed_on_first_use(gas_122, monkeypatch):
     assert sweep.status == "completed" and not calls
     assert sweep.distances == [0.5, 0.5] and len(calls) == 2
     assert sweep.distances == [0.5, 0.5] and len(calls) == 2  # cached, not recomputed
+
+
+def test_sweep_start_must_be_the_normal_reflection_angle(gas_122):
+    """A start that fixed_point_solve would not treat as pi/2 is refused."""
+    start = math.pi / 2.0 - 5e-13
+    with pytest.raises(ValueError):
+        solver.continuation_sweep(gas_122, [start, math.radians(89.0)],
+                                  IterationParams(n1=17, n2=17))
 
 
 def test_multi_start_consistency_cheap(gas_122, sol85_n65):
