@@ -273,6 +273,8 @@ def cmd_sweep(args):
         raise ValidationError("sweep grid must start at 90 degrees")
     grid = [math.pi / 2.0] + [math.radians(d) for d in degs[1:]]
     result = continuation_sweep(gas, grid, cfg.iteration_params())
+    for theta, error in result.bridges:
+        log.info("bridged %s at theta=%.4f deg by halving the step", error, math.degrees(theta))
     os.makedirs(cfg.out, exist_ok=True)
     rows = ["theta_deg,status,pairwise_distance,report_verdict"]
     prev_dist = [math.nan] + list(result.distances)

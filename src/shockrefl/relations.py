@@ -18,7 +18,8 @@ existence indicator), theta_s (Mach - 1) and rho^c.  No derivative method
 is used, since the roots near detachment can be nearly tangent.  Each angle
 samples F once on its entropic window (`_window_scan`); the root count and
 the lobe extremum both read that scan.  `angle_diagram` finds theta_d once
-and brackets theta_s above it.
+and brackets theta_s above it, refining only the weak (lowest) root at each
+probed angle.
 """
 
 import math
@@ -231,20 +232,37 @@ def _bisect(f, a, b, fa, fb, tol=0.0):
     return 0.5 * (a + b)
 
 
-def _scan_roots(scan, theta_w, params, inc):
-    """Roots of F bracketed by the window scan, refined by bisection, sorted by u2."""
+def _root_brackets(scan):
+    """Brackets (a, b, F(a), F(b)) of the roots of F in the window scan, by increasing u2.
+
+    A sign change between neighbouring samples brackets one root; a sample
+    where F is exactly 0 is a root and brackets itself.
+    """
     if scan is None:
         return []
     grid, fval = scan
     sign = np.sign(fval)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    scalar = lambda u: float(_state2_pieces(u, theta_w, params, inc)[0])
-    roots = [
-        _bisect(scalar, grid[i], grid[i + 1], fval[i], fval[i + 1]) for i in flips
-    ]
-    exact = grid[fval == 0.0]
-    roots.extend(float(u) for u in exact)
-    return sorted(roots)
+    flip = np.append(sign[:-1] * sign[1:] < 0, False)
+    lo = np.nonzero(flip | (fval == 0.0))[0]
+    hi = lo + flip[lo]
+    return [(grid[a], grid[b], fval[a], fval[b]) for a, b in zip(lo, hi)]
+
+
+def _root(bracket, theta_w, params, inc):
+    """The root of F in one bracket of `_root_brackets`, refined by bisection."""
+    return _bisect(lambda u: float(_state2_pieces(u, theta_w, params, inc)[0]), *bracket)
+
+
+def _weak_state(brackets, theta_w, params, inc):
+    """Weak state (2) from the first of the brackets alone, and its Mach number at P0.
+
+    rho2 increases with u2 on the entropic window (its base has slope
+    (g-1) sec^2(theta_w) (xi1_0 - u2) > 0 there), so the weak state is the
+    lowest root and the other brackets need not be refined.
+    """
+    weak = _pair_from_u2(_root(brackets[0], theta_w, params, inc), theta_w, params, inc)
+    speed = (inc.xi1_0 - weak.u) / math.cos(theta_w)
+    return weak, speed / weak.c
 
 
 def _lobe_extremum(scan, theta_w, params, inc, s_in):
@@ -277,10 +295,10 @@ def _lobe_extremum(scan, theta_w, params, inc, s_in):
 def _inner_sign(params, inc):
     """Sign of F between the weak and strong roots, fixed per parameter set."""
     th = PROBE_THETA
-    roots = _scan_roots(_window_scan(th, params, inc), th, params, inc)
-    if len(roots) < 2:
+    brackets = _root_brackets(_window_scan(th, params, inc))
+    if len(brackets) < 2:
         raise BracketingFailure("no two reflection roots near pi/2; cannot orient lobe")
-    mid = 0.5 * (roots[0] + roots[-1])
+    mid = 0.5 * (_root(brackets[0], th, params, inc) + _root(brackets[-1], th, params, inc))
     val = float(_state2_pieces(mid, th, params, inc)[0])
     if val == 0.0:
         raise RootSeparationFailure("F vanishes between roots at the probe angle")
@@ -365,7 +383,8 @@ def state2_solve(params, theta_w):
 
     The 3x3 system is reduced to a scalar F(u2) = 0 on the entropic window
     (rho2 > rho1, u2 < xi1_0); the two roots, bracketed by a dense scan and
-    refined by bisection, are the weak (smaller density) and strong states.
+    refined by bisection, are the weak (smaller density, lower u2) and
+    strong states.
 
     At theta_w = pi/2 exactly the system degenerates: the weak root is the
     normal-reflection rest state (v2 = 0); the strong branch diverges
@@ -389,42 +408,39 @@ def state2_solve(params, theta_w):
         )
 
     scan = _window_scan(theta_w, params, inc)
-    roots = _scan_roots(scan, theta_w, params, inc)
+    brackets = _root_brackets(scan)
     tangent_pair = False
-    if len(roots) == 0:
+    if not brackets:
         # Possibly a tangent double root the scan cannot split: accept it when
         # the interior lobe extremum of F is indistinguishable from zero
-        # (angles within ~1e-8 of the detachment angle).
+        # (angles within ~1e-8 of the detachment angle).  It stands for both
+        # roots, as a bracket of its own that bisection returns as it is.
         s_in = _inner_sign(params, inc)
         lobe, u_star = _lobe_extremum(scan, theta_w, params, inc, s_in)
         fscale = abs(float(_state2_pieces(inc.xi1_0 * (1 - 1e-14), theta_w, params, inc)[0]))
         if math.isfinite(lobe) and abs(lobe) <= 1e-8 * max(fscale, 1.0):
-            roots = [u_star, u_star]
+            brackets = [(u_star, u_star, 0.0, 0.0)] * 2
             tangent_pair = True
         else:
             raise DetachedWedgeAngle(
                 f"no reflection states at theta_w={math.degrees(theta_w):.6f} deg"
             )
-    if len(roots) == 1:
+    if len(brackets) == 1:
         raise RootSeparationFailure(
             f"single sign change at theta_w={math.degrees(theta_w):.6f} deg"
         )
-    if len(roots) > 2:
+    if len(brackets) > 2:
         raise RootSeparationFailure(
-            f"{len(roots)} entropic roots at theta_w={math.degrees(theta_w):.6f} deg"
+            f"{len(brackets)} entropic roots at theta_w={math.degrees(theta_w):.6f} deg"
         )
 
-    weak = _pair_from_u2(roots[0], theta_w, params, inc)
-    strong = _pair_from_u2(roots[1], theta_w, params, inc)
-    if strong.rho < weak.rho:
-        weak, strong = strong, weak
-    p0 = (inc.xi1_0, inc.xi1_0 * math.tan(theta_w))
-    speed = (inc.xi1_0 - weak.u) / math.cos(theta_w)
+    weak, mach_p0_weak = _weak_state(brackets, theta_w, params, inc)
+    strong = _pair_from_u2(_root(brackets[1], theta_w, params, inc), theta_w, params, inc)
     pair = State2Pair(
         weak=weak,
         strong=strong,
-        p0=p0,
-        mach_p0_weak=speed / weak.c,
+        p0=(inc.xi1_0, inc.xi1_0 * math.tan(theta_w)),
+        mach_p0_weak=mach_p0_weak,
         theta_w=theta_w,
     )
     for st in (weak, strong):
@@ -460,7 +476,7 @@ def detachment_angle(params):
 
     def exists(theta):
         scan = _window_scan(theta, params, inc)
-        if len(_scan_roots(scan, theta, params, inc)) >= 2:
+        if len(_root_brackets(scan)) >= 2:
             return 1.0
         lobe, _ = _lobe_extremum(scan, theta, params, inc, s_in)
         return 1.0 if s_in * lobe > 0.0 else -1.0
@@ -484,8 +500,15 @@ def sonic_angle(params):
 
 
 def _sonic_angle(params, theta_d):
+    inc = incident_state(params)
+
     def mach_minus_one(theta):
-        return state2_solve(params, theta).mach_p0_weak - 1.0
+        brackets = _root_brackets(_window_scan(theta, params, inc))
+        if not brackets:
+            raise DetachedWedgeAngle(
+                f"no reflection states at theta_w={math.degrees(theta):.6f} deg"
+            )
+        return _weak_state(brackets, theta, params, inc)[1] - 1.0
 
     lo = theta_d + 1e-7
     hi = math.pi / 2.0 - 1e-4

@@ -56,6 +56,8 @@ ZETA0 = 0.02  # cap depth of the ellipticity cutoff at the sonic arc
 MAX_NEWTON = 120    # Newton steps per BVP solve
 MAX_HALVINGS = 30   # step halvings before a line search gives up
 ARMIJO = 1e-4       # sufficient-decrease fraction of the line search
+LU_ORDERING = "MMD_AT_PLUS_A"  # Newton LU column order: minimum degree on the pattern of J^T + J
+LU_PIVOT_THRESH = 0.01         # Newton LU threshold pivoting, so the factors keep that order
 COARSE_LEVEL = 65   # grid sequencing: finer grids first converge the shock at this resolution
 SWEEP_HALVINGS = 6  # depth of recursive midpoint bridging in a continuation step
 
@@ -519,6 +521,12 @@ def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
     `mms` given, the manufactured source and boundary data replace the
     physical ones (convergence testing).
 
+    Each step's LU orders J by minimum degree on the pattern of J^T + J
+    (LU_ORDERING), which suits its near-symmetric 25-point stencil, and
+    pivots by threshold (LU_PIVOT_THRESH): a diagonal entry of at least that
+    fraction of its column's largest is kept, so the factors keep the
+    ordering and its lower fill.
+
     Returns (phi, info); raises NoConvergence (MAX_NEWTON steps, or no
     sufficient decrease in a line search), VacuumReached (also when every
     trial step reaches vacuum), or EllipticityLost (when the Mach cap is
@@ -537,7 +545,8 @@ def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
         if its == MAX_NEWTON:
             raise NoConvergence(f"Newton at relative residual {res:.3e} (tol {iter_params.lin_tol:.1e})")
         its += 1
-        step = spla.splu(_jacobian(disc, lin, cap, params.gamma)).solve(-lin.r)
+        step = spla.splu(_jacobian(disc, lin, cap, params.gamma), permc_spec=LU_ORDERING,
+                         diag_pivot_thresh=LU_PIVOT_THRESH).solve(-lin.r)
         # Armijo on the 2-norm: the max norm can stall for good where the
         # largest residual sits next to a node on the Mach cap's kink
         merit = np.linalg.norm(lin.r)
@@ -865,13 +874,18 @@ BRIDGED_FAILURES = (NoConvergence, GraphPropertyLost, EllipticityLost, VacuumRea
 
 @dataclass(eq=False)
 class SweepResult:
-    """Continuation family with its stopping cause."""
+    """Continuation family with its stopping cause.
+
+    bridges holds (theta, error type name) of each failed step that the
+    sweep halved, in the order the failures happened.
+    """
 
     members: list
     thetas: list
     status: str
     stop_reason: str | None = None
     failed_theta: float | None = None
+    bridges: list = field(default_factory=list)
 
     @functools.cached_property
     def distances(self):
@@ -884,7 +898,8 @@ def continuation_sweep(params, theta_grid, iter_params=None):
 
     theta_grid must start at pi/2 and decrease.  A step that fails with one
     of BRIDGED_FAILURES is bridged by recursive midpoint solves,
-    SWEEP_HALVINGS levels deep.  Stops with the error's type name as status at
+    SWEEP_HALVINGS levels deep, and each halving is recorded in the result's
+    bridges.  Stops with the error's type name as status at
     DetachedWedgeAngle, AttachedShockDetected or an unbridged failure; the
     partial family is returned.
     """
@@ -897,12 +912,15 @@ def continuation_sweep(params, theta_grid, iter_params=None):
     if any(t2 >= t1 for t1, t2 in zip(thetas, thetas[1:])):
         raise ValueError("angle grid must be strictly decreasing")
 
+    bridges = []
+
     def advance(from_sol, target, depth):
         try:
             return fixed_point_solve(params, target, iter_params, init=from_sol)
-        except BRIDGED_FAILURES:
+        except BRIDGED_FAILURES as exc:
             if depth >= SWEEP_HALVINGS:
                 raise
+            bridges.append((target, type(exc).__name__))
             mid = 0.5 * (from_sol.theta_w + target)
             bridge = advance(from_sol, mid, depth + 1)
             return advance(bridge, target, depth + 1)
@@ -928,4 +946,5 @@ def continuation_sweep(params, theta_grid, iter_params=None):
         status=status,
         stop_reason=stop_reason,
         failed_theta=failed_theta,
+        bridges=bridges,
     )

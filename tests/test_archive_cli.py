@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import math
 import os
 
@@ -144,11 +145,12 @@ def test_cli_solve_warmup_no_convergence_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("error", [GraphPropertyLost, EllipticityLost])
-def test_sweep_keeps_partial_family_when_a_step_breaks_down(tmp_path, monkeypatch, capsys, gas_122,
-                                                           error):
+def test_sweep_keeps_partial_family_when_a_step_breaks_down(tmp_path, monkeypatch, capsys, caplog,
+                                                           gas_122, error):
     """A step that fails below 88.6 degrees, at every halving, stops the
     sweep with the error's name as its status; the members above it are
-    kept and archived, and sweep and solve exit 3, a solve from an archive too."""
+    kept and archived, each halving is recorded as a bridge and logged by
+    the sweep command, and sweep and solve exit 3, a solve from an archive too."""
     real = solver.fixed_point_solve
     attempts = []
 
@@ -167,10 +169,16 @@ def test_sweep_keeps_partial_family_when_a_step_breaks_down(tmp_path, monkeypatc
     assert [round(math.degrees(t), 9) for t in sweep.thetas] == [90.0, 89.0]
     assert len(sweep.members) == 2 and math.isclose(math.degrees(sweep.failed_theta), 88.0)
     assert any(88.6 <= a < 89.0 for a in attempts)  # the step was halved before giving up
+    halved = [88.0, 88.5, 88.5, 88.5, 88.5625, 88.59375]
+    assert [(round(math.degrees(t), 9), name) for t, name in sweep.bridges] == [
+        (d, error.__name__) for d in halved]
 
+    caplog.set_level(logging.INFO, logger="shockrefl")
     rc = main(["sweep", "--theta-grid", "90:87:1", "--n1", "17", "--n2", "17",
                "--out", str(tmp_path)])
     assert rc == 3
+    bridged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("bridged")]
+    assert bridged == [f"bridged {error.__name__} at theta={d:.4f} deg by halving the step" for d in halved]
     rows = (tmp_path / "family.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["90", "89"]
     assert f"sweep {error.__name__}: 2 members" in capsys.readouterr().out

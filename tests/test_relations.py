@@ -213,6 +213,33 @@ def test_sonic_angle(gas_122):
     assert state2_solve(gas_122, thd + 0.001).mach_p0_weak < 1.0
 
 
+@pytest.mark.parametrize("params", [(1.0, 2.0, 2.0), (1.0, 1.4, 1.2), (1.0, 3.0, 2.5)])
+def test_sonic_angle_refines_the_weak_root_alone(params, monkeypatch):
+    """theta_s bisects the weak state's Mach number from the lowest root of F
+    alone: bit-identical to bisecting state2_solve's, with about half of its
+    scalar F evaluations."""
+    from shockrefl import relations
+
+    gas = GasParams(*params)
+    theta_d = detachment_angle(gas)
+    lo, hi = theta_d + 1e-7, math.pi / 2.0 - 1e-4
+    scalar_calls = []
+    pieces = relations._state2_pieces
+
+    def counted(u2, *args):
+        scalar_calls.append(np.ndim(u2) == 0)
+        return pieces(u2, *args)
+
+    monkeypatch.setattr(relations, "_state2_pieces", counted)
+    theta_s = relations._sonic_angle(gas, theta_d)
+    fast = sum(scalar_calls)
+    scalar_calls.clear()
+    full = lambda th: state2_solve(gas, th).mach_p0_weak - 1.0
+    ref = relations._bisect(full, lo, hi, full(lo), full(hi), tol=relations.ANGLE_TOL)
+    assert theta_s == ref
+    assert fast < 0.6 * sum(scalar_calls)
+
+
 def test_critical_density():
     for g, frozen in ((1.4, 3.262029023083206), (2.0, 4.561552812807612)):
         rc = critical_density(g, 1.0)

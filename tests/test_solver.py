@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from shockrefl import (
     GasParams,
@@ -117,21 +119,26 @@ def _jacobian_product_form(disc, lin, cap, gamma):
     return sp.diags(g.interior) @ (lin.A + dr_drho @ drho) + sp.diags(1.0 - g.interior)
 
 
+def _noisy_field(gas, deg, n1, n2):
+    """(cfg, mesh, BVP data, phi) at `deg` with a phi off state (2) by noise
+    that fades toward the sonic side, so that part of a collapsed sonic row,
+    whose gradient is extrapolated, stays off the cap."""
+    cfg = build_configuration(gas, math.radians(deg))
+    mesh = build_square_map(cfg, initial_shock(cfg), n1, n2)
+    disc, cap, dirichlet_vals, rhs = solver._bvp_data(cfg, mesh, IterationParams(n1=n1, n2=n2), None)
+    noise = np.random.default_rng(1).standard_normal((n1, n2)) * (1.0 - mesh.w_grid) ** 2
+    phi = cfg.state2.potential(mesh.nodes) + 0.02 * noise
+    phi[:, -1] = dirichlet_vals
+    return cfg, mesh, disc, cap, rhs, phi
+
+
 @pytest.mark.parametrize("deg, n1, n2", [(85.0, 13, 11), (55.0, 11, 12)])
 def test_fixed_pattern_jacobian_matches_product_form(gas_122, deg, n1, n2):
     """The Jacobian gathered into its fixed pattern equals the sparse-product
     form on a curved and on a collapsed-sonic mesh with cap-active nodes, and
     its Dirichlet rows store the diagonal only.  Entries that vanish are not
     stored, since stored zeros add fill to the LU factors."""
-    th = math.radians(deg)
-    cfg = build_configuration(gas_122, th)
-    mesh = build_square_map(cfg, initial_shock(cfg), n1, n2)
-    disc, cap, dirichlet_vals, rhs = solver._bvp_data(cfg, mesh, IterationParams(n1=n1, n2=n2), None)
-    # noise that fades toward the sonic side, so that part of a collapsed
-    # sonic row, whose gradient is extrapolated, stays off the cap
-    noise = np.random.default_rng(1).standard_normal((n1, n2)) * (1.0 - mesh.w_grid) ** 2
-    phi = cfg.state2.potential(mesh.nodes) + 0.02 * noise
-    phi[:, -1] = dirichlet_vals
+    cfg, mesh, disc, cap, rhs, phi = _noisy_field(gas_122, deg, n1, n2)
     lin = solver._residual(disc, phi, gas_122, cap, rhs)
     assert lin.active.any() and not lin.active.all()
     assert not (mesh.degenerate_sonic and lin.active[:, -1].all())
@@ -142,6 +149,37 @@ def test_fixed_pattern_jacobian_matches_product_form(gas_122, deg, n1, n2):
     rows = J.tocsr()[disc.grid.dir_rows]
     assert rows.nnz == rows.shape[0] and np.array_equal(rows.indices, disc.grid.dir_rows)
     assert np.all(rows.data == 1.0)
+
+
+@pytest.mark.parametrize("deg", [85.0, 55.0])
+def test_newton_lu_ordering_solves_with_less_fill(gas_122, monkeypatch, deg):
+    """The Newton step of solve_bvp, factorised with minimum degree on
+    J^T + J and threshold pivoting, solves J s = -r to roundoff, agrees with
+    the step of splu's default COLAMD and partial pivoting, and fills less,
+    on a curved and on a collapsed-sonic 33^2 mesh with cap-active nodes."""
+    cfg, mesh, disc, cap, rhs, phi = _noisy_field(gas_122, deg, 33, 33)
+    assert mesh.degenerate_sonic == (deg < 60.0)
+    lin = solver._residual(disc, phi, gas_122, cap, rhs)
+    assert lin.active.any() and not lin.active.all()
+    calls = []
+
+    class Captured(Exception):
+        pass
+
+    def capture(J, **options):
+        calls.append((J, options))
+        raise Captured
+
+    monkeypatch.setattr(solver, "spla", SimpleNamespace(splu=capture))
+    with pytest.raises(Captured):
+        solve_bvp(cfg, mesh, phi, IterationParams(n1=33, n2=33))
+    J, options = calls[0]
+    assert options == {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.01}
+    lu, default = spla.splu(J, **options), spla.splu(J)
+    step, ref = lu.solve(-lin.r), default.solve(-lin.r)
+    assert np.linalg.norm(J @ step + lin.r) <= 1e-12 * np.linalg.norm(lin.r)
+    assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert lu.L.nnz + lu.U.nnz <= default.L.nnz + default.U.nnz
 
 
 def test_collapsed_sonic_row_gets_zero_metric(gas_122):
@@ -418,6 +456,15 @@ def test_sweep_distances_computed_on_first_use(gas_122, monkeypatch):
     assert sweep.status == "completed" and not calls
     assert sweep.distances == [0.5, 0.5] and len(calls) == 2
     assert sweep.distances == [0.5, 0.5] and len(calls) == 2  # cached, not recomputed
+
+
+def test_sweep_records_no_bridges_on_the_family33_grid(gas_122):
+    """The 33^2 sweep from 90 to 76 degrees in 1-degree steps takes every
+    step whole, so it records no bridge."""
+    grid = [math.pi / 2.0] + [math.radians(d) for d in range(89, 75, -1)]
+    sweep = solver.continuation_sweep(gas_122, grid, IterationParams(n1=33, n2=33))
+    assert sweep.status == "completed" and len(sweep.members) == 15
+    assert sweep.bridges == []
 
 
 def test_sweep_start_must_be_the_normal_reflection_angle(gas_122):
