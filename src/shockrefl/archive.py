@@ -32,17 +32,19 @@ FMT = "%.17g"
 
 def _write_csv(path, header, rows, int_cols=0):
     """One CSV: a header line, then rows (possibly none) with the first
-    int_cols columns as integers and the rest as FMT floats."""
+    int_cols columns as integers and the rest as FMT floats, formatted in
+    one pass (the bytes numpy.savetxt writes).  Returns their SHA-256."""
     rows = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
-    fmt = ["%d"] * int_cols + [FMT] * (rows.shape[1] - int_cols)
-    np.savetxt(path, rows, fmt=fmt, delimiter=",", header=header, comments="")
+    row = ",".join(["%d"] * int_cols + [FMT] * (rows.shape[1] - int_cols)) + "\n"
+    data = (header + "\n" + row * rows.shape[0] % tuple(rows.ravel().tolist())).encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _hash_file(path):
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def jsonable(v):
@@ -67,8 +69,8 @@ def write_solution(sol, outdir, extra_meta=None):
     cfg = sol.config
 
     shock = sol.shock
-    _write_csv(os.path.join(outdir, "shock.csv"), "T,S,xi1,xi2",
-               np.column_stack([shock.t_values, shock.s_values, shock.points]))
+    hashes = {"shock.csv": _write_csv(os.path.join(outdir, "shock.csv"), "T,S,xi1,xi2",
+                                      np.column_stack([shock.t_values, shock.s_values, shock.points]))}
 
     grad = sol.gradient()
     speed = np.linalg.norm(grad, axis=-1)
@@ -79,8 +81,9 @@ def write_solution(sol, outdir, extra_meta=None):
     n1, n2 = sol.phi.shape
     ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
     columns = [ii, jj, sol.mesh.nodes[..., 0], sol.mesh.nodes[..., 1], sol.phi, speed, rho, margin]
-    _write_csv(os.path.join(outdir, "field.csv"), "i,j,xi1,xi2,phi,speed,rho,ellipticity_margin",
-               np.stack([c.ravel() for c in columns], axis=1), int_cols=2)
+    hashes["field.csv"] = _write_csv(os.path.join(outdir, "field.csv"),
+                                     "i,j,xi1,xi2,phi,speed,rho,ellipticity_margin",
+                                     np.stack([c.ravel() for c in columns], axis=1), int_cols=2)
     _write_csv(os.path.join(outdir, "residuals.csv"), "outer_iteration,shock_movement,interior_residual",
                sol.residual_history, int_cols=1)
 
@@ -102,10 +105,7 @@ def write_solution(sol, outdir, extra_meta=None):
         "incident": {"u1": cfg.incident.u1, "xi1_0": cfg.incident.xi1_0,
                      "k1": cfg.incident.k1, "c1": cfg.incident.c1},
         "metadata": {k: jsonable(v) for k, v in sorted(sol.metadata.items())},
-        "hashes": {
-            "shock.csv": _hash_file(os.path.join(outdir, "shock.csv")),
-            "field.csv": _hash_file(os.path.join(outdir, "field.csv")),
-        },
+        "hashes": hashes,
     }
     if extra_meta:
         meta.update(extra_meta)

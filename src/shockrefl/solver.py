@@ -25,7 +25,7 @@ The discrete BVP, A(rho(phi)) phi = rhs(rho(phi)), is solved by Newton's
 method with its exact Jacobian and Armijo backtracking, down to the
 requested residual or to the residual's roundoff floor if that is larger.
 A and the Jacobian are gathered into fixed sparsity patterns built once per
-logical grid.
+logical grid; the Jacobian is factored as a LAPACK band matrix.
 """
 
 import functools
@@ -35,7 +35,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # unused here; perfbench/instrument.py replaces solver.spla
+from scipy.linalg import lapack
 
 from .distance import c1_family_distance
 from .errors import (
@@ -56,8 +57,6 @@ ZETA0 = 0.02  # cap depth of the ellipticity cutoff at the sonic arc
 MAX_NEWTON = 120    # Newton steps per BVP solve
 MAX_HALVINGS = 30   # step halvings before a line search gives up
 ARMIJO = 1e-4       # sufficient-decrease fraction of the line search
-LU_ORDERING = "MMD_AT_PLUS_A"  # Newton LU column order: minimum degree on the pattern of J^T + J
-LU_PIVOT_THRESH = 0.01         # Newton LU threshold pivoting, so the factors keep that order
 COARSE_LEVEL = 65   # grid sequencing: finer grids first converge the shock at this resolution
 SWEEP_HALVINGS = 6  # depth of recursive midpoint bridging in a continuation step
 
@@ -213,7 +212,8 @@ class _GridStructure:
     dir_rows are the sonic-side (Dirichlet) rows and interior is 0 on them,
     1 elsewhere.
 
-    The Newton Jacobian has a fixed CSC pattern (j_indptr, j_indices) too.
+    The Newton Jacobian has a fixed pattern too, inside the band of
+    half-widths (kl, ku) that the natural node order i * n2 + j gives it.
     With D = diag(interior) and S = diag(slope) (see _jacobian),
 
         J = D (A + M S Q) + (I - D),
@@ -229,7 +229,10 @@ class _GridStructure:
     c[k, 1]) concatenated.  J's data sum M[t_m] * S Q[t_q] over the (M slot,
     Q slot) pairs of the interior rows, A.data[a_src] and 1 on each
     Dirichlet diagonal into j_slot; the Dirichlet rows hold their diagonal
-    only.  All arrays are read-only.
+    only.  j_band is the flat position of each J slot in LAPACK band storage
+    of shape (2 kl + ku + 1, N), Fortran order: entry (r, c) sits in row
+    kl + ku + r - c of column c, and the first kl rows are room for the
+    LU's fill.  All arrays are read-only.
     """
 
     def __init__(self, n1, n2, stretch, degenerate):
@@ -295,8 +298,11 @@ class _GridStructure:
         self.dir_ones = np.ones(self.dir_rows.size)
         rows = np.concatenate([m_rows[self.t_m], self.slot_rows[self.a_src], self.dir_rows])
         cols = np.concatenate([q_cols[self.t_q], self.indices[self.a_src], self.dir_rows])
-        self.j_slot, self.j_indptr, self.j_indices, _ = _pattern(cols, rows, N)
+        self.j_slot, _, cols, rows = _pattern(rows, cols, N)
+        kl, ku = int(np.max(rows - cols)), int(np.max(cols - rows))
+        self.j_band = kl + ku + rows - cols + cols * (2 * kl + ku + 1)
         read_only(*vars(self).values())
+        self.kl, self.ku = kl, ku
 
 
 @functools.lru_cache(maxsize=8)
@@ -482,8 +488,7 @@ def _jacobian(disc, lin, cap, gamma):
     cap is active rho depends on phi alone, so S = -rho^(2-g) / (1 + cap
     (g-1)/2) and Q's row is the identity's.  The data are gathered and
     summed by one bincount into the grid's fixed pattern (_GridStructure),
-    whose entries that come out exactly 0 are dropped; J is returned in
-    CSC, the format splu factors.
+    then scattered into J's LAPACK band storage, which is returned.
     """
     g = disc.grid
     x = lin.phi.ravel()
@@ -499,13 +504,9 @@ def _jacobian(disc, lin, cap, gamma):
     qw = g.q_weight * (grad[:, 0] * c[0][g.q_src] + grad[:, 1] * c[1][g.q_src])
     q = g.q_eye + np.bincount(g.q_slot, qw, minlength=g.q_eye.size)
     weights = np.concatenate([ms[g.t_m] * q[g.t_q], lin.A.data[g.a_src], g.dir_ones])
-    data = np.bincount(g.j_slot, weights, minlength=g.j_indices.size)
-    # leave out the entries that vanish, as a sparse product does: splu's
-    # ordering reads the stored pattern, and stored zeros add fill
-    keep = data != 0.0
-    kept = np.zeros(keep.size + 1, dtype=g.j_indptr.dtype)
-    np.cumsum(keep, out=kept[1:])
-    return sp.csc_matrix((data[keep], g.j_indices[keep], kept[g.j_indptr]), shape=(x.size, x.size))
+    band = np.zeros((2 * g.kl + g.ku + 1) * x.size)
+    band[g.j_band] = np.bincount(g.j_slot, weights, minlength=g.j_band.size)
+    return band.reshape(-1, x.size, order="F")
 
 
 def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
@@ -513,7 +514,7 @@ def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
 
     Dirichlet phi = phi2 on the sonic side, state-(1) mass flux through the
     shock side, zero flux on wedge and symmetry sides.  Newton's method with
-    the exact Jacobian, one sparse LU per step and Armijo backtracking (step
+    the exact Jacobian, one band LU per step and Armijo backtracking (step
     halving on the residual's 2-norm), until the relative max-norm residual
     is below iter_params.lin_tol or below its roundoff floor, whichever is
     larger; info["stalled"] marks a stop at the floor above lin_tol, and
@@ -521,16 +522,11 @@ def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
     `mms` given, the manufactured source and boundary data replace the
     physical ones (convergence testing).
 
-    Each step's LU orders J by minimum degree on the pattern of J^T + J
-    (LU_ORDERING), which suits its near-symmetric 25-point stencil, and
-    pivots by threshold (LU_PIVOT_THRESH): a diagonal entry of at least that
-    fraction of its column's largest is kept, so the factors keep the
-    ordering and its lower fill.
-
-    Returns (phi, info); raises NoConvergence (MAX_NEWTON steps, or no
-    sufficient decrease in a line search), VacuumReached (also when every
-    trial step reaches vacuum), or EllipticityLost (when the Mach cap is
-    active outside the cutoff band at the solution with Mach^2 > 1 + 1e-6).
+    Returns (phi, info); raises NoConvergence (MAX_NEWTON steps, a singular
+    Jacobian, or no sufficient decrease in a line search), VacuumReached
+    (also when every trial step reaches vacuum), or EllipticityLost (when
+    the Mach cap is active outside the cutoff band at the solution with
+    Mach^2 > 1 + 1e-6).
     """
     disc, cap, dirichlet_vals, build_rhs = _bvp_data(config, mesh, iter_params, mms)
     params = config.params
@@ -540,13 +536,17 @@ def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
     lin = _residual(disc, phi, params, cap, build_rhs)
     scale = _residual_scale(disc, lin.rho)
     res = float(np.max(np.abs(lin.r))) / scale
+    kl, ku = disc.grid.kl, disc.grid.ku
     its = trials = 0
     while res >= max(iter_params.lin_tol, _roundoff_floor(disc, lin) / scale):
         if its == MAX_NEWTON:
             raise NoConvergence(f"Newton at relative residual {res:.3e} (tol {iter_params.lin_tol:.1e})")
         its += 1
-        step = spla.splu(_jacobian(disc, lin, cap, params.gamma), permc_spec=LU_ORDERING,
-                         diag_pivot_thresh=LU_PIVOT_THRESH).solve(-lin.r)
+        lu, piv, zero_pivot = lapack.dgbtrf(_jacobian(disc, lin, cap, params.gamma), kl, ku, overwrite_ab=True)
+        if zero_pivot > 0:
+            raise NoConvergence(f"Newton LU: zero pivot in column {zero_pivot} at residual {res:.3e}")
+        step = lapack.dgbtrs(lu, kl, ku, -lin.r, piv)[0]
+        del lu  # one band array at a time: the next step builds its own
         # Armijo on the 2-norm: the max norm can stall for good where the
         # largest residual sits next to a node on the Mach cap's kink
         merit = np.linalg.norm(lin.r)

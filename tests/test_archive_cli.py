@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -282,3 +284,26 @@ def test_archive_csvs_match_per_value_formatting(sol85_n65, sol_normal65, small_
     assert (tmp_path / "arch2" / "residuals.csv").read_text().count("\n") == 1
     back, tampered = read_solution(str(tmp_path / "arch2"))
     assert not tampered and back.residual_history == []
+
+
+def test_archive_csvs_equal_savetxt_bytes(small_run, tmp_path):
+    """The one-pass CSV writer gives numpy.savetxt's bytes for every CSV of a
+    33^2 member, a header-only residuals.csv included, and meta.json holds
+    the SHA-256 of the bytes on disk.  17 digits re-read exactly, so savetxt
+    of the re-read rows is savetxt of the values written."""
+    sol = small_run[0]
+    for k, member in enumerate((sol, dataclasses.replace(sol, residual_history=[]))):
+        outdir = tmp_path / f"arch{k}"
+        meta = write_solution(member, str(outdir))
+        for name, int_cols in (("shock.csv", 0), ("field.csv", 2), ("residuals.csv", 1)):
+            header = (outdir / name).read_text().splitlines()[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a header-only file
+                rows = np.loadtxt(outdir / name, delimiter=",", skiprows=1, ndmin=2)
+            rows = rows.reshape(-1, header.count(",") + 1)
+            fmt = ["%d"] * int_cols + ["%.17g"] * (rows.shape[1] - int_cols)
+            np.savetxt(tmp_path / "ref.csv", rows, fmt=fmt, delimiter=",", header=header, comments="")
+            assert (outdir / name).read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
+        for name, digest in meta["hashes"].items():
+            assert digest == hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+    assert (tmp_path / "arch1" / "residuals.csv").read_text().count("\n") == 1

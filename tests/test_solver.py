@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from shockrefl import (
     GasParams,
@@ -21,6 +22,7 @@ from shockrefl import (
     update_shock,
 )
 from shockrefl import solver
+from shockrefl.errors import NoConvergence
 from shockrefl.relations import state1
 from shockrefl.admissibility import full_report
 from shockrefl.mesh import CoonsMap, Segment, _assemble_map, sonic_extension
@@ -71,6 +73,18 @@ def test_solve_bvp_recovers_uniform_state_on_rectangle(gas_122):
         assert info["stalled"] == stalled and info["residual"] < 1e-11
 
 
+def _dense(disc, band):
+    """The n x n matrix held in the grid's LAPACK band storage of the Jacobian:
+    entry (r, c) in row kl + ku + r - c of column c; rows 0..kl-1 are LU room."""
+    kl, ku = disc.grid.kl, disc.grid.ku
+    n = band.shape[1]
+    r, c = np.indices((n, n))
+    inside = (c - r <= ku) & (r - c <= kl)
+    dense = np.zeros((n, n))
+    dense[inside] = band[(kl + ku + r - c)[inside], c[inside]]
+    return dense
+
+
 @pytest.mark.parametrize("deg, n1, n2", [(85.0, 13, 11), (55.0, 11, 12)])
 def test_newton_jacobian_matches_central_differences(gas_122, deg, n1, n2):
     """The exact Jacobian agrees with central differences of the residual on a
@@ -85,7 +99,7 @@ def test_newton_jacobian_matches_central_differences(gas_122, deg, n1, n2):
     phi[:, -1] = dirichlet_vals
     lin = solver._residual(disc, phi, gas_122, cap, rhs)
     assert lin.active.any() and not lin.active.all()
-    J = solver._jacobian(disc, lin, cap, gas_122.gamma).toarray()
+    J = _dense(disc, solver._jacobian(disc, lin, cap, gas_122.gamma))
     h = 1e-6
     fd = np.empty_like(J)
     for k in range(phi.size):
@@ -134,29 +148,30 @@ def _noisy_field(gas, deg, n1, n2):
 
 @pytest.mark.parametrize("deg, n1, n2", [(85.0, 13, 11), (55.0, 11, 12)])
 def test_fixed_pattern_jacobian_matches_product_form(gas_122, deg, n1, n2):
-    """The Jacobian gathered into its fixed pattern equals the sparse-product
-    form on a curved and on a collapsed-sonic mesh with cap-active nodes, and
-    its Dirichlet rows store the diagonal only.  Entries that vanish are not
-    stored, since stored zeros add fill to the LU factors."""
+    """The Jacobian gathered into its fixed pattern and band storage equals
+    the sparse-product form on a curved and on a collapsed-sonic mesh with
+    cap-active nodes, its Dirichlet rows are the identity's, and the band's
+    LU room is zero."""
     cfg, mesh, disc, cap, rhs, phi = _noisy_field(gas_122, deg, n1, n2)
     lin = solver._residual(disc, phi, gas_122, cap, rhs)
     assert lin.active.any() and not lin.active.all()
     assert not (mesh.degenerate_sonic and lin.active[:, -1].all())
-    J = solver._jacobian(disc, lin, cap, gas_122.gamma)
-    ref = _jacobian_product_form(disc, lin, cap, gas_122.gamma)
-    assert abs(J - ref).max() <= 1e-13 * abs(ref).max()
-    assert np.all(J.data != 0.0) and J.nnz == ref.count_nonzero()
-    rows = J.tocsr()[disc.grid.dir_rows]
-    assert rows.nnz == rows.shape[0] and np.array_equal(rows.indices, disc.grid.dir_rows)
-    assert np.all(rows.data == 1.0)
+    band = solver._jacobian(disc, lin, cap, gas_122.gamma)
+    J = _dense(disc, band)
+    ref = _jacobian_product_form(disc, lin, cap, gas_122.gamma).toarray()
+    assert np.abs(J - ref).max() <= 1e-13 * np.abs(ref).max()
+    rows = disc.grid.dir_rows
+    assert np.array_equal(J[rows], np.eye(phi.size)[rows])
+    assert band.shape == (2 * disc.grid.kl + disc.grid.ku + 1, phi.size)
+    assert np.all(band[: disc.grid.kl] == 0.0)
 
 
 @pytest.mark.parametrize("deg", [85.0, 55.0])
-def test_newton_lu_ordering_solves_with_less_fill(gas_122, monkeypatch, deg):
-    """The Newton step of solve_bvp, factorised with minimum degree on
-    J^T + J and threshold pivoting, solves J s = -r to roundoff, agrees with
-    the step of splu's default COLAMD and partial pivoting, and fills less,
-    on a curved and on a collapsed-sonic 33^2 mesh with cap-active nodes."""
+def test_newton_band_lu_solves_like_splu(gas_122, monkeypatch, deg):
+    """The Newton step of solve_bvp, a LAPACK band LU of J with half-widths
+    2 n2 + 1 in the natural node order, solves J s = -r to roundoff and
+    agrees with splu's step, on a curved and on a collapsed-sonic 33^2 mesh
+    with cap-active nodes."""
     cfg, mesh, disc, cap, rhs, phi = _noisy_field(gas_122, deg, 33, 33)
     assert mesh.degenerate_sonic == (deg < 60.0)
     lin = solver._residual(disc, phi, gas_122, cap, rhs)
@@ -166,20 +181,37 @@ def test_newton_lu_ordering_solves_with_less_fill(gas_122, monkeypatch, deg):
     class Captured(Exception):
         pass
 
-    def capture(J, **options):
-        calls.append((J, options))
+    def capture(band, kl, ku, **options):
+        calls.append((band.copy(order="F"), kl, ku))
         raise Captured
 
-    monkeypatch.setattr(solver, "spla", SimpleNamespace(splu=capture))
+    monkeypatch.setattr(solver, "lapack", SimpleNamespace(dgbtrf=capture))
     with pytest.raises(Captured):
         solve_bvp(cfg, mesh, phi, IterationParams(n1=33, n2=33))
-    J, options = calls[0]
-    assert options == {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.01}
-    lu, default = spla.splu(J, **options), spla.splu(J)
-    step, ref = lu.solve(-lin.r), default.solve(-lin.r)
+    band, kl, ku = calls[0]
+    assert kl == ku == 2 * 33 + 1
+    J = _dense(disc, band)
+    lu, piv, info = lapack.dgbtrf(band, kl, ku)
+    step, info_solve = lapack.dgbtrs(lu, kl, ku, -lin.r, piv)
+    assert info == info_solve == 0
+    ref = spla.splu(sp.csc_matrix(J)).solve(-lin.r)
     assert np.linalg.norm(J @ step + lin.r) <= 1e-12 * np.linalg.norm(lin.r)
     assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
-    assert lu.L.nnz + lu.U.nnz <= default.L.nnz + default.U.nnz
+
+
+def test_singular_newton_factor_raises_no_convergence(gas_122, monkeypatch):
+    """A zero pivot in the band LU (dgbtrf's info > 0) ends solve_bvp with
+    the typed NoConvergence."""
+    cfg = build_configuration(gas_122, math.pi / 2.0)
+    xbar, height = cfg.p2[0], cfg.p1[1] * (1.0 - 1e-6)
+    sm = quad_map([xbar, 0.0], [0.0, 0.0], [0.0, height], [xbar, height], 9, 9)
+
+    def singular(band, kl, ku, **options):
+        return band, np.zeros(band.shape[1], dtype=np.int32), 5
+
+    monkeypatch.setattr(solver, "lapack", SimpleNamespace(dgbtrf=singular))
+    with pytest.raises(NoConvergence, match="zero pivot"):
+        solve_bvp(cfg, sm, cfg.state2.potential(sm.nodes) + 0.01, IterationParams(n1=9, n2=9, cutoff_width=1e-9))
 
 
 def test_collapsed_sonic_row_gets_zero_metric(gas_122):
@@ -201,7 +233,7 @@ def test_collapsed_sonic_row_gets_zero_metric(gas_122):
         J = solver._jacobian(disc, lin, cap, gas_122.gamma)
     for metric in (disc.g11_f, disc.g12_f):
         assert np.all(metric.reshape(n1 - 1, n2)[:, -1] == 0.0)
-    assert np.all(np.isfinite(lin.r)) and np.isfinite(floor) and np.all(np.isfinite(J.data))
+    assert np.all(np.isfinite(lin.r)) and np.isfinite(floor) and np.all(np.isfinite(_dense(disc, J)))
 
 
 def test_first_bvp_after_an_angle_step_is_warm(gas_122, monkeypatch):
