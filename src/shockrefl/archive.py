@@ -84,8 +84,9 @@ def write_solution(sol, outdir, extra_meta=None):
     hashes["field.csv"] = _write_csv(os.path.join(outdir, "field.csv"),
                                      "i,j,xi1,xi2,phi,speed,rho,ellipticity_margin",
                                      np.stack([c.ravel() for c in columns], axis=1), int_cols=2)
-    _write_csv(os.path.join(outdir, "residuals.csv"), "outer_iteration,shock_movement,interior_residual",
-               sol.residual_history, int_cols=1)
+    hashes["residuals.csv"] = _write_csv(os.path.join(outdir, "residuals.csv"),
+                                         "outer_iteration,shock_movement,interior_residual",
+                                         sol.residual_history, int_cols=1)
 
     meta = {
         "format": "shockrefl-archive-1",
@@ -96,8 +97,9 @@ def write_solution(sol, outdir, extra_meta=None):
         "n2": n2,
         "regime": cfg.regime.value,
         "points": {
-            name: [float(v) for v in getattr(cfg, name)]
-            for name in ("p0", "p1", "p2", "p3", "p4", "sonic_center")
+            name: [float(v) for v in point]
+            for name, point in (("p0", cfg.p0), ("p1", cfg.p1), ("p2", shock.points[-1]),
+                                ("p3", cfg.p3), ("p4", cfg.p4), ("sonic_center", cfg.sonic_center))
         },
         "sonic_radius": cfg.sonic_radius,
         "state2": {"u": cfg.state2.u, "v": cfg.state2.v, "k": cfg.state2.k,
@@ -119,9 +121,11 @@ def read_solution(indir):
     """Reconstruct a SolutionField from an archive.
 
     Returns (solution, tampered) where tampered is True when a CSV hash does
-    not match meta.json (the archive is still loaded so the verifier can
-    locate the failing check).  Raises ArchiveError on missing or
-    structurally inconsistent archives.
+    not match meta.json, when meta.json lacks the hash of shock.csv or
+    field.csv, or when a hashed file is missing (the archive is still loaded
+    so the verifier can locate the failing check).  An archive without a
+    residuals.csv hash, as older versions wrote, is read unchecked there.
+    Raises ArchiveError on missing or structurally inconsistent archives.
     """
     meta_path = os.path.join(indir, "meta.json")
     if not os.path.isfile(meta_path):
@@ -135,10 +139,12 @@ def read_solution(indir):
         if not os.path.isfile(os.path.join(indir, name)):
             raise ArchiveError(f"missing {name} in {indir}")
 
-    tampered = False
-    for name, want in meta.get("hashes", {}).items():
-        have = _hash_file(os.path.join(indir, name))
-        if have != want:
+    hashes = meta.get("hashes")
+    hashes = hashes if isinstance(hashes, dict) else {}
+    tampered = not {"shock.csv", "field.csv"} <= hashes.keys()
+    for name, want in hashes.items():
+        path = os.path.join(indir, name)
+        if not os.path.isfile(path) or _hash_file(path) != want:
             tampered = True
 
     try:
@@ -152,7 +158,6 @@ def read_solution(indir):
 
     config = build_configuration(params, theta)
     shock = config.shock_curve(shock_rows[:, 2:4])
-    config = config.with_foot(shock.points[-1])
     mesh = build_square_map(config, shock, n1, n2)
 
     if field_rows.shape[0] != n1 * n2:

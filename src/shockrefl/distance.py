@@ -5,22 +5,19 @@ The family of solutions is compared in the norm
     ||phi_a - phi_b||_C1(overlap)  +  d_H(closure A, closure B),
 
 realized discretely: fields and centered-difference gradients of each
-solution are interpolated linearly (Delaunay) and compared at the other
-grid's nodes restricted to the overlap; the Hausdorff term is evaluated on
-the boundary polylines.
+solution are interpolated linearly over its mesh's triangulation
+(`SquareMap.interpolant`) and compared at the other grid's nodes restricted
+to the overlap; the Hausdorff term is evaluated on the boundary polylines.
 """
 
 import numpy as np
-from scipy.interpolate import LinearNDInterpolator
 
 from .errors import EmptyOverlap
 
 
 def _field_interpolator(sol):
-    pts = sol.mesh.nodes.reshape(-1, 2)
     grad = sol.gradient().reshape(-1, 2)
-    vals = np.column_stack([sol.phi.reshape(-1), grad])
-    return LinearNDInterpolator(pts, vals)
+    return sol.mesh.interpolant(np.column_stack([sol.phi.reshape(-1), grad]))
 
 
 def _points_to_polyline(pts, poly):

@@ -10,7 +10,7 @@ the direction used by the solver.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -74,15 +74,15 @@ class ReflectionConfiguration:
     """Geometric skeleton of one reflection configuration.
 
     Points (all shape-(2,) arrays): p0 reflection point, p1 shock/sonic-arc
-    corner (p1 = p0 in the subsonic and sonic cases), p2 shock foot on the
-    symmetry axis, p3 wedge vertex (origin), p4 sonic-arc/wedge corner.
+    corner (p1 = p0 in the subsonic and sonic cases), p3 wedge vertex
+    (origin), p4 sonic-arc/wedge corner.  The shock foot P2 on the symmetry
+    axis is a free-boundary unknown: it is the last point of the shock.
     The closed forms of states (0), (1), (2) ride along for boundary data.
     """
 
     theta_w: float
     p0: np.ndarray
     p1: np.ndarray
-    p2: np.ndarray
     p3: np.ndarray
     p4: np.ndarray
     sonic_center: np.ndarray
@@ -107,9 +107,6 @@ class ReflectionConfiguration:
     def wedge_normal(self):
         """Interior unit normal on the wedge face, nu_w = (-sin, cos)(theta_w)."""
         return np.array([-math.sin(self.theta_w), math.cos(self.theta_w)])
-
-    def with_foot(self, p2):
-        return replace(self, p2=np.asarray(p2, dtype=float))
 
     def shock_curve(self, points):
         """The shock through points (P1 first) as a graph in the wedge normal,
@@ -165,9 +162,6 @@ def build_configuration(params, theta_w):
 
     At theta_w = pi/2 the skeleton is the normal-reflection limit: vertical
     shock at xi1_bar capped by the sonic arc of the rest state.
-
-    The shock foot p2 is initialized from the cold-start curve of
-    :func:`initial_shock`; the solver keeps it updated.
     """
     inc = incident_state(params)
     s0 = state0(params)
@@ -182,7 +176,6 @@ def build_configuration(params, theta_w):
             theta_w=theta_w,
             p0=np.array([0.0, c2]),
             p1=np.array([xbar, height]),
-            p2=np.array([xbar, 0.0]),
             p3=np.zeros(2),
             p4=np.array([0.0, c2]),
             sonic_center=np.zeros(2),
@@ -227,11 +220,10 @@ def build_configuration(params, theta_w):
         p1 = p0.copy()
         p4 = p0.copy()
 
-    config = ReflectionConfiguration(
+    return ReflectionConfiguration(
         theta_w=theta_w,
         p0=p0,
         p1=p1,
-        p2=np.array([math.nan, 0.0]),
         p3=np.zeros(2),
         p4=p4,
         sonic_center=center,
@@ -245,7 +237,6 @@ def build_configuration(params, theta_w):
         e_s1=e_s1,
         cone_degenerate=cone.degenerate,
     )
-    return config.with_foot(_cold_control_points(config)[2])
 
 
 _COLD_CONTROL_FRACTION = 0.8
@@ -391,7 +382,8 @@ def initial_shock(config, n=65):
     """Cold-start shock: quadratic Bezier from P1 to the axis.
 
     Leaves P1 along the straight reflected shock and meets the axis
-    vertically; convex by construction.
+    vertically; convex by construction.  Raises AttachedShockDetected when
+    its foot reaches the wedge vertex.
     """
     p1, q, foot = _cold_control_points(config)
     u = np.linspace(0.0, 1.0, n)[:, None]

@@ -17,19 +17,14 @@ w = 1 only.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.interpolate import LinearNDInterpolator
+from scipy.spatial import Delaunay
 
 from .errors import FoldedMesh
-
-SIDE_ASSIGNMENT = {
-    "a=0": "shock",
-    "a=1": "wedge",
-    "w=0": "symmetry",
-    "w=1": "sonic",
-}
 
 
 def sonic_clustered_grid(n, kind="sqrt"):
@@ -216,7 +211,7 @@ def logical_grid(n1, n2, stretch):
     return grid
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SquareMap:
     """Discrete boundary-fitted grid plus the analytic map behind it.
 
@@ -224,7 +219,9 @@ class SquareMap:
     j along w (symmetry -> sonic, clustered near sonic).  The node metric
     (x_a, x_w and the Jacobian jac) is evaluated once, when the map is
     built; the logical grid and its derivative stencil are shared with
-    every other mesh of the same size and stretch.
+    every other mesh of the same size and stretch.  The map is a value:
+    its arrays are read-only, so what is derived from them (the stencil
+    coefficients, the triangulation) is computed once per mesh.
     """
 
     coons: CoonsMap
@@ -234,7 +231,9 @@ class SquareMap:
     xw: np.ndarray
     jac: np.ndarray
     degenerate_sonic: bool
-    metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        read_only(self.nodes, self.xa, self.xw, self.jac)
 
     @property
     def n1(self):
@@ -286,43 +285,15 @@ class SquareMap:
             g[..., -1] = 2.0 * g[..., -2] - g[..., -3]
         return np.stack(g, axis=-1).reshape(phi.shape + (2,))
 
-    def inverse(self, xi, tol=1e-10, max_iter=100):
-        """Invert the map by damped Newton from the nearest grid node.
+    @functools.cached_property
+    def triangulation(self):
+        """Delaunay triangulation of the nodes, raveled in C order."""
+        return Delaunay(self.nodes.reshape(-1, 2))
 
-        Returns (a, w) or None if the point cannot be matched to tol.
-        """
-        xi = np.asarray(xi, dtype=float)
-        d2 = np.sum((self.nodes - xi) ** 2, axis=-1)
-        i0, j0 = np.unravel_index(np.argmin(d2), d2.shape)
-        a = float(self.a_grid[i0])
-        w = float(self.w_grid[j0])
-        res = math.inf
-        for _ in range(max_iter):
-            x = self.coons.point(a, w)
-            r = xi - x
-            res = math.hypot(r[0], r[1])
-            if res < tol:
-                return a, w
-            xa, xw = self.coons.derivs(np.asarray(a), np.asarray(w))
-            jac = xa[0] * xw[1] - xa[1] * xw[0]
-            if abs(jac) < 1e-30:
-                return None
-            da = (r[0] * xw[1] - r[1] * xw[0]) / jac
-            dw = (-r[0] * xa[1] + r[1] * xa[0]) / jac
-            step = 1.0
-            improved = False
-            for _ in range(40):
-                a_new = min(1.0, max(0.0, a + step * da))
-                w_new = min(1.0, max(0.0, w + step * dw))
-                x_new = self.coons.point(a_new, w_new)
-                if math.hypot(*(xi - x_new)) < res:
-                    a, w = a_new, w_new
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        return (a, w) if res < tol else None
+    def interpolant(self, values):
+        """Piecewise-linear interpolant of nodal values (shape (N,) or (N, k))
+        over the triangulation: exact on linear fields, NaN outside the hull."""
+        return LinearNDInterpolator(self.triangulation, values)
 
     def boundary_polyline(self):
         """Closed boundary polygon: sym (P2->P3), wedge (P3->P4), sonic (P4->P1), shock (P1->P2)."""
@@ -344,23 +315,8 @@ def _assemble_map(coons, n1, n2, stretch, degenerate):
         raise FoldedMesh(
             f"mesh Jacobian changes sign (min {interior.min():.3e}, max {interior.max():.3e})"
         )
-    meta = {
-        "sides": dict(SIDE_ASSIGNMENT),
-        "stretch": stretch,
-        "n1": n1,
-        "n2": n2,
-        "degenerate_sonic": degenerate,
-    }
-    return SquareMap(
-        coons=coons,
-        grid=grid,
-        nodes=nodes,
-        xa=xa,
-        xw=xw,
-        jac=jac,
-        degenerate_sonic=degenerate,
-        metadata=meta,
-    )
+    return SquareMap(coons=coons, grid=grid, nodes=nodes, xa=xa, xw=xw, jac=jac,
+                     degenerate_sonic=degenerate)
 
 
 def build_square_map(config, shock, n1, n2, stretch="sqrt"):

@@ -781,7 +781,6 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     else:
         shock = initial_shock(config, n=max(n2, 65))
         dev = np.zeros((n1, n2))
-    config = config.with_foot(shock.points[-1])
 
     history = []
     earlier = []  # (S, r) of every earlier iterate, for the quasi-Newton step
@@ -802,7 +801,6 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         movement = upd["movement"]
         history.append((outer, movement, info["residual"]))
         dev = phi - config.state2.potential(mesh.nodes)
-        config = config.with_foot(shock.points[-1])
         if movement < tol_eff:
             break
     else:

@@ -347,8 +347,7 @@ def test_criterion_10_falsification(sol85_n65, sol_normal65):
     rec = check_shock_inequalities(bad)
     results.append(("reversed field -> shock inequalities", not rec.passed))
     bad_shock = nonconvex_shock(sol85_n65)
-    rec = check_graph_and_convexity(bad_shock, theta_w=sol85_n65.theta_w,
-                                    config=sol85_n65.config)
+    rec = check_graph_and_convexity(bad_shock, config=sol85_n65.config)
     results.append(("non-convex shock -> convexity", not rec.passed))
     ok = all(r[1] for r in results)
     _report(

@@ -127,8 +127,7 @@ def test_straight_shock_fails_strict_convexity(sol85_n65):
     pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
     straight = ShockCurve(e=e, points=pts, tau_p1=sol85_n65.shock.tau_p1,
                           tau_p2=sol85_n65.shock.tau_p2)
-    rec = check_graph_and_convexity(straight, theta_w=sol85_n65.theta_w,
-                                    config=sol85_n65.config)
+    rec = check_graph_and_convexity(straight, config=sol85_n65.config)
     assert not rec.passed  # f'' = 0: convex but not strictly
 
 
@@ -143,13 +142,13 @@ def test_concave_parabola_passes_convexity(sol85_n65):
     tau2 = pts[-2] - pts[-1]
     curve = ShockCurve(e=e, points=pts, tau_p1=tau1 / np.linalg.norm(tau1),
                        tau_p2=tau2 / np.linalg.norm(tau2))
-    rec = check_graph_and_convexity(curve, theta_w=1.0, config=None, tol=1e-6)
+    rec = check_graph_and_convexity(curve, config=None, tol=1e-6)
     assert rec.passed
 
 
 def test_nonconvex_shock_fails(sol85_n65):
     bad = nonconvex_shock(sol85_n65)
-    rec = check_graph_and_convexity(bad, theta_w=sol85_n65.theta_w, config=sol85_n65.config)
+    rec = check_graph_and_convexity(bad, config=sol85_n65.config)
     assert not rec.passed
 
 

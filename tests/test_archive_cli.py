@@ -53,6 +53,50 @@ def test_archive_tamper_detection(small_run, tmp_path):
     assert tampered
 
 
+def _edit_residuals(arch):
+    path = arch / "residuals.csv"
+    lines = path.read_text().splitlines()
+    parts = lines[1].split(",")
+    parts[1] = repr(float(parts[1]) * 1.1)
+    lines[1] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _edit_meta(arch, edit):
+    meta = json.loads((arch / "meta.json").read_text())
+    edit(meta)
+    (arch / "meta.json").write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("tamper", [
+    _edit_residuals,
+    lambda arch: _edit_meta(arch, lambda meta: meta.pop("hashes")),
+    lambda arch: _edit_meta(arch, lambda meta: meta.update(hashes=None)),
+    lambda arch: (arch / "residuals.csv").unlink(),
+], ids=["edited_residuals", "meta_without_hashes", "meta_hashes_null", "deleted_residuals"])
+def test_archive_tamper_detection_covers_every_file(small_run, tmp_path, tamper):
+    """Every CSV is hashed, and a missing hash or hashed file counts as tampering."""
+    import shutil
+
+    copy_dir = tmp_path / "tampered"
+    shutil.copytree(small_run[1], copy_dir)
+    tamper(copy_dir)
+    _, tampered = read_solution(str(copy_dir))
+    assert tampered
+
+
+def test_archive_without_residuals_hash_reads_untampered(small_run, tmp_path):
+    """Archives written before residuals.csv was hashed stay readable."""
+    import shutil
+
+    copy_dir = tmp_path / "older"
+    shutil.copytree(small_run[1], copy_dir)
+    _edit_meta(copy_dir, lambda meta: meta["hashes"].pop("residuals.csv"))
+    back, tampered = read_solution(str(copy_dir))
+    assert not tampered
+    assert back.residual_history == small_run[0].residual_history
+
+
 def test_archive_missing_file(tmp_path):
     with pytest.raises(ArchiveError):
         read_solution(str(tmp_path / "nope"))

@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from shockrefl import (
     EmptyOverlap,
     GasParams,
     c1_family_distance,
+    full_report,
     hausdorff_distance,
+    mesh,
     normal_reflection,
 )
 
@@ -65,8 +70,23 @@ def test_empty_overlap_raises(gas_122, sol_normal65):
     import copy
 
     far = copy.copy(sol_normal65)
-    shifted = copy.copy(sol_normal65.mesh)
-    shifted.nodes = sol_normal65.mesh.nodes + np.array([100.0, 100.0])
-    far.mesh = shifted
+    far.mesh = dataclasses.replace(sol_normal65.mesh, nodes=sol_normal65.mesh.nodes + np.array([100.0, 100.0]))
     with pytest.raises(EmptyOverlap):
         c1_family_distance(sol_normal65, far)
+
+
+def test_one_triangulation_per_mesh(monkeypatch, sol_normal65, sol85_n65):
+    """Reports and the family distance of a pair share each mesh's triangulation."""
+    built = []
+
+    def counting_delaunay(points):
+        built.append(len(points))
+        return Delaunay(points)
+
+    monkeypatch.setattr(mesh, "Delaunay", counting_delaunay)
+    # fresh meshes, so no triangulation is cached from another test
+    pair = [dataclasses.replace(s, mesh=dataclasses.replace(s.mesh)) for s in (sol_normal65, sol85_n65)]
+    for sol in pair:
+        full_report(sol)
+    c1_family_distance(*pair)
+    assert len(built) == 2

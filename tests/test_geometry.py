@@ -50,7 +50,7 @@ def test_configuration_supersonic_invariants(gas_122, cfg85):
     assert np.linalg.norm(cfg.p4 - cfg.sonic_center) == pytest.approx(cfg.sonic_radius, abs=1e-12)
     assert cfg.p4[1] * math.cos(cfg.theta_w) == pytest.approx(cfg.p4[0] * math.sin(cfg.theta_w), abs=1e-12)
     # foot strictly left of the vertex
-    assert cfg.p2[0] < -cfg.attach_eps
+    assert initial_shock(cfg).points[-1, 0] < -cfg.attach_eps
     # e_S1 oriented with the pseudo-flow at P0
     assert float(cfg.e_s1 @ cfg.state2.gradient(cfg.p0)) > 0.0
 
@@ -60,7 +60,7 @@ def test_configuration_normal_reflection(gas_122):
     assert np.allclose(cfg.sonic_center, 0.0)
     assert cfg.p0[0] == 0.0  # on the vertical wall
     assert cfg.p4[1] == pytest.approx(cfg.sonic_radius, rel=1e-14)
-    assert cfg.p1[0] == pytest.approx(cfg.p2[0], rel=1e-14)  # flat vertical shock
+    assert cfg.p1[0] == pytest.approx(initial_shock(cfg).points[-1, 0], rel=1e-14)  # flat vertical shock
     assert cfg.cone_degenerate
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -52,18 +53,30 @@ def test_normal_reflection_domain_map(gas_122):
     assert np.abs(r - cfg.sonic_radius).max() < 1e-12
 
 
-def test_round_trip_inversion(gas_122, mesh85):
+def test_interpolant_exact_on_linear_fields(mesh85):
+    """The piecewise-linear interpolant reproduces a linear field at interior
+    off-node points, and is NaN outside the nodes' hull."""
     _, sm = mesh85
     rng = np.random.default_rng(11)
     ab = rng.uniform(0.02, 0.98, size=(1000, 2))
-    worst = 0.0
-    for a, w in ab:
-        xi = sm.coons.point(np.asarray(a), np.asarray(w))
-        inv = sm.inverse(xi, tol=1e-10)
-        assert inv is not None
-        xi2 = sm.coons.point(np.asarray(inv[0]), np.asarray(inv[1]))
-        worst = max(worst, float(np.hypot(*(xi - xi2))))
-    assert worst < 1e-9
+    pts = sm.coons.point(ab[:, 0], ab[:, 1])
+
+    def linear(xy):
+        return 0.3 + 1.7 * xy[..., 0] - 0.9 * xy[..., 1]
+
+    interp = sm.interpolant(linear(sm.nodes).ravel())
+    exact = linear(pts)
+    assert np.abs(interp(pts) - exact).max() <= 1e-12 * np.abs(exact).max()
+    assert np.isnan(interp(sm.nodes.max(axis=(0, 1)) + 1.0))
+
+
+def test_square_map_is_immutable(mesh85):
+    _, sm = mesh85
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sm.nodes = sm.nodes + 1.0
+    for arr in (sm.nodes, sm.xa, sm.xw, sm.jac):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
 
 
 def test_gradient_exact_on_affine_rectangle(gas_122):

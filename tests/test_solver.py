@@ -39,7 +39,7 @@ def test_scheme_exact_on_uniform_state_rectangle(gas_122):
     must reproduce them to machine precision on affine cells."""
     cfg = build_configuration(gas_122, math.pi / 2.0)
     rest = cfg.state2
-    xbar = cfg.p2[0]
+    xbar = cfg.p1[0]
     height = cfg.p1[1]
     sm = quad_map([xbar, 0.0], [0.0, 0.0], [0.0, height], [xbar, height], 17, 19)
     disc = _Discretization(sm)
@@ -58,7 +58,7 @@ def test_scheme_exact_on_uniform_state_rectangle(gas_122):
 def test_solve_bvp_recovers_uniform_state_on_rectangle(gas_122):
     cfg = build_configuration(gas_122, math.pi / 2.0)
     rest = cfg.state2
-    xbar = cfg.p2[0]
+    xbar = cfg.p1[0]
     # stay a hair below the sonic corner so the Mach cap is inactive and the
     # run is a pure exactness check of the discrete scheme
     height = cfg.p1[1] * (1.0 - 1e-6)
@@ -203,7 +203,7 @@ def test_singular_newton_factor_raises_no_convergence(gas_122, monkeypatch):
     """A zero pivot in the band LU (dgbtrf's info > 0) ends solve_bvp with
     the typed NoConvergence."""
     cfg = build_configuration(gas_122, math.pi / 2.0)
-    xbar, height = cfg.p2[0], cfg.p1[1] * (1.0 - 1e-6)
+    xbar, height = cfg.p1[0], cfg.p1[1] * (1.0 - 1e-6)
     sm = quad_map([xbar, 0.0], [0.0, 0.0], [0.0, height], [xbar, height], 9, 9)
 
     def singular(band, kl, ku, **options):
@@ -296,7 +296,7 @@ def test_grid_structure_shared_but_metric_per_mesh(gas_122):
     pts += (0.05 * np.sin(math.pi * tau))[:, None] * shock.e[None, :]
     bumped = ShockCurve(e=shock.e, points=pts, tau_p1=shock.tau_p1, tau_p2=shock.tau_p2)
     mesh1 = build_square_map(cfg, shock, 25, 25)
-    mesh2 = build_square_map(cfg.with_foot(pts[-1]), bumped, 25, 25)
+    mesh2 = build_square_map(cfg, bumped, 25, 25)
     phi = cfg.state2.potential(mesh1.nodes) + 0.1 * mesh1.nodes[..., 0] ** 2
     disc1 = _Discretization(mesh1)
     grad1 = mesh1.gradient(phi)
@@ -377,7 +377,7 @@ def test_update_shock_contracts_after_perturbation(gas_122, sol85_n65):
     from shockrefl import ShockCurve, build_square_map
 
     shock_pert = ShockCurve(e=e, points=pts, tau_p1=sol.shock.tau_p1, tau_p2=sol.shock.tau_p2)
-    cfg = sol.config.with_foot(shock_pert.points[-1])
+    cfg = sol.config
     mesh = build_square_map(cfg, shock_pert, 65, 65)
     ip = IterationParams(n1=65, n2=65)
     phi, _ = solve_bvp(cfg, mesh, cfg.state2.potential(mesh.nodes), ip)
