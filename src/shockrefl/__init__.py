@@ -31,7 +31,6 @@ from .geometry import (
     ReflectionConfiguration,
     ShockCurve,
     build_configuration,
-    cone_directions,
     initial_shock,
     interior_cone_directions,
     lambda_contains,

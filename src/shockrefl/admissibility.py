@@ -59,8 +59,8 @@ class CheckRecord:
             "name": self.name,
             "passed": bool(self.passed),
             "mandatory": bool(self.mandatory),
-            "worst": float(self.worst),
-            "tolerance": float(self.tolerance),
+            "worst": jsonable(float(self.worst)),
+            "tolerance": jsonable(float(self.tolerance)),
             "location": None if self.location is None else [float(v) for v in self.location],
             "note": self.note,
             "details": {k: jsonable(v) for k, v in sorted(self.details.items())},
@@ -83,7 +83,7 @@ class AdmissibilityReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=False, allow_nan=False)
 
     def table(self):
         lines = ["%-28s %-6s %-12s %-12s note" % ("check", "pass", "worst", "tol")]

@@ -49,17 +49,20 @@ def _hash_file(path):
 
 def jsonable(v):
     """Plain JSON value of a metadata entry: numpy scalars and arrays become
-    Python ones, booleans stay booleans."""
+    Python ones, booleans stay booleans, and non-finite floats become None
+    (RFC 8259 JSON has no NaN or Infinity)."""
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
     if isinstance(v, (int, np.integer)):
         return int(v)
     if isinstance(v, (float, np.floating)):
-        return float(v)
+        return float(v) if math.isfinite(v) else None
     if isinstance(v, np.ndarray):
         return jsonable(v.tolist())
     if isinstance(v, (list, tuple)):
         return [jsonable(x) for x in v]
+    if isinstance(v, dict):
+        return {k: jsonable(x) for k, x in v.items()}
     return v
 
 
@@ -106,13 +109,14 @@ def write_solution(sol, outdir, extra_meta=None):
                    "rho": cfg.state2.rho, "c": cfg.state2.c},
         "incident": {"u1": cfg.incident.u1, "xi1_0": cfg.incident.xi1_0,
                      "k1": cfg.incident.k1, "c1": cfg.incident.c1},
-        "metadata": {k: jsonable(v) for k, v in sorted(sol.metadata.items())},
+        "metadata": sol.metadata,
         "hashes": hashes,
     }
     if extra_meta:
         meta.update(extra_meta)
+    meta = jsonable(meta)
     with open(os.path.join(outdir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return meta
 

@@ -57,7 +57,7 @@ class RunConfig:
     rho1: float = 2.0
     gamma: float = 2.0
     theta: float | None = None          # degrees
-    theta_grid: str | None = None       # "start:stop:step" in degrees
+    theta_grid: str | None = None       # degrees, "start:stop:num" (polar) or "start:stop:step" (sweep)
     n1: int = 65
     n2: int = 65
     cutoff_width: float | None = None
@@ -152,11 +152,20 @@ def _run_config_from_args(args):
     return cfg
 
 
-def _write_json(path, payload):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _radians(deg):
+    """A wedge angle in degrees, in radians; 90 degrees is pi/2 exactly."""
+    return math.pi / 2.0 if abs(deg - 90.0) < 1e-12 else math.radians(deg)
+
+
+def _grid_spec(spec, form):
+    """The three numbers of a --theta-grid spec of the given 'a:b:c' form."""
+    try:
+        numbers = tuple(float(x) for x in spec.split(":"))
+    except ValueError:
+        numbers = ()
+    if len(numbers) != 3 or not all(map(math.isfinite, numbers)):
+        raise ValidationError(f"--theta-grid {spec!r} is not of the form {form!r}")
+    return numbers
 
 
 def cmd_angles(args):
@@ -166,12 +175,15 @@ def cmd_angles(args):
     payload = {
         "theta_d_deg": math.degrees(diagram.theta_d),
         "theta_s_deg": math.degrees(diagram.theta_s),
-        "rho_c": diagram.rho_c,
+        "rho_c": diagram.rho_c,  # inf for gamma = 3, written as null
         "attachment_possible": diagram.attachment_possible,
         "params": {"rho0": gas.rho0, "rho1": gas.rho1, "gamma": gas.gamma},
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    _write_json(os.path.join(cfg.out, "angles.json"), payload)
+    text = json.dumps(archive.jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+    print(text)
+    os.makedirs(cfg.out, exist_ok=True)
+    with open(os.path.join(cfg.out, "angles.json"), "w") as fh:
+        fh.write(text + "\n")
     return EXIT_OK
 
 
@@ -180,17 +192,18 @@ def cmd_polar(args):
     gas = cfg.gas()
     theta_d = detachment_angle(gas)
     if cfg.theta_grid:
-        start, stop, num = cfg.theta_grid.split(":")
-        thetas = np.linspace(float(start), float(stop), int(num))
+        start, stop, num = _grid_spec(cfg.theta_grid, "start:stop:num")
+        if num != int(num) or num < 1:
+            raise ValidationError(f"--theta-grid {cfg.theta_grid!r}: num must be a positive integer")
+        thetas = np.linspace(start, stop, int(num))
     else:
         thetas = np.linspace(math.degrees(theta_d) - 0.5, 90.0, 200)
     rows = ["theta_deg,status,u2_weak,v2_weak,rho2_weak,mach_p0_weak,"
             "u2_strong,v2_strong,rho2_strong"]
     fmt = archive.FMT
     for deg in thetas:
-        th = math.pi / 2.0 if abs(deg - 90.0) < 1e-12 else math.radians(float(deg))
         try:
-            pair = state2_solve(gas, th)
+            pair = state2_solve(gas, _radians(float(deg)))
         except DetachedWedgeAngle:
             rows.append((fmt % deg) + ",detached,,,,,,,")
             continue
@@ -230,7 +243,7 @@ def _report_and_write(sol, outdir, run_config):
 def cmd_solve(args):
     cfg = _run_config_from_args(args)
     gas = cfg.gas()
-    theta = math.pi / 2.0 if abs(cfg.theta - 90.0) < 1e-12 else math.radians(cfg.theta)
+    theta = _radians(cfg.theta)
     if theta != math.pi / 2.0:
         state2_solve(gas, theta)  # raises DetachedWedgeAngle below theta_d
     if cfg.init is not None:
@@ -256,7 +269,7 @@ def cmd_solve(args):
 
 
 def _parse_descending_grid(spec):
-    start, stop, step = (float(x) for x in spec.split(":"))
+    start, stop, step = _grid_spec(spec, "start:stop:step")
     if step <= 0:
         raise ValidationError("sweep step must be positive")
     n = int(round((start - stop) / step))
@@ -269,9 +282,9 @@ def cmd_sweep(args):
     cfg = _run_config_from_args(args)
     gas = cfg.gas()
     degs = _parse_descending_grid(cfg.theta_grid)
-    if not degs or abs(degs[0] - 90.0) > 1e-9:
+    grid = [_radians(d) for d in degs]
+    if grid[0] != math.pi / 2.0:
         raise ValidationError("sweep grid must start at 90 degrees")
-    grid = [math.pi / 2.0] + [math.radians(d) for d in degs[1:]]
     result = continuation_sweep(gas, grid, cfg.iteration_params())
     for theta, error in result.bridges:
         log.info("bridged %s at theta=%.4f deg by halving the step", error, math.degrees(theta))

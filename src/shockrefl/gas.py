@@ -25,14 +25,13 @@ class GasParams:
     """Upstream data: densities of states (0) and (1) and the adiabatic exponent.
 
     The Bernoulli constant is derived so that rho0^(gamma-1) = (gamma-1)*B0 + 1
-    holds by construction.  gamma outside (1, 3] is rejected unless
-    ``allow_wide_gamma`` is set (powers become ill-conditioned there).
+    holds by construction.  gamma outside (1, 3] is rejected (powers become
+    ill-conditioned there).
     """
 
     rho0: float
     rho1: float
     gamma: float
-    allow_wide_gamma: bool = False
 
     def __post_init__(self):
         if not self.rho0 > 0.0:
@@ -43,11 +42,8 @@ class GasParams:
             )
         if not self.gamma > GAMMA_RANGE[0]:
             raise ValidationError(f"gamma must exceed 1, got {self.gamma}")
-        if self.gamma > GAMMA_RANGE[1] and not self.allow_wide_gamma:
-            raise ValidationError(
-                f"gamma={self.gamma} outside ({GAMMA_RANGE[0]}, {GAMMA_RANGE[1]}]; "
-                "pass allow_wide_gamma=True to override"
-            )
+        if self.gamma > GAMMA_RANGE[1]:
+            raise ValidationError(f"gamma={self.gamma} outside ({GAMMA_RANGE[0]}, {GAMMA_RANGE[1]}]")
 
     @property
     def bernoulli(self):
@@ -58,11 +54,6 @@ class GasParams:
     def rho0_pow(self):
         """rho0^(gamma-1), the constant in the density closure."""
         return self.rho0 ** (self.gamma - 1.0)
-
-    @property
-    def c0(self):
-        """Sound speed of state (0)."""
-        return self.rho0 ** ((self.gamma - 1.0) / 2.0)
 
     @property
     def c1(self):
@@ -100,10 +91,6 @@ class UniformState:
         out[..., 0] = self.u - xi[..., 0]
         out[..., 1] = self.v - xi[..., 1]
         return out
-
-    @property
-    def velocity(self):
-        return np.array([self.u, self.v])
 
 
 def bernoulli_base(grad_sq, phi, params):

@@ -11,7 +11,6 @@ the direction used by the solver.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,24 +38,6 @@ ATTACH_EPS_FACTOR = 1e-3  # attached-shock trigger: xi1(P2) > -factor * c2
 E_XI2 = (0.0, 1.0)        # the vertical edge of the monotonicity cone
 
 
-class ConeDirections(NamedTuple):
-    e_s1: np.ndarray
-    e_xi2: np.ndarray
-    degenerate: bool
-
-
-def cone_directions(pair, params):
-    """Unit vectors spanning the monotonicity cone Con(e_S1, e_xi2).
-
-    e_S1 = -(v2, u1-u2)/|.| is parallel to the straight shock S1 and oriented
-    with e_S1 . Dphi2(P0) > 0; e_xi2 = (0, 1).  At theta_w = pi/2 the weak
-    state has v2 = 0, the cone degenerates to the vertical axis and the
-    result is flagged.
-    """
-    inc = incident_state(params)
-    return _cone_dirs_from_states(inc.u1, pair.weak)
-
-
 def lambda_contains(xi, theta_w):
     """Membership test for Lambda = upper half-plane minus the solid wedge.
 
@@ -78,6 +59,8 @@ class ReflectionConfiguration:
     (origin), p4 sonic-arc/wedge corner.  The shock foot P2 on the symmetry
     axis is a free-boundary unknown: it is the last point of the shock.
     The closed forms of states (0), (1), (2) ride along for boundary data.
+    e_s1 and E_XI2 span the monotonicity cone Con(e_S1, e_xi2); at
+    theta_w = pi/2 it has empty interior and cone_degenerate is set.
     """
 
     theta_w: float
@@ -116,6 +99,13 @@ class ReflectionConfiguration:
 
 
 def _cone_dirs_from_states(u1, state2):
+    """(e_S1, degenerate): the edge of the monotonicity cone Con(e_S1, e_xi2)
+    other than E_XI2, and whether the cone has empty interior.
+
+    e_S1 = -(v2, u1-u2)/|.| is parallel to the straight shock S1 and oriented
+    with e_S1 . Dphi2(P0) > 0.  At theta_w = pi/2 the weak state has v2 = 0,
+    the cone degenerates to the vertical axis and the result is flagged.
+    """
     vec = np.array([state2.v, u1 - state2.u])
     nrm = np.linalg.norm(vec)
     if nrm == 0.0:
@@ -125,7 +115,7 @@ def _cone_dirs_from_states(u1, state2):
     if degenerate:
         # theta_w = pi/2: straight shock is vertical, cone has empty interior
         e_s1 = np.array([0.0, -math.copysign(1.0, u1 - state2.u)])
-    return ConeDirections(e_s1=e_s1, e_xi2=np.array(E_XI2), degenerate=degenerate)
+    return e_s1, degenerate
 
 
 def interior_cone_directions(e_s1, fractions=(0.25, 0.5, 0.75)):
@@ -164,61 +154,41 @@ def build_configuration(params, theta_w):
     shock at xi1_bar capped by the sonic arc of the rest state.
     """
     inc = incident_state(params)
-    s0 = state0(params)
-    s1 = state1(params, inc)
 
     if abs(theta_w - math.pi / 2.0) < NORMAL_ANGLE_TOL:
-        xbar, rest = normal_reflection_state(params)
-        c2 = rest.c
-        height = math.sqrt(c2 * c2 - xbar * xbar)
-        cone = _cone_dirs_from_states(inc.u1, rest)
-        return ReflectionConfiguration(
-            theta_w=theta_w,
-            p0=np.array([0.0, c2]),
-            p1=np.array([xbar, height]),
-            p3=np.zeros(2),
-            p4=np.array([0.0, c2]),
-            sonic_center=np.zeros(2),
-            sonic_radius=c2,
-            regime=Regime.SUPERSONIC,
-            params=params,
-            incident=inc,
-            state0=s0,
-            state1=s1,
-            state2=rest,
-            e_s1=cone.e_s1,
-            cone_degenerate=True,
-        )
-
-    pair = state2_solve(params, theta_w)
-    st2 = pair.weak
-    p0 = np.array([inc.xi1_0, inc.xi1_0 * math.tan(theta_w)])
-    center = np.array([st2.u, st2.v])
-    c2 = st2.c
-    cone = _cone_dirs_from_states(inc.u1, st2)
-    e_s1 = cone.e_s1
-    wedge_dir = np.array([math.cos(theta_w), math.sin(theta_w)])
-
-    regime = mach_regime(pair.mach_p0_weak)
-    if regime is Regime.SUPERSONIC:
-        # first crossing of the sonic circle from P0 along e_S1
-        d = p0 - center
-        b_half = float(e_s1 @ d)
-        disc = b_half * b_half - (float(d @ d) - c2 * c2)
-        if disc <= 0.0:
-            raise DegenerateSonicArc(
-                "straight reflected shock does not reach the sonic circle"
-            )
-        t_near = -b_half - math.sqrt(disc)
-        if t_near <= 0.0:
-            raise DegenerateSonicArc("P0 is not outside the sonic circle")
-        p1 = p0 + t_near * e_s1
-        p4 = center + c2 * wedge_dir
-        if np.linalg.norm(p1 - p4) < 1e-8 * c2:
-            raise DegenerateSonicArc("sonic arc endpoints P1, P4 coincide")
-    else:
-        p1 = p0.copy()
+        xbar, st2 = normal_reflection_state(params)
+        c2 = st2.c
+        e_s1, degenerate = _cone_dirs_from_states(inc.u1, st2)
+        p0 = np.array([0.0, c2])
+        p1 = np.array([xbar, math.sqrt(c2 * c2 - xbar * xbar)])
         p4 = p0.copy()
+        center = np.zeros(2)
+        regime = Regime.SUPERSONIC
+    else:
+        pair = state2_solve(params, theta_w)
+        st2 = pair.weak
+        c2 = st2.c
+        e_s1, degenerate = _cone_dirs_from_states(inc.u1, st2)
+        p0 = np.array([inc.xi1_0, inc.xi1_0 * math.tan(theta_w)])
+        center = np.array([st2.u, st2.v])
+        regime = mach_regime(pair.mach_p0_weak)
+        if regime is Regime.SUPERSONIC:
+            # first crossing of the sonic circle from P0 along e_S1
+            d = p0 - center
+            b_half = float(e_s1 @ d)
+            disc = b_half * b_half - (float(d @ d) - c2 * c2)
+            if disc <= 0.0:
+                raise DegenerateSonicArc("straight reflected shock does not reach the sonic circle")
+            t_near = -b_half - math.sqrt(disc)
+            if t_near <= 0.0:
+                raise DegenerateSonicArc("P0 is not outside the sonic circle")
+            p1 = p0 + t_near * e_s1
+            p4 = center + c2 * np.array([math.cos(theta_w), math.sin(theta_w)])
+            if np.linalg.norm(p1 - p4) < 1e-8 * c2:
+                raise DegenerateSonicArc("sonic arc endpoints P1, P4 coincide")
+        else:
+            p1 = p0.copy()
+            p4 = p0.copy()
 
     return ReflectionConfiguration(
         theta_w=theta_w,
@@ -231,11 +201,11 @@ def build_configuration(params, theta_w):
         regime=regime,
         params=params,
         incident=inc,
-        state0=s0,
-        state1=s1,
+        state0=state0(params),
+        state1=state1(params, inc),
         state2=st2,
         e_s1=e_s1,
-        cone_degenerate=cone.degenerate,
+        cone_degenerate=degenerate,
     )
 
 

@@ -42,8 +42,8 @@ from .gas import UniformState, density, make_uniform_state
 SCAN_POINTS = 10_000                 # samples of F per entropic window
 BISECT_STEPS = 120
 ANGLE_TOL = 1e-10                    # bracket width of theta_d and theta_s
-PROBE_THETA = math.pi / 2.0 - 0.01   # angle at which the sign of F between the roots is read
 SONIC_TOL = 1e-8                     # |Mach - 1| counted as sonic
+NEAR_SONIC_SIGMA = 0.1               # Mach in (1 - NEAR_SONIC_SIGMA, 1) counted as near sonic
 NORMAL_ANGLE_TOL = 1e-14             # |theta_w - pi/2| treated as normal reflection
 
 
@@ -265,44 +265,38 @@ def _weak_state(brackets, theta_w, params, inc):
     return weak, speed / weak.c
 
 
-def _lobe_extremum(scan, theta_w, params, inc, s_in):
-    """F at the interior lobe extremum (argmax of s_in*F); crosses zero at theta_d."""
+def _lobe_extremum(scan, theta_w, params, inc):
+    """F at the interior lobe maximum over the window; crosses zero at theta_d.
+
+    F is negative at both ends of the entropic window: at u2 = xi1_0 the rho2
+    term vanishes, so F = -rho1*((u1 - xi1_0)^2 + (xi1_0*tan(theta_w))^2), and
+    at the lower end rho2 = rho1, so F = -rho1*((u1 - u2)^2 + (u2*tan(theta_w))^2).
+    F is therefore positive between the weak and strong roots, and the lobe
+    maximum is positive iff both roots exist.
+    """
     if scan is None:
-        return -math.inf * s_in, math.nan
+        return -math.inf, math.nan
     grid, fval = scan
-    i = int(np.nanargmax(s_in * fval))
+    i = int(np.nanargmax(fval))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, len(grid) - 1)]
     # golden-section refine the smooth lobe maximum
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = s_in * float(_state2_pieces(c, theta_w, params, inc)[0])
-    fd = s_in * float(_state2_pieces(d, theta_w, params, inc)[0])
+    fc = float(_state2_pieces(c, theta_w, params, inc)[0])
+    fd = float(_state2_pieces(d, theta_w, params, inc)[0])
     for _ in range(80):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = s_in * float(_state2_pieces(c, theta_w, params, inc)[0])
+            fc = float(_state2_pieces(c, theta_w, params, inc)[0])
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = s_in * float(_state2_pieces(d, theta_w, params, inc)[0])
+            fd = float(_state2_pieces(d, theta_w, params, inc)[0])
     u_star = 0.5 * (a + b)
     return float(_state2_pieces(u_star, theta_w, params, inc)[0]), u_star
-
-
-def _inner_sign(params, inc):
-    """Sign of F between the weak and strong roots, fixed per parameter set."""
-    th = PROBE_THETA
-    brackets = _root_brackets(_window_scan(th, params, inc))
-    if len(brackets) < 2:
-        raise BracketingFailure("no two reflection roots near pi/2; cannot orient lobe")
-    mid = 0.5 * (_root(brackets[0], th, params, inc) + _root(brackets[-1], th, params, inc))
-    val = float(_state2_pieces(mid, th, params, inc)[0])
-    if val == 0.0:
-        raise RootSeparationFailure("F vanishes between roots at the probe angle")
-    return 1.0 if val > 0.0 else -1.0
 
 
 def _pair_from_u2(u2, theta_w, params, inc):
@@ -415,8 +409,7 @@ def state2_solve(params, theta_w):
         # the interior lobe extremum of F is indistinguishable from zero
         # (angles within ~1e-8 of the detachment angle).  It stands for both
         # roots, as a bracket of its own that bisection returns as it is.
-        s_in = _inner_sign(params, inc)
-        lobe, u_star = _lobe_extremum(scan, theta_w, params, inc, s_in)
+        lobe, u_star = _lobe_extremum(scan, theta_w, params, inc)
         fscale = abs(float(_state2_pieces(inc.xi1_0 * (1 - 1e-14), theta_w, params, inc)[0]))
         if math.isfinite(lobe) and abs(lobe) <= 1e-8 * max(fscale, 1.0):
             brackets = [(u_star, u_star, 0.0, 0.0)] * 2
@@ -465,21 +458,20 @@ def state2_solve(params, theta_w):
 def detachment_angle(params):
     """Smallest wedge angle with real reflection states, to ANGLE_TOL by bisection.
 
-    The existence indicator is the sign of the extremal value of F over the
-    entropic window (oriented so it is positive iff F crosses zero), which
-    stays resolvable even when the two roots are closer than the scan spacing.
+    The existence indicator is the sign of the maximum of F over the entropic
+    window (positive iff F crosses zero, see `_lobe_extremum`), which stays
+    resolvable even when the two roots are closer than the scan spacing.
     Each probed angle samples F once.
     """
     inc = incident_state(params)
     lo, hi = 0.01, math.pi / 2.0 - 0.01
-    s_in = _inner_sign(params, inc)
 
     def exists(theta):
         scan = _window_scan(theta, params, inc)
         if len(_root_brackets(scan)) >= 2:
             return 1.0
-        lobe, _ = _lobe_extremum(scan, theta, params, inc, s_in)
-        return 1.0 if s_in * lobe > 0.0 else -1.0
+        lobe, _ = _lobe_extremum(scan, theta, params, inc)
+        return 1.0 if lobe > 0.0 else -1.0
 
     f_hi = exists(hi)
     if f_hi < 0.0:
@@ -521,7 +513,7 @@ def _sonic_angle(params, theta_d):
     return _bisect(mach_minus_one, lo, hi, f_lo, f_hi, tol=ANGLE_TOL)
 
 
-def critical_density(params_gamma, rho0, tol=1e-12):
+def critical_density(params_gamma, rho0):
     """Density rho^c with u1(rho^c) = c1(rho^c): attachment becomes possible above it.
 
     u1/c1 -> sqrt(2/(gamma-1)) as rho1 -> inf, so for gamma >= 3 the incident
@@ -546,7 +538,7 @@ def critical_density(params_gamma, rho0, tol=1e-12):
     f_lo = mismatch(lo)
     if f_lo >= 0.0:
         raise BracketingFailure("u1 - c1 not negative just above rho0")
-    return _bisect(mismatch, lo, hi, f_lo, mismatch(hi), tol=tol * max(1.0, lo))
+    return _bisect(mismatch, lo, hi, f_lo, mismatch(hi), tol=1e-12 * max(1.0, lo))
 
 
 def attachment_possible(params):
@@ -565,25 +557,23 @@ def angle_diagram(params):
     )
 
 
-def mach_regime(mach, sigma=0.1):
+def mach_regime(mach):
     """Regime of the weak state (2) from its Mach number |Dphi2(P0)|/c2 at P0.
 
     Sonic within SONIC_TOL of 1, supersonic above that, subsonic-near-sonic
-    on (1-sigma, 1), subsonic-away-from-sonic at or below 1-sigma.  sigma is
-    a reporting convention (default 0.1), not a claim about the true
+    on (1 - NEAR_SONIC_SIGMA, 1), subsonic-away-from-sonic at or below it.
+    NEAR_SONIC_SIGMA is a reporting convention, not a claim about the true
     regularity threshold.
     """
     if abs(mach - 1.0) <= SONIC_TOL:
         return Regime.SONIC
     if mach > 1.0:
         return Regime.SUPERSONIC
-    if mach > 1.0 - sigma:
+    if mach > 1.0 - NEAR_SONIC_SIGMA:
         return Regime.SUBSONIC_NEAR_SONIC
     return Regime.SUBSONIC_AWAY
 
 
-def classify_regime(params, theta_w, sigma=0.1):
+def classify_regime(params, theta_w):
     """Regime of the weak state (2) at wedge angle theta_w (see mach_regime)."""
-    if not 0.0 < sigma < 1.0:
-        raise ValueError(f"sigma must lie in (0,1), got {sigma}")
-    return mach_regime(state2_solve(params, theta_w).mach_p0_weak, sigma)
+    return mach_regime(state2_solve(params, theta_w).mach_p0_weak)

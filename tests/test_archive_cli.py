@@ -102,6 +102,10 @@ def test_archive_missing_file(tmp_path):
         read_solution(str(tmp_path / "nope"))
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def test_cli_angles(tmp_path, capsys):
     rc = main(["angles", "--rho0", "1", "--rho1", "2", "--gamma", "2",
                "--out", str(tmp_path)])
@@ -110,6 +114,12 @@ def test_cli_angles(tmp_path, capsys):
     assert set(payload) >= {"theta_d_deg", "theta_s_deg", "rho_c", "attachment_possible"}
     assert payload["theta_d_deg"] == pytest.approx(54.411189882386, abs=1e-6)
     assert os.path.isfile(tmp_path / "angles.json")
+    # gamma = 3: rho_c is infinite, written as null in strict JSON
+    rc = main(["angles", "--gamma", "3", "--out", str(tmp_path)])
+    assert rc == 0
+    for text in (capsys.readouterr().out, (tmp_path / "angles.json").read_text()):
+        payload = json.loads(text, parse_constant=_reject_constant)
+        assert payload["rho_c"] is None
 
 
 def test_cli_angles_bad_inputs(tmp_path):
@@ -247,7 +257,8 @@ def test_cli_solve_at_90_passes_with_flat_note(tmp_path):
 def test_cli_report_writes_json_booleans(tmp_path):
     rc = main(["solve", "--theta", "90", "--n1", "17", "--n2", "17", "--out", str(tmp_path)])
     assert rc == 0
-    report = json.loads((tmp_path / "solve_theta090.000_n17x17" / "report.json").read_text())
+    report = json.loads((tmp_path / "solve_theta090.000_n17x17" / "report.json").read_text(),
+                        parse_constant=_reject_constant)
     details = {c["name"]: c["details"] for c in report["checks"]}
     assert details["shock_inequalities"]["entropy_ok"] is True
     assert isinstance(details["tangent_distance"]["monotone"], bool)
@@ -263,8 +274,16 @@ def test_cli_sweep_small(tmp_path):
     assert all("pass" in r for r in rows[1:])
 
 
-def test_cli_sweep_empty_grid_rejected(tmp_path):
-    assert main(["sweep", "--theta-grid", "80:90:1", "--out", str(tmp_path)]) == 2
+@pytest.mark.parametrize("command, spec", [
+    pytest.param("sweep", "80:90:1", id="sweep_empty"),
+    pytest.param("sweep", "90:85", id="sweep_two_numbers"),
+    pytest.param("sweep", "90:abc:1", id="sweep_not_a_number"),
+    pytest.param("polar", "90:85:0.5", id="polar_fractional_num"),
+    pytest.param("polar", "90:85", id="polar_two_numbers"),
+    pytest.param("polar", "85:90:-3", id="polar_negative_num"),
+])
+def test_cli_sweep_empty_grid_rejected(tmp_path, command, spec):
+    assert main([command, "--theta-grid", spec, "--out", str(tmp_path)]) == 2
 
 
 def test_cli_config_file(tmp_path, monkeypatch):

@@ -101,7 +101,6 @@ def test_gas_params_validation():
         GasParams(1.0, 2.0, 1.0)
     with pytest.raises(ValidationError):
         GasParams(1.0, 2.0, 3.5)
-    GasParams(1.0, 2.0, 3.5, allow_wide_gamma=True)
 
 
 def test_bernoulli_consistency():

@@ -10,7 +10,6 @@ from shockrefl import (
     ShockCurve,
     build_configuration,
     build_square_map,
-    cone_directions,
     initial_shock,
     interior_cone_directions,
     lambda_contains,
@@ -73,20 +72,18 @@ def test_configuration_subsonic_collapses_sonic_arc(gas_122):
     assert not cfg.has_sonic_arc
 
 
-def test_cone_directions(gas_122):
-    pair = state2_solve(gas_122, math.radians(85.0))
-    cone = cone_directions(pair, gas_122)
-    assert not cone.degenerate
+def test_cone_directions(gas_122, cfg85):
+    assert not cfg85.cone_degenerate
     # closed form: e_S1 = -(v2, u1-u2)/|.|
     inc_u1 = math.sqrt(2.0 / 3.0)
-    vec = -np.array([pair.weak.v, inc_u1 - pair.weak.u])
+    weak = state2_solve(gas_122, math.radians(85.0)).weak
+    vec = -np.array([weak.v, inc_u1 - weak.u])
     vec /= np.linalg.norm(vec)
-    assert np.allclose(cone.e_s1, vec, atol=1e-13)
-    assert np.allclose(cone.e_xi2, [0.0, 1.0])
+    assert np.allclose(cfg85.e_s1, vec, atol=1e-13)
     # degenerate at pi/2: vertical direction with a flag
-    cone90 = cone_directions(state2_solve(gas_122, math.pi / 2.0), gas_122)
-    assert cone90.degenerate
-    assert np.allclose(cone90.e_s1, [0.0, -1.0])
+    cfg90 = build_configuration(gas_122, math.pi / 2.0)
+    assert cfg90.cone_degenerate
+    assert np.allclose(cfg90.e_s1, [0.0, -1.0])
 
 
 def test_interior_cone_directions_are_interior(gas_122, cfg85):

@@ -258,9 +258,9 @@ def test_classify_regime(gas_122):
     ths = sonic_angle(gas_122)
     assert classify_regime(gas_122, math.pi / 2.0 - 0.01) is Regime.SUPERSONIC
     assert classify_regime(gas_122, ths) is Regime.SONIC
-    assert classify_regime(gas_122, thd + 1e-4, sigma=0.1) is Regime.SUBSONIC_AWAY
+    assert classify_regime(gas_122, thd + 1e-4) is Regime.SUBSONIC_AWAY
     mid = 0.5 * (thd + ths)
-    assert classify_regime(gas_122, mid, sigma=0.1) is Regime.SUBSONIC_NEAR_SONIC
+    assert classify_regime(gas_122, mid) is Regime.SUBSONIC_NEAR_SONIC
     with pytest.raises(DetachedWedgeAngle):
         classify_regime(gas_122, thd - 0.05)
 
@@ -317,3 +317,40 @@ def test_bisect_with_tolerance_matches_while_loop(tol):
     step = lambda x: 1.0 if x > 0.7390851332151607 else -1.0
     for f, lo, hi in ((cubic, 0.3, 3.1), (step, 0.01, math.pi / 2.0 - 0.01)):
         assert _bisect(f, lo, hi, f(lo), f(hi), tol=tol) == _bisect_while_loop(f, lo, hi, tol)
+
+
+@pytest.mark.parametrize("rho1", [1.05, 1.6, 2.5, 4.0, 6.0])
+@pytest.mark.parametrize("gamma", [1.05, 1.4, 2.0, 3.0])
+def test_lobe_sign_fixed_by_window_ends(rho1, gamma):
+    """F is negative at both ends of the entropic window, in closed form, so
+    it is positive between the weak and strong roots at every angle."""
+    from shockrefl.relations import _window_scan
+
+    gas = GasParams(1.0, rho1, gamma)
+    inc = incident_state(gas)
+    thd = detachment_angle(gas)
+    for frac in (1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-6):
+        theta = thd + frac * (math.pi / 2.0 - thd)
+        grid, fval = _window_scan(theta, gas, inc)
+        for u, f in ((grid[0], fval[0]), (grid[-1], fval[-1])):
+            closed = -gas.rho1 * ((inc.u1 - u) ** 2 + (u * math.tan(theta)) ** 2)
+            assert f < 0.0
+            assert f == pytest.approx(closed, rel=1e-9)
+
+
+def test_detachment_scans_each_angle_once(gas_122, monkeypatch):
+    """No probe angle: the sign of F between the roots is not sampled at
+    pi/2 - 0.01 apart from the bisection's own bracket end there."""
+    from shockrefl import relations
+
+    thetas = []
+    original = relations._window_scan
+
+    def recorded(theta_w, params, inc):
+        thetas.append(theta_w)
+        return original(theta_w, params, inc)
+
+    monkeypatch.setattr(relations, "_window_scan", recorded)
+    relations.detachment_angle(gas_122)
+    assert thetas.count(math.pi / 2.0 - 0.01) == 1
+    assert len(thetas) == len(set(thetas))
