@@ -87,10 +87,8 @@ class CoonsMap:
         self.p2, self.p3, self.p1, self.p4 = (np.asarray(c, dtype=float) for c in corners)
 
     def point(self, a, w):
-        a = np.asarray(a, dtype=float)
-        w = np.asarray(w, dtype=float)
-        aa = a[..., None]
-        ww = w[..., None]
+        """Points on the tensor grid of 1-D a and w, shape (len(a), len(w), 2)."""
+        aa, ww = np.asarray(a, dtype=float)[:, None, None], np.asarray(w, dtype=float)[:, None]
         bl = (
             (1 - aa) * (1 - ww) * self.p2
             + aa * (1 - ww) * self.p3
@@ -100,31 +98,28 @@ class CoonsMap:
         return (
             (1 - aa) * self.shock.point(w)
             + aa * self.wedge.point(w)
-            + (1 - ww) * self.sym.point(a)
-            + ww * self.sonic.point(a)
+            + (1 - ww) * self.sym.point(a)[:, None]
+            + ww * self.sonic.point(a)[:, None]
             - bl
         )
 
     def derivs(self, a, w):
-        """(x_a, x_w) Jacobian columns at (a, w), each of shape (..., 2)."""
-        a = np.asarray(a, dtype=float)
-        w = np.asarray(w, dtype=float)
-        aa = a[..., None]
-        ww = w[..., None]
+        """(x_a, x_w) Jacobian columns on the tensor grid of 1-D a and w, as point()."""
+        aa, ww = np.asarray(a, dtype=float)[:, None, None], np.asarray(w, dtype=float)[:, None]
         d_bl_da = (1 - ww) * (self.p3 - self.p2) + ww * (self.p4 - self.p1)
         d_bl_dw = (1 - aa) * (self.p1 - self.p2) + aa * (self.p4 - self.p3)
         x_a = (
             self.wedge.point(w)
             - self.shock.point(w)
-            + (1 - ww) * self.sym.deriv(a)
-            + ww * self.sonic.deriv(a)
+            + (1 - ww) * self.sym.deriv(a)[:, None]
+            + ww * self.sonic.deriv(a)[:, None]
             - d_bl_da
         )
         x_w = (
             (1 - aa) * self.shock.deriv(w)
             + aa * self.wedge.deriv(w)
-            + self.sonic.point(a)
-            - self.sym.point(a)
+            + self.sonic.point(a)[:, None]
+            - self.sym.point(a)[:, None]
             - d_bl_dw
         )
         return x_a, x_w
@@ -306,9 +301,8 @@ class SquareMap:
 
 def _assemble_map(coons, n1, n2, stretch, degenerate):
     grid = logical_grid(n1, n2, stretch)
-    aa, ww = np.meshgrid(grid.a, grid.w, indexing="ij")
-    nodes = coons.point(aa, ww)
-    xa, xw = coons.derivs(aa, ww)
+    nodes = coons.point(grid.a, grid.w)
+    xa, xw = coons.derivs(grid.a, grid.w)
     jac = xa[..., 0] * xw[..., 1] - xa[..., 1] * xw[..., 0]
     interior = jac[:, :-1] if degenerate else jac
     if np.any(interior * np.sign(np.median(interior)) <= 0.0):

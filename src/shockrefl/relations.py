@@ -20,6 +20,11 @@ samples F once on its entropic window (`_window_scan`); the root count and
 the lobe extremum both read that scan.  `angle_diagram` finds theta_d once
 and brackets theta_s above it, refining only the weak (lowest) root at each
 probed angle.
+
+F is one function, `_mismatch`, for the scan (an ndarray) and for every
+refinement (floats in, floats out): a float evaluation is about ten times
+cheaper than one through numpy scalars and bit-identical to it, as both call
+libm `pow` (numpy's array power is a SIMD `pow`; its last ulp may differ).
 """
 
 import math
@@ -164,23 +169,27 @@ def entropy_satisfied(upstream_rho, downstream_rho):
 # ----------------------------------------------------------------------
 # The reduced state-(2) system.
 
-def _state2_pieces(u2, theta_w, params, inc):
-    """rho2 base and the scalar mass-RH mismatch F(u2) for the reduced system.
+def _mismatch(u2, theta_w, params, inc):
+    """F(u2): the mass condition rho2*Dphi2.n - rho1*Dphi1.n of state (2) at P0.
 
-    v2 = u2*tan(th) and k2 = -xi1_0*u2*sec^2(th) are eliminated; F is the
-    mass condition rho2*Dphi2.n - rho1*Dphi1.n at P0 with n = (u1-u2, -v2)
-    (unnormalized; roots are unchanged).
+    v2 = u2*tan(th) and k2 = -xi1_0*u2*sec^2(th) are eliminated and n =
+    (u1-u2, -v2) is unnormalized (roots are unchanged).  u2 is a float or the
+    scan's ndarray, and F is of the same type.  F is only evaluated on the
+    entropic window, where rho2^(g-1) = base > 0: its slope in u2 is
+    (g-1) sec^2(th) (xi1_0 - u2) > 0, from rho1^(g-1) at the lower end.
     """
     g = params.gamma
     u1, xi10 = inc.u1, inc.xi1_0
     t = math.tan(theta_w)
     sec2 = 1.0 + t * t
-    u2 = np.asarray(u2, dtype=float)
     base = params.rho0_pow + (g - 1.0) * (u2 * sec2) * (xi10 - 0.5 * u2)
-    rho2 = np.where(base > 0.0, np.abs(base) ** (1.0 / (g - 1.0)), np.nan)
+    try:
+        rho2 = abs(base) ** (1.0 / (g - 1.0))
+    except OverflowError:  # a float past the largest double: inf, as numpy's array power
+        rho2 = math.inf
     lhs = rho2 * (u2 - xi10) * (u1 - u2 * sec2)
     rhs = params.rho1 * ((u1 - xi10) * (u1 - u2) + xi10 * u2 * t * t)
-    return lhs - rhs, rho2
+    return lhs - rhs
 
 
 def _window_scan(theta_w, params, inc):
@@ -202,7 +211,7 @@ def _window_scan(theta_w, params, inc):
         return None
     u_lo = c / (inc.xi1_0 + math.sqrt(disc))
     grid = np.linspace(u_lo * (1.0 + 1e-14) + 1e-300, inc.xi1_0, SCAN_POINTS)
-    return grid, _state2_pieces(grid, theta_w, params, inc)[0]
+    return grid, _mismatch(grid, theta_w, params, inc)
 
 
 def _bisect(f, a, b, fa, fb, tol=0.0):
@@ -236,7 +245,7 @@ def _root_brackets(scan):
     """Brackets (a, b, F(a), F(b)) of the roots of F in the window scan, by increasing u2.
 
     A sign change between neighbouring samples brackets one root; a sample
-    where F is exactly 0 is a root and brackets itself.
+    where F is exactly 0 is a root and brackets itself.  Values are floats.
     """
     if scan is None:
         return []
@@ -245,12 +254,12 @@ def _root_brackets(scan):
     flip = np.append(sign[:-1] * sign[1:] < 0, False)
     lo = np.nonzero(flip | (fval == 0.0))[0]
     hi = lo + flip[lo]
-    return [(grid[a], grid[b], fval[a], fval[b]) for a, b in zip(lo, hi)]
+    return list(zip(grid[lo].tolist(), grid[hi].tolist(), fval[lo].tolist(), fval[hi].tolist()))
 
 
 def _root(bracket, theta_w, params, inc):
     """The root of F in one bracket of `_root_brackets`, refined by bisection."""
-    return _bisect(lambda u: float(_state2_pieces(u, theta_w, params, inc)[0]), *bracket)
+    return _bisect(lambda u: _mismatch(u, theta_w, params, inc), *bracket)
 
 
 def _weak_state(brackets, theta_w, params, inc):
@@ -278,25 +287,24 @@ def _lobe_extremum(scan, theta_w, params, inc):
         return -math.inf, math.nan
     grid, fval = scan
     i = int(np.nanargmax(fval))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
+    a, b = grid[[max(i - 1, 0), min(i + 1, len(grid) - 1)]].tolist()
     # golden-section refine the smooth lobe maximum
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = float(_state2_pieces(c, theta_w, params, inc)[0])
-    fd = float(_state2_pieces(d, theta_w, params, inc)[0])
+    fc = _mismatch(c, theta_w, params, inc)
+    fd = _mismatch(d, theta_w, params, inc)
     for _ in range(80):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = float(_state2_pieces(c, theta_w, params, inc)[0])
+            fc = _mismatch(c, theta_w, params, inc)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = float(_state2_pieces(d, theta_w, params, inc)[0])
+            fd = _mismatch(d, theta_w, params, inc)
     u_star = 0.5 * (a + b)
-    return float(_state2_pieces(u_star, theta_w, params, inc)[0]), u_star
+    return _mismatch(u_star, theta_w, params, inc), u_star
 
 
 def _pair_from_u2(u2, theta_w, params, inc):
@@ -410,7 +418,7 @@ def state2_solve(params, theta_w):
         # (angles within ~1e-8 of the detachment angle).  It stands for both
         # roots, as a bracket of its own that bisection returns as it is.
         lobe, u_star = _lobe_extremum(scan, theta_w, params, inc)
-        fscale = abs(float(_state2_pieces(inc.xi1_0 * (1 - 1e-14), theta_w, params, inc)[0]))
+        fscale = abs(_mismatch(inc.xi1_0 * (1 - 1e-14), theta_w, params, inc))
         if math.isfinite(lobe) and abs(lobe) <= 1e-8 * max(fscale, 1.0):
             brackets = [(u_star, u_star, 0.0, 0.0)] * 2
             tangent_pair = True

@@ -261,12 +261,10 @@ class _GridStructure:
         self.ew_face_a = np.tile(self.ew, n1 - 1)
         self.ea_face_w = np.repeat(self.ea, n2 - 1)
 
-        # face midpoints in (a, w), and the (lo, hi) extents of the boundary
-        # faces on a = const (wspan) and w = const (aspan)
-        a_mid = (a[:-1] + a[1:]) / 2.0
-        w_mid = (w[:-1] + w[1:]) / 2.0
-        self.a_faces = np.stack(np.meshgrid(a_mid, w, indexing="ij"))
-        self.w_faces = np.stack(np.meshgrid(a, w_mid, indexing="ij"))
+        # face midpoints (a-faces at (a_mid, w), w-faces at (a, w_mid)), and the
+        # (lo, hi) extents of the boundary faces on a = const and w = const
+        self.a_mid = a_mid = (a[:-1] + a[1:]) / 2.0
+        self.w_mid = w_mid = (w[:-1] + w[1:]) / 2.0
         self.wspan = np.stack([np.r_[w[0], w_mid], np.r_[w_mid, w[-1]]])
         self.aspan = np.stack([np.r_[a[0], a_mid], np.r_[a_mid, a[-1]]])
 
@@ -312,7 +310,7 @@ def _grid_structure(n1, n2, stretch, degenerate):
 
 
 def _face_metric(coons, a, w, collapsed):
-    """Metric ratios (|x_w|^2, -x_a.x_w, |x_a|^2) / J at the points (a, w).
+    """Metric ratios (|x_w|^2, -x_a.x_w, |x_a|^2) / J on the tensor grid of a and w.
 
     With `collapsed` (a sonic side shrunk to a point), points on w = 1 get
     metric 0: J can vanish there, and the faces on that side join Dirichlet
@@ -342,8 +340,8 @@ class _Discretization:
         self.n1, self.n2 = mesh.n1, mesh.n2
         collapsed = mesh.degenerate_sonic
         self.grid = _grid_structure(mesh.n1, mesh.n2, mesh.grid.stretch, collapsed)
-        self.g11_f, self.g12_f, _ = _face_metric(mesh.coons, *self.grid.a_faces, collapsed)
-        _, self.g21_g, self.g22_g = _face_metric(mesh.coons, *self.grid.w_faces, collapsed)
+        self.g11_f, self.g12_f, _ = _face_metric(mesh.coons, self.grid.a_mid, mesh.grid.w, collapsed)
+        _, self.g21_g, self.g22_g = _face_metric(mesh.coons, mesh.grid.a, self.grid.w_mid, collapsed)
         self.volw = (mesh.jac * self.grid.ea[:, None] * self.grid.ew[None, :]).ravel()
 
     # -- boundary quadrature -------------------------------------------------
@@ -362,10 +360,10 @@ class _Discretization:
         out = np.zeros(lo.size)
         for gp in self._GPTS:
             t = (lo + hi) / 2.0 + gp * (hi - lo) / 2.0
-            a, w = (np.full_like(t, value), t) if on_a else (t, np.full_like(t, value))
-            xa, xw = self.mesh.coons.derivs(a, w)
+            aw = ([value], t) if on_a else (t, [value])
+            xa, xw = (x.reshape(-1, 2) for x in self.mesh.coons.derivs(*aw))
             nx, ny = (xw[..., 1], -xw[..., 0]) if on_a else (-xa[..., 1], xa[..., 0])
-            rho, g = state(self.mesh.coons.point(a, w))
+            rho, g = state(self.mesh.coons.point(*aw).reshape(-1, 2))
             out += 0.5 * (hi - lo) * (rho * (g[..., 0] * nx + g[..., 1] * ny))
         return out
 

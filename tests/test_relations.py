@@ -20,6 +20,7 @@ from shockrefl import (
     state2_residuals,
     state2_solve,
 )
+from shockrefl.errors import RootSeparationFailure
 from shockrefl.relations import state0, state1
 
 
@@ -224,13 +225,13 @@ def test_sonic_angle_refines_the_weak_root_alone(params, monkeypatch):
     theta_d = detachment_angle(gas)
     lo, hi = theta_d + 1e-7, math.pi / 2.0 - 1e-4
     scalar_calls = []
-    pieces = relations._state2_pieces
+    mismatch = relations._mismatch
 
     def counted(u2, *args):
         scalar_calls.append(np.ndim(u2) == 0)
-        return pieces(u2, *args)
+        return mismatch(u2, *args)
 
-    monkeypatch.setattr(relations, "_state2_pieces", counted)
+    monkeypatch.setattr(relations, "_mismatch", counted)
     theta_s = relations._sonic_angle(gas, theta_d)
     fast = sum(scalar_calls)
     scalar_calls.clear()
@@ -354,3 +355,69 @@ def test_detachment_scans_each_angle_once(gas_122, monkeypatch):
     relations.detachment_angle(gas_122)
     assert thetas.count(math.pi / 2.0 - 0.01) == 1
     assert len(thetas) == len(set(thetas))
+
+
+def _gas_sets(n, seed):
+    rng = np.random.default_rng(seed)
+    return [GasParams(1.0, rng.uniform(1.05, 6.0), rng.uniform(1.05, 3.0)) for _ in range(n)]
+
+
+def test_mismatch_of_a_float_matches_numpy_scalars():
+    """F of a float is a float, bit-identical to F of np.float64 (numpy
+    scalar math, libm pow), at random points of the entropic window."""
+    from shockrefl.relations import _mismatch, _window_scan
+
+    rng = np.random.default_rng(3)
+    compared = 0
+    for gas in _gas_sets(20, 4):
+        inc = incident_state(gas)
+        for theta in np.linspace(0.6, math.pi / 2.0 - 1e-3, 7).tolist():
+            scan = _window_scan(theta, gas, inc)
+            if scan is None:
+                continue
+            for u in rng.uniform(scan[0][0], scan[0][-1], 50).tolist():
+                f = _mismatch(u, theta, gas, inc)
+                assert type(f) is float
+                assert f.hex() == float(_mismatch(np.float64(u), theta, gas, inc)).hex()
+                compared += 1
+    assert compared >= 20 * 7 * 50 * 0.9
+
+
+def test_mismatch_of_a_float_overflows_to_the_scan_value():
+    """Where rho2 exceeds the largest double, F of a float is what the
+    scan's array power gives (gamma near 1, theta_w near pi/2)."""
+    from shockrefl.relations import _mismatch
+
+    gas = GasParams(1.0, 3.0, 1.002)
+    inc = incident_state(gas)
+    theta = math.pi / 2.0 - 1e-4
+    u = 0.999 * inc.xi1_0
+    with np.errstate(over="ignore"):
+        scan_value = float(_mismatch(np.array([u]), theta, gas, inc)[0])
+    assert math.isinf(scan_value)
+    assert _mismatch(u, theta, gas, inc) == scan_value
+
+
+def test_root_brackets_are_floats(gas_122):
+    from shockrefl.relations import _root_brackets, _window_scan
+
+    theta = math.radians(80.0)
+    brackets = _root_brackets(_window_scan(theta, gas_122, incident_state(gas_122)))
+    assert len(brackets) == 2
+    assert all(type(x) is float for bracket in brackets for x in bracket)
+
+
+@pytest.mark.parametrize("k", range(3, 12))
+def test_small_gamma_near_right_angle(k):
+    """(1, 5, 1.05): the strong root's rho2 = base^20 overflows the scan at
+    pi/2 - 1e-9 and beyond, so the pair is found up to k = 8 and the scan's
+    single sign change is reported from k = 9 on.  The overflowed rho2 times
+    the zero factor u2 - xi1_0 at the window's top is NaN, hence `invalid`."""
+    gas = GasParams(1.0, 5.0, 1.05)
+    theta = math.pi / 2.0 - 10.0 ** -k
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k <= 8:
+            assert state2_solve(gas, theta).weak.rho == pytest.approx(23.2287, abs=1e-4)
+        else:
+            with pytest.raises(RootSeparationFailure):
+                state2_solve(gas, theta)
