@@ -61,7 +61,6 @@ from .solver import (
     SweepResult,
     continuation_sweep,
     fixed_point_solve,
-    normal_reflection,
     solve_bvp,
     update_shock,
 )

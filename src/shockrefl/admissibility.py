@@ -104,7 +104,7 @@ class AdmissibilityReport:
 
 def grid_tolerance(sol):
     """tol = C * h^1.5 with h the largest physical grid spacing."""
-    return TOL_COEFF * sol.mesh.max_spacing() ** 1.5
+    return TOL_COEFF * sol.mesh.max_spacing ** 1.5
 
 
 def _interior_mask(sol):
@@ -126,13 +126,13 @@ def _worst_at(values, mask, nodes, biggest=True):
     return float(values[idx]), tuple(float(x) for x in nodes[idx])
 
 
-def check_ellipticity(sol, tol=None):
+def check_ellipticity(sol):
     """Strict ellipticity in the closed region away from the sonic arc.
 
     Outside the cutoff band the margin must be positive; inside the band it
     may vanish (down to -tol) where the equation is legitimately degenerate.
     """
-    tol = tol if tol is not None else grid_tolerance(sol)
+    tol = grid_tolerance(sol)
     cfg = sol.config
     margin = ellipticity_margin(sol.gradient(), sol.phi, cfg.params)
     width = cutoff_band_width(cfg, sol.metadata.get("cutoff_width"))
@@ -164,9 +164,8 @@ def check_ellipticity(sol, tol=None):
     )
 
 
-def check_shock_inequalities(sol, tol=None):
+def check_shock_inequalities(sol):
     """d_nu phi1 > d_nu phi > 0 on the shock (nu the interior normal)."""
-    tol = tol if tol is not None else grid_tolerance(sol)
     k = ENDPOINT_SKIP
     pts = sol.mesh.nodes[0, :, :]
     nu = sol.shock.normals(t=pts @ sol.shock.e_perp)
@@ -195,9 +194,9 @@ def check_shock_inequalities(sol, tol=None):
     )
 
 
-def check_pinching(sol, tol=None):
+def check_pinching(sol):
     """phi2 <= phi <= phi1 within the grid tolerance, at every node."""
-    tol = tol if tol is not None else grid_tolerance(sol)
+    tol = grid_tolerance(sol)
     nodes = sol.mesh.nodes
     lo = sol.config.state2.potential(nodes) - sol.phi   # <= tol required
     hi = sol.phi - sol.config.state1.potential(nodes)   # <= tol required
@@ -215,10 +214,10 @@ def check_pinching(sol, tol=None):
     )
 
 
-def check_cone_monotonicity(sol, tol=None):
+def check_cone_monotonicity(sol):
     """d_e(phi1 - phi) < 0 in the closed region for interior cone directions;
     <= 0 on the shock for the boundary directions e_S1 and e_xi2."""
-    tol = tol if tol is not None else grid_tolerance(sol)
+    tol = grid_tolerance(sol)
     cfg = sol.config
     grad1 = cfg.state1.gradient(sol.mesh.nodes)
     diff = grad1 - sol.gradient()
@@ -262,9 +261,9 @@ def check_cone_monotonicity(sol, tol=None):
     )
 
 
-def check_wedge_monotonicity(sol, tol=None):
+def check_wedge_monotonicity(sol):
     """d_{nu_w}(phi - phi2) <= 0 within tolerance at every node."""
-    tol = tol if tol is not None else grid_tolerance(sol)
+    tol = grid_tolerance(sol)
     nu_w = sol.config.wedge_normal()
     diff = sol.gradient() - sol.config.state2.gradient(sol.mesh.nodes)
     vals = (diff * nu_w).sum(-1)
@@ -375,7 +374,7 @@ def check_phi_tau_tau_equivalence(sol):
     shock = sol.shock
     fpp = _second_derivative(shock.t_values, shock.s_values)
     interp = sol.mesh.interpolant((sol.phi - sol.config.state1.potential(sol.mesh.nodes)).reshape(-1))
-    h = sol.mesh.max_spacing()
+    h = sol.mesh.max_spacing
     eps = TAU_OFFSET * h
     nu = shock.normals()
     tau = shock.tangents()
@@ -473,11 +472,11 @@ def full_report(sol, metadata_hash=""):
     """Run every check; verdict = all mandatory checks pass."""
     tol = grid_tolerance(sol)
     checks = [
-        check_ellipticity(sol, tol),
-        check_shock_inequalities(sol, tol),
-        check_pinching(sol, tol),
-        check_cone_monotonicity(sol, tol),
-        check_wedge_monotonicity(sol, tol),
+        check_ellipticity(sol),
+        check_shock_inequalities(sol),
+        check_pinching(sol),
+        check_cone_monotonicity(sol),
+        check_wedge_monotonicity(sol),
         check_graph_and_convexity(sol.shock, config=sol.config, tol=tol),
         check_far_field(sol),
         check_phi_tau_tau_equivalence(sol),

@@ -192,7 +192,6 @@ def read_solution(indir):
         shock=shock,
         mesh=mesh,
         phi=phi,
-        theta_w=theta,
         residual_history=history,
         metadata=metadata,
     )

@@ -19,7 +19,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -58,12 +58,12 @@ class RunConfig:
     gamma: float = 2.0
     theta: float | None = None          # degrees
     theta_grid: str | None = None       # degrees, "start:stop:num" (polar) or "start:stop:step" (sweep)
-    n1: int = 65
-    n2: int = 65
-    cutoff_width: float | None = None
-    tol_fixed_point: float = 1e-7
-    max_outer: int = 60
-    lin_tol: float = 1e-9
+    n1: int = IterationParams.n1
+    n2: int = IterationParams.n2
+    cutoff_width: float | None = IterationParams.cutoff_width
+    tol_fixed_point: float = IterationParams.tol_fixed_point
+    max_outer: int = IterationParams.max_outer
+    lin_tol: float = IterationParams.lin_tol
     sweep_step: float = 1.0             # internal warm-up step for solve (degrees)
     out: str = "runs"
     init: str | None = None
@@ -72,14 +72,7 @@ class RunConfig:
         return GasParams(rho0=self.rho0, rho1=self.rho1, gamma=self.gamma)
 
     def iteration_params(self):
-        return IterationParams(
-            n1=self.n1,
-            n2=self.n2,
-            cutoff_width=self.cutoff_width,
-            tol_fixed_point=self.tol_fixed_point,
-            max_outer=self.max_outer,
-            lin_tol=self.lin_tol,
-        )
+        return IterationParams(**{f.name: getattr(self, f.name) for f in fields(IterationParams)})
 
 
 def _common(parser):
@@ -97,7 +90,7 @@ def _solver_opts(parser):
     parser.add_argument("--n1", type=int, default=None)
     parser.add_argument("--n2", type=int, default=None)
     parser.add_argument("--cutoff-width", type=float, default=None)
-    parser.add_argument("--tol-fp", type=float, default=None)
+    parser.add_argument("--tol-fp", dest="tol_fixed_point", type=float, default=None)
     parser.add_argument("--max-outer", type=int, default=None)
     parser.add_argument("--lin-tol", type=float, default=None)
 
@@ -146,9 +139,6 @@ def _run_config_from_args(args):
     for k in vars(cfg):
         if hasattr(args, k) and getattr(args, k) is not None:
             setattr(cfg, k, getattr(args, k))
-    # argparse dest names that differ from RunConfig fields
-    if getattr(args, "tol_fp", None) is not None:
-        cfg.tol_fixed_point = args.tol_fp
     return cfg
 
 
@@ -226,6 +216,8 @@ def cmd_polar(args):
 
 def _warmup_grid(theta, step_deg):
     """Continuation grid 90, 90 - step, ..., theta (radians) for a solve at theta."""
+    if not (math.isfinite(step_deg) and step_deg > 0.0):
+        raise ValidationError(f"--sweep-step {step_deg!r} must be finite and positive")
     step = math.radians(step_deg)
     # the margin keeps a theta that lies on the step grid from being listed twice
     n = math.ceil((math.pi / 2.0 - theta) / step - 1e-9)

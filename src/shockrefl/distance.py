@@ -72,5 +72,5 @@ def c1_family_distance(sol_a, sol_b):
         worst_grad = max(worst_grad, float(dg.max()))
     if n_used == 0:
         raise EmptyOverlap("solution domains share no grid nodes")
-    d_h = hausdorff_distance(sol_a.boundary_polyline(), sol_b.boundary_polyline())
+    d_h = hausdorff_distance(sol_a.mesh.boundary_polyline(), sol_b.mesh.boundary_polyline())
     return worst_val + worst_grad + d_h

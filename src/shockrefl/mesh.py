@@ -216,7 +216,8 @@ class SquareMap:
     built; the logical grid and its derivative stencil are shared with
     every other mesh of the same size and stretch.  The map is a value:
     its arrays are read-only, so what is derived from them (the stencil
-    coefficients, the triangulation) is computed once per mesh.
+    coefficients, the largest spacing, the triangulation) is computed once
+    per mesh.
     """
 
     coons: CoonsMap
@@ -246,6 +247,7 @@ class SquareMap:
     def w_grid(self):
         return self.grid.w
 
+    @functools.cached_property
     def max_spacing(self):
         """Largest physical edge length of the grid."""
         d1 = np.linalg.norm(np.diff(self.nodes, axis=0), axis=-1).max()

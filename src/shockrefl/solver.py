@@ -47,6 +47,7 @@ from .errors import (
     GraphPropertyLost,
     NoConvergence,
     VacuumReached,
+    ValidationError,
 )
 from .gas import bernoulli_base
 from .geometry import ReflectionConfiguration, ShockCurve, build_configuration, initial_shock
@@ -71,11 +72,12 @@ class IterationParams:
     tol_fixed_point: float = 1e-7      # sup-norm of shock movement at convergence
     max_outer: int = 60
     lin_tol: float = 1e-9              # relative interior residual of the BVP
-    settle: float = 1.0                # optional deep-convergence factor on tol_fixed_point
 
     def __post_init__(self):
+        if self.n1 < 3 or self.n2 < 5:
+            raise ValidationError(f"grid {self.n1} x {self.n2} is smaller than 3 x 5")
         if self.cutoff_width is not None and self.cutoff_width <= 0.0:
-            raise ValueError("cutoff_width must be positive in supersonic/near-sonic regimes")
+            raise ValidationError("cutoff_width must be positive in supersonic/near-sonic regimes")
 
 
 @dataclass(eq=False)
@@ -86,15 +88,15 @@ class SolutionField:
     shock: ShockCurve
     mesh: object
     phi: np.ndarray
-    theta_w: float
     residual_history: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
+    @property
+    def theta_w(self):
+        return self.config.theta_w
+
     def gradient(self):
         return self.mesh.gradient(self.phi)
-
-    def boundary_polyline(self):
-        return self.mesh.boundary_polyline()
 
 
 # ----------------------------------------------------------------------
@@ -226,13 +228,13 @@ class _GridStructure:
     coef[m_face] into m_slot, coef = (fa, fw, 2 volw) concatenated; m_cols
     is each M slot's column.  Q's data are q_eye plus q_weight * (gx[q_row]
     c[0][q_src] + gy[q_row] c[1][q_src]) summed into q_slot, c[k] = (c[k, 0],
-    c[k, 1]) concatenated.  J's data sum M[t_m] * S Q[t_q] over the (M slot,
+    c[k, 1]) concatenated.  J's terms are M[t_m] * S Q[t_q] over the (M slot,
     Q slot) pairs of the interior rows, A.data[a_src] and 1 on each
-    Dirichlet diagonal into j_slot; the Dirichlet rows hold their diagonal
-    only.  j_band is the flat position of each J slot in LAPACK band storage
-    of shape (2 kl + ku + 1, N), Fortran order: entry (r, c) sits in row
-    kl + ku + r - c of column c, and the first kl rows are room for the
-    LU's fill.  All arrays are read-only.
+    Dirichlet diagonal; the Dirichlet rows hold their diagonal only.  j_band
+    is each term's flat position in J's LAPACK band storage of shape
+    (2 kl + ku + 1, N), Fortran order, where the terms are summed: entry
+    (r, c) sits in row kl + ku + r - c of column c, and the first kl rows
+    are room for the LU's fill.  All arrays are read-only.
     """
 
     def __init__(self, n1, n2, stretch, degenerate):
@@ -296,7 +298,6 @@ class _GridStructure:
         self.dir_ones = np.ones(self.dir_rows.size)
         rows = np.concatenate([m_rows[self.t_m], self.slot_rows[self.a_src], self.dir_rows])
         cols = np.concatenate([q_cols[self.t_q], self.indices[self.a_src], self.dir_rows])
-        self.j_slot, _, cols, rows = _pattern(rows, cols, N)
         kl, ku = int(np.max(rows - cols)), int(np.max(cols - rows))
         self.j_band = kl + ku + rows - cols + cols * (2 * kl + ku + 1)
         read_only(*vars(self).values())
@@ -484,9 +485,9 @@ def _jacobian(disc, lin, cap, gamma):
     and 2 diag(volw) is -d rhs/d rho, and S Q = drho/dphi.  Off the cap,
     S = -rho^(2-g) and Q = I + diag(phi_x) Gx + diag(phi_y) Gy; where the
     cap is active rho depends on phi alone, so S = -rho^(2-g) / (1 + cap
-    (g-1)/2) and Q's row is the identity's.  The data are gathered and
-    summed by one bincount into the grid's fixed pattern (_GridStructure),
-    then scattered into J's LAPACK band storage, which is returned.
+    (g-1)/2) and Q's row is the identity's.  The terms are gathered and
+    summed by one bincount straight into J's LAPACK band storage
+    (_GridStructure), which is returned.
     """
     g = disc.grid
     x = lin.phi.ravel()
@@ -502,8 +503,7 @@ def _jacobian(disc, lin, cap, gamma):
     qw = g.q_weight * (grad[:, 0] * c[0][g.q_src] + grad[:, 1] * c[1][g.q_src])
     q = g.q_eye + np.bincount(g.q_slot, qw, minlength=g.q_eye.size)
     weights = np.concatenate([ms[g.t_m] * q[g.t_q], lin.A.data[g.a_src], g.dir_ones])
-    band = np.zeros((2 * g.kl + g.ku + 1) * x.size)
-    band[g.j_band] = np.bincount(g.j_slot, weights, minlength=g.j_band.size)
+    band = np.bincount(g.j_band, weights, minlength=(2 * g.kl + g.ku + 1) * x.size)
     return band.reshape(-1, x.size, order="F")
 
 
@@ -666,37 +666,6 @@ def update_shock(phi, config, shock, mesh, earlier=()):
     return curve, info
 
 
-def normal_reflection(params, n1=65, n2=65):
-    """Explicit theta_w = pi/2 solution sampled on the grid.
-
-    Flat vertical reflected shock at xi1_bar < 0 with the rest state behind
-    it; the elliptic region is the strip capped by the rest state's sonic
-    arc and phi is the exact uniform-state potential.
-    """
-    config = build_configuration(params, math.pi / 2.0)
-    shock = initial_shock(config, n=max(n2, 65))
-    mesh = build_square_map(config, shock, n1, n2)
-    phi = config.state2.potential(mesh.nodes)
-    meta = {
-        "theta_deg": 90.0,
-        "regime": config.regime.value,
-        "n1": n1,
-        "n2": n2,
-        "exact": True,
-        "rho2_bar": config.state2.rho,
-        "xi1_bar": float(shock.points[0, 0]),
-    }
-    return SolutionField(
-        config=config,
-        shock=shock,
-        mesh=mesh,
-        phi=phi,
-        theta_w=math.pi / 2.0,
-        residual_history=[],
-        metadata=meta,
-    )
-
-
 def _transport_shock(old, config):
     """Similarity transport of a shock to a new configuration.
 
@@ -733,12 +702,15 @@ def _interp_logical(phi, mesh_from, mesh_to):
 def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     """Alternate BVP solves and shock updates until the shock stops moving.
 
-    At theta_w = pi/2 the explicit normal reflection is returned after one
-    verification pass of the shock update (which must not move the exact
-    flat shock).  Otherwise the shock is warm-started from `init` (transport
+    At theta_w = pi/2 the explicit normal reflection is returned: a flat
+    vertical reflected shock at xi1_bar < 0 with the rest state behind it,
+    on the strip capped by the rest state's sonic arc, and phi exactly the
+    rest state's potential.  One verification pass of the shock update
+    (which must not move the exact flat shock) and of the interior residual
+    is recorded.  Otherwise the shock is warm-started from `init` (transport
     between angles) or from the cold-start curve, and each outer iteration
     moves it by one `update_shock` over all earlier iterates of this solve,
-    until the applied displacement drops below tol_fixed_point * settle.
+    until the applied displacement drops below tol_fixed_point.
     Every BVP starts from the state-(2) potential on its own mesh plus the
     previous field's deviation from its state-(2) potential (resampled
     through the logical square when the grid size differs, zero on a cold
@@ -754,18 +726,24 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     n1, n2 = iter_params.n1, iter_params.n2
 
     if abs(theta_w - math.pi / 2.0) < NORMAL_ANGLE_TOL:
-        sol = normal_reflection(params, n1, n2)
-        curve, upd = update_shock(sol.phi, sol.config, sol.shock, sol.mesh)
-        movement = upd["movement"]
-        disc, cap, _, rhs = _bvp_data(sol.config, sol.mesh, iter_params, None)
-        lin = _residual(disc, sol.phi, params, cap, rhs)
+        config = build_configuration(params, math.pi / 2.0)
+        shock = initial_shock(config, n=max(n2, 65))
+        mesh = build_square_map(config, shock, n1, n2)
+        phi = config.state2.potential(mesh.nodes)
+        curve, upd = update_shock(phi, config, shock, mesh)
+        # the exact field's own residual, not a discrete solve's: where the
+        # Mach cap is active near the sonic arc the rest state is not a
+        # solution of the discrete problem
+        disc, cap, _, rhs = _bvp_data(config, mesh, iter_params, None)
+        lin = _residual(disc, phi, params, cap, rhs)
         res = float(np.max(np.abs(lin.r))) / _residual_scale(disc, lin.rho)
-        sol.residual_history.append((1, movement, res))
-        sol.metadata.update(_shock_rh_report(sol.config, curve, sol.mesh, sol.phi))
-        sol.metadata["converged"] = bool(movement < iter_params.tol_fixed_point)
-        sol.metadata["newton_steps"] = 0
-        sol.metadata.update(_tolerance_metadata(iter_params))
-        return sol
+        return _solution(
+            config, shock, mesh, phi, [(1, upd["movement"], res)],
+            exact=True, rho2_bar=config.state2.rho, xi1_bar=float(shock.points[0, 0]),
+            converged=bool(upd["movement"] < iter_params.tol_fixed_point),
+            newton_steps=0,
+            **_solve_record(config, curve, mesh, phi, iter_params),
+        )
 
     # grid sequencing: converge the shock on a coarse grid first
     if min(n1, n2) > 1.5 * COARSE_LEVEL:
@@ -783,7 +761,6 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     history = []
     earlier = []  # (S, r) of every earlier iterate, for the quasi-Newton step
     newton_steps = 0
-    tol_eff = iter_params.tol_fixed_point * iter_params.settle
     movement = math.inf
     for outer in range(1, iter_params.max_outer + 1):
         mesh = build_square_map(config, shock, n1, n2)
@@ -799,57 +776,43 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         movement = upd["movement"]
         history.append((outer, movement, info["residual"]))
         dev = phi - config.state2.potential(mesh.nodes)
-        if movement < tol_eff:
+        if movement < iter_params.tol_fixed_point:
             break
     else:
         raise NoConvergence(
             f"shock movement {movement:.3e} after {iter_params.max_outer} outer iterations "
-            f"(tol {tol_eff:.1e}) at theta_w={math.degrees(theta_w):.4f} deg"
+            f"(tol {iter_params.tol_fixed_point:.1e}) at theta_w={math.degrees(theta_w):.4f} deg"
         )
 
     # final solve on the converged geometry so the field matches the shock
     mesh = build_square_map(config, shock, n1, n2)
     phi, info = solve_bvp(config, mesh, config.state2.potential(mesh.nodes) + dev, iter_params)
-    meta = {
-        "theta_deg": math.degrees(theta_w),
-        "regime": config.regime.value,
-        "n1": n1,
-        "n2": n2,
-        "exact": False,
-        "outer_iterations": len(history),
-        "newton_steps": newton_steps + info["newton_iters"],
-        "interior_residual": info["residual"],
-        "cap_outside_band": info["cap_outside_band"],
-        "converged": True,
-    }
-    meta.update(_tolerance_metadata(iter_params))
-    sol = SolutionField(
-        config=config,
-        shock=shock,
-        mesh=mesh,
-        phi=phi,
-        theta_w=theta_w,
-        residual_history=history,
-        metadata=meta,
+    return _solution(
+        config, shock, mesh, phi, history,
+        exact=False,
+        outer_iterations=len(history),
+        newton_steps=newton_steps + info["newton_iters"],
+        interior_residual=info["residual"],
+        cap_outside_band=info["cap_outside_band"],
+        converged=True,
+        **_solve_record(config, shock, mesh, phi, iter_params),
     )
-    sol.metadata.update(_shock_rh_report(config, shock, mesh, phi))
-    return sol
 
 
-def _tolerance_metadata(iter_params):
-    return {
-        "cutoff_width": iter_params.cutoff_width,
-        "zeta0": ZETA0,
-        "tol_fixed_point": iter_params.tol_fixed_point,
-        "lin_tol": iter_params.lin_tol,
-        "settle": iter_params.settle,
-    }
+def _solution(config, shock, mesh, phi, history, **record):
+    """The SolutionField of a solve; its metadata are the angle, regime and
+    grid that every member records, then what this solve recorded."""
+    meta = {"theta_deg": math.degrees(config.theta_w), "regime": config.regime.value,
+            "n1": mesh.n1, "n2": mesh.n2, **record}
+    return SolutionField(config=config, shock=shock, mesh=mesh, phi=phi,
+                         residual_history=history, metadata=meta)
 
 
-def _shock_rh_report(config, shock, mesh, phi):
-    """A-posteriori RH residuals on the shock: only the flux condition is
-    imposed by the scheme, so potential continuity (and the pointwise mass
-    jump) are verified after the fact."""
+def _solve_record(config, shock, mesh, phi, iter_params):
+    """What every solve records at its end: its tolerances and the
+    a-posteriori RH residuals on `shock`.  The scheme imposes only the flux
+    condition, so potential continuity (and the pointwise mass jump) are
+    verified after the fact."""
     pts = mesh.nodes[0, :, :]
     grad = mesh.gradient(phi)[0, :, :]
     s1 = config.state1
@@ -859,6 +822,10 @@ def _shock_rh_report(config, shock, mesh, phi):
     rho = np.where(base > 0, np.abs(base) ** (1.0 / (config.params.gamma - 1.0)), np.nan)
     mass = rho * (grad * nu).sum(-1) - s1.rho * (s1.gradient(pts) * nu).sum(-1)
     return {
+        "cutoff_width": iter_params.cutoff_width,
+        "zeta0": ZETA0,
+        "tol_fixed_point": iter_params.tol_fixed_point,
+        "lin_tol": iter_params.lin_tol,
         "rh_potential_max": float(np.nanmax(pot)),
         "rh_mass_max": float(np.nanmax(np.abs(mass))),
     }

@@ -20,7 +20,6 @@ from shockrefl import (
     detachment_angle,
     fixed_point_solve,
     incident_state,
-    normal_reflection,
     sonic_angle,
     state2_residuals,
     state2_solve,
@@ -32,7 +31,7 @@ from shockrefl.admissibility import (
     check_shock_inequalities,
     full_report,
 )
-from shockrefl.solver import MMSProblem, solve_bvp
+from shockrefl.solver import solve_bvp
 from shockrefl.geometry import build_configuration, initial_shock
 from shockrefl.mesh import build_square_map
 from falsification import (
@@ -41,6 +40,7 @@ from falsification import (
     reversed_shock_field,
     supersonic_uniform_field,
 )
+from manufactured import SINE_MMS
 
 GAS = GasParams(1.0, 2.0, 2.0)
 
@@ -195,29 +195,6 @@ def test_criterion_05_normal_reflection_exactness():
     )
 
 
-def _mms_problem():
-    def phi_fn(x):
-        return 0.1 * np.sin(x[..., 0]) * np.cos(x[..., 1]) - 1.0
-
-    def grad_fn(x):
-        g = np.empty(x.shape)
-        g[..., 0] = 0.1 * np.cos(x[..., 0]) * np.cos(x[..., 1])
-        g[..., 1] = -0.1 * np.sin(x[..., 0]) * np.sin(x[..., 1])
-        return g
-
-    def hess_fn(x):
-        h = np.empty(x.shape[:-1] + (2, 2))
-        s0, c0 = np.sin(x[..., 0]), np.cos(x[..., 0])
-        s1, c1 = np.sin(x[..., 1]), np.cos(x[..., 1])
-        h[..., 0, 0] = -0.1 * s0 * c1
-        h[..., 0, 1] = -0.1 * c0 * s1
-        h[..., 1, 0] = -0.1 * c0 * s1
-        h[..., 1, 1] = -0.1 * s0 * c1
-        return h
-
-    return MMSProblem(phi=phi_fn, grad=grad_fn, hess=hess_fn)
-
-
 @pytest.mark.slow
 def test_criterion_06_manufactured_solution_order():
     """solve_bvp reaches observed order >= 1.8 on n = 33, 65, 129."""
@@ -225,7 +202,7 @@ def test_criterion_06_manufactured_solution_order():
     th = math.radians(85.0)
     cfg = build_configuration(GAS, th)
     shock = initial_shock(cfg, n=129)
-    mms = _mms_problem()
+    mms = SINE_MMS
     errs = []
     for n in (33, 65, 129):
         ip = IterationParams(n1=n, n2=n, lin_tol=1e-11)
@@ -308,10 +285,9 @@ def test_criterion_08_family_continuity_under_step_halving():
 @pytest.mark.slow
 def test_criterion_09_local_uniqueness_analog():
     """Two 85-degree solves from 86- and 84.5-degree warm starts agree to
-    c1_family_distance < 10 * tol_fixed_point."""
+    c1_family_distance < 2e-5."""
     t0 = time.time()
-    ip = IterationParams(n1=49, n2=49, tol_fixed_point=2e-6, settle=0.05, lin_tol=1e-10,
-                         max_outer=90)
+    ip = IterationParams(n1=49, n2=49, tol_fixed_point=1e-7, lin_tol=1e-10, max_outer=90)
     sol = fixed_point_solve(GAS, math.pi / 2.0, ip)
     for d in (89.0, 88.0, 87.0, 86.0):
         sol = fixed_point_solve(GAS, math.radians(d), ip, init=sol)
@@ -322,7 +298,7 @@ def test_criterion_09_local_uniqueness_analog():
         sol = fixed_point_solve(GAS, math.radians(d), ip, init=sol)
     run_b = fixed_point_solve(GAS, math.radians(85.0), ip, init=sol)
     dist = c1_family_distance(run_a, run_b)
-    bound = 10.0 * ip.tol_fixed_point
+    bound = 2e-5
     dt = time.time() - t0
     _report(
         "criterion 9 (local uniqueness analog)",

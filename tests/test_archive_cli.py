@@ -312,6 +312,41 @@ def test_cli_config_file(tmp_path, monkeypatch):
         assert grids.pop() == grid
 
 
+def test_cli_solver_flags_reach_iteration_params(tmp_path, monkeypatch):
+    seen = []
+
+    def stub_sweep(params, theta_grid, iter_params):
+        seen.append(iter_params)
+        return solver.SweepResult(members=[], thetas=[], status="NoConvergence", stop_reason="stub")
+
+    monkeypatch.setattr(cli, "continuation_sweep", stub_sweep)
+    want = IterationParams(n1=17, n2=21, cutoff_width=0.05, tol_fixed_point=3e-6, max_outer=7, lin_tol=2e-8)
+    solve = ["solve", "--theta", "89", "--out", str(tmp_path)]
+    flags = ["--n1", "17", "--n2", "21", "--cutoff-width", "0.05", "--tol-fp", "3e-6",
+             "--max-outer", "7", "--lin-tol", "2e-8"]
+    assert main(solve + flags) == 3
+    assert seen.pop() == want
+    cfgfile = tmp_path / "rc.json"
+    cfgfile.write_text(json.dumps(dataclasses.asdict(want)))
+    assert main(solve + ["--config", str(cfgfile)]) == 3
+    assert seen.pop() == want
+    # a flag wins over the file
+    assert main(solve + ["--config", str(cfgfile), "--tol-fp", "5e-7", "--n1", "9"]) == 3
+    assert seen.pop() == dataclasses.replace(want, tol_fixed_point=5e-7, n1=9)
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["--theta", "88", "--sweep-step", "0"], id="sweep_step_zero"),
+    pytest.param(["--theta", "88", "--sweep-step", "-1"], id="sweep_step_negative"),
+    pytest.param(["--theta", "88", "--sweep-step", "nan"], id="sweep_step_nan"),
+    pytest.param(["--theta", "89", "--n1", "2", "--n2", "2"], id="grid_2x2"),
+    pytest.param(["--theta", "89", "--cutoff-width", "-1"], id="cutoff_width_negative"),
+])
+def test_cli_solve_invalid_inputs_exit_2(tmp_path, capsys, args):
+    assert main(["solve", *args, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("ValidationError: ")
+
+
 def _old_csv_texts(sol):
     """The archive CSVs as formatted value by value with "%.17g", for comparison."""
     fmt = lambda v: "%.17g" % float(v)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from scipy.spatial import Delaunay
 from shockrefl import (
     EmptyOverlap,
     GasParams,
+    IterationParams,
     c1_family_distance,
+    fixed_point_solve,
     full_report,
     hausdorff_distance,
     mesh,
-    normal_reflection,
 )
 
 
@@ -55,8 +57,8 @@ def test_distance_to_self_is_zero(sol_normal65):
 
 def test_distance_shifted_resolution_small(gas_122):
     """Same exact solution sampled at two resolutions: distance is O(h^2)-small."""
-    a = normal_reflection(gas_122, 33, 33)
-    b = normal_reflection(gas_122, 61, 61)
+    a = fixed_point_solve(gas_122, math.pi / 2.0, IterationParams(n1=33, n2=33))
+    b = fixed_point_solve(gas_122, math.pi / 2.0, IterationParams(n1=61, n2=61))
     d = c1_family_distance(a, b)
     assert d < 5e-3
 

@@ -10,19 +10,17 @@ from scipy.linalg import lapack
 from shockrefl import (
     GasParams,
     IterationParams,
-    MMSProblem,
     ShockCurve,
     build_configuration,
     build_square_map,
     initial_shock,
-    normal_reflection,
     quad_map,
     rh_residual,
     solve_bvp,
     update_shock,
 )
 from shockrefl import solver
-from shockrefl.errors import NoConvergence
+from shockrefl.errors import NoConvergence, ValidationError
 from shockrefl.relations import state1
 from shockrefl.admissibility import full_report
 from shockrefl.mesh import CoonsMap, Segment, _assemble_map, sonic_extension
@@ -32,6 +30,7 @@ from shockrefl.solver import (
     fixed_point_solve,
     quasi_newton_step,
 )
+from manufactured import SINE_MMS
 
 
 def test_scheme_exact_on_uniform_state_rectangle(gas_122):
@@ -344,7 +343,7 @@ def test_conservation_identity_on_blocks(gas_122, sol85_n65):
 
 
 def test_normal_reflection_exactness_and_rh(gas_122):
-    sol = normal_reflection(gas_122, 33, 33)
+    sol = fixed_point_solve(gas_122, math.pi / 2.0, IterationParams(n1=33, n2=33))
     rest = sol.config.state2
     assert np.abs(sol.phi - rest.potential(sol.mesh.nodes)).max() == 0.0
     # flat vertical shock satisfies the RH pair at any height
@@ -357,7 +356,7 @@ def test_normal_reflection_exactness_and_rh(gas_122):
 
 
 def test_update_shock_fixed_point_and_flatness(gas_122):
-    sol = normal_reflection(gas_122, 33, 33)
+    sol = fixed_point_solve(gas_122, math.pi / 2.0, IterationParams(n1=33, n2=33))
     curve, info = update_shock(sol.phi, sol.config, sol.shock, mesh=sol.mesh)
     assert info["movement"] < 1e-12
     # flat shock stays flat
@@ -431,33 +430,13 @@ def test_mms_convergence_small():
     th = math.radians(85.0)
     cfg = build_configuration(gas, th)
     shock = initial_shock(cfg, n=129)
-
-    def phi_fn(x):
-        return 0.1 * np.sin(x[..., 0]) * np.cos(x[..., 1]) - 1.0
-
-    def grad_fn(x):
-        g = np.empty(x.shape)
-        g[..., 0] = 0.1 * np.cos(x[..., 0]) * np.cos(x[..., 1])
-        g[..., 1] = -0.1 * np.sin(x[..., 0]) * np.sin(x[..., 1])
-        return g
-
-    def hess_fn(x):
-        h = np.empty(x.shape[:-1] + (2, 2))
-        s0, c0 = np.sin(x[..., 0]), np.cos(x[..., 0])
-        s1, c1 = np.sin(x[..., 1]), np.cos(x[..., 1])
-        h[..., 0, 0] = -0.1 * s0 * c1
-        h[..., 0, 1] = -0.1 * c0 * s1
-        h[..., 1, 0] = -0.1 * c0 * s1
-        h[..., 1, 1] = -0.1 * s0 * c1
-        return h
-
-    mms = MMSProblem(phi=phi_fn, grad=grad_fn, hess=hess_fn)
+    mms = SINE_MMS
     errs = []
     for n in (17, 33):
         ip = IterationParams(n1=n, n2=n, lin_tol=1e-11)
         mesh = build_square_map(cfg, shock, n, n)
-        phi, _ = solve_bvp(cfg, mesh, phi_fn(mesh.nodes), ip, mms=mms)
-        errs.append(float(np.abs(phi - phi_fn(mesh.nodes)).max()))
+        phi, _ = solve_bvp(cfg, mesh, mms.phi(mesh.nodes), ip, mms=mms)
+        errs.append(float(np.abs(phi - mms.phi(mesh.nodes)).max()))
     assert errs[1] < errs[0] / 2.5
 
 
@@ -505,6 +484,13 @@ def test_sweep_start_must_be_the_normal_reflection_angle(gas_122):
     with pytest.raises(ValueError):
         solver.continuation_sweep(gas_122, [start, math.radians(89.0)],
                                   IterationParams(n1=17, n2=17))
+
+
+def test_iteration_params_reject_invalid_grids_and_cutoff():
+    IterationParams(n1=3, n2=5, cutoff_width=0.1)
+    for bad in ({"n1": 2}, {"n2": 4}, {"cutoff_width": 0.0}, {"cutoff_width": -1.0}):
+        with pytest.raises(ValidationError):
+            IterationParams(**bad)
 
 
 def test_multi_start_consistency_cheap(gas_122, sol85_n65):
