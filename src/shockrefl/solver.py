@@ -8,11 +8,13 @@ wedge and symmetry sides), then move the shock toward the zero of
 phi - phi1 along the graph direction by an IQN-ILS quasi-Newton step over
 the solve's earlier iterates.  The iteration is warm-started in angle by a
 continuation sweep from the normal reflection at theta_w = pi/2, which is
-known in closed form.  Each BVP starts from the state-(2) potential of its
-own configuration and mesh plus the previous field's deviation from its
-state-(2) potential: by the stability of admissible solutions in the wedge
-angle that deviation changes little from one angle to the next, and the
-sonic row starts exactly at its Dirichlet values.
+known in closed form; from its third member on, the sweep starts each step
+from a secant prediction through the two members before it.  Each BVP
+starts from the state-(2) potential of its own configuration and mesh plus
+the previous field's deviation from its state-(2) potential: by the
+stability of admissible solutions in the wedge angle that deviation changes
+little from one angle to the next, and the sonic row starts exactly at its
+Dirichlet values.
 
 Discretization: vertex-centered conservative finite volumes on the mapped
 (a, w) square.  Face densities are averages of nodal densities, which makes
@@ -76,8 +78,14 @@ class IterationParams:
     def __post_init__(self):
         if self.n1 < 3 or self.n2 < 5:
             raise ValidationError(f"grid {self.n1} x {self.n2} is smaller than 3 x 5")
-        if self.cutoff_width is not None and self.cutoff_width <= 0.0:
-            raise ValidationError("cutoff_width must be positive in supersonic/near-sonic regimes")
+        if self.max_outer < 1:
+            raise ValidationError(f"max_outer = {self.max_outer!r} must be at least 1")
+        positive = {"tol_fixed_point": self.tol_fixed_point, "lin_tol": self.lin_tol}
+        if self.cutoff_width is not None:
+            positive["cutoff_width"] = self.cutoff_width
+        for name, value in positive.items():
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValidationError(f"{name} = {value!r} must be finite and positive")
 
 
 @dataclass(eq=False)
@@ -716,7 +724,10 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     through the logical square when the grid size differs, zero on a cold
     start), so the sonic row starts at its Dirichlet values.
     metadata["newton_steps"] sums the Newton steps of every BVP of the
-    solve, the final one included.
+    solve, the final one included, and metadata["warm_start_gap"] is the
+    largest distance, along the graph direction e, of a converged shock node
+    from the start shock (after transport; with grid sequencing, the coarse
+    solution's shock).
 
     Raises NoConvergence after max_outer iterations, and DetachedWedgeAngle,
     AttachedShockDetected, VacuumReached, EllipticityLost, GraphPropertyLost
@@ -758,6 +769,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         shock = initial_shock(config, n=max(n2, 65))
         dev = np.zeros((n1, n2))
 
+    start = shock
     history = []
     earlier = []  # (S, r) of every earlier iterate, for the quasi-Newton step
     newton_steps = 0
@@ -792,6 +804,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         exact=False,
         outer_iterations=len(history),
         newton_steps=newton_steps + info["newton_iters"],
+        warm_start_gap=float(np.max(np.abs(shock.s_values - start.graph_value(shock.t_values)[0]))),
         interior_residual=info["residual"],
         cap_outside_band=info["cap_outside_band"],
         converged=True,
@@ -856,15 +869,42 @@ class SweepResult:
         return [c1_family_distance(a, b) for a, b in zip(self.members, self.members[1:])]
 
 
+def _secant_start(a, b, theta_w):
+    """First-order (secant) prediction at theta_w from the members a and b,
+    b the nearer, both off the exact normal reflection.
+
+    With the step ratio rho = (theta_w - theta_b) / (theta_b - theta_a), the
+    shock extrapolates the part of the last shock change that the similarity
+    transport does not explain, b + rho (b - transport(a to b)), with P1
+    pinned and the foot on the axis, and the field extrapolates the
+    state-(2)-relative deviation, dev_b + rho (dev_b - dev_a).  The result
+    lives on b's configuration and mesh, so fixed_point_solve transports its
+    shock and reads its deviation as it does for any warm start.
+    """
+    rho = (theta_w - b.theta_w) / (b.theta_w - a.theta_w)
+    pts = b.shock.points + rho * (b.shock.points - _transport_shock(a.shock, b.config).points)
+    pts[0] = b.config.p1
+    pts[-1, 1] = 0.0
+    dev_a = a.phi - a.config.state2.potential(a.mesh.nodes)
+    dev_b = b.phi - b.config.state2.potential(b.mesh.nodes)
+    return SolutionField(config=b.config, shock=b.config.shock_curve(pts), mesh=b.mesh,
+                         phi=b.phi + rho * (dev_b - dev_a))
+
+
 def continuation_sweep(params, theta_grid, iter_params=None):
     """March the family downward in angle, warm-starting each solve.
 
-    theta_grid must start at pi/2 and decrease.  A step that fails with one
-    of BRIDGED_FAILURES is bridged by recursive midpoint solves,
-    SWEEP_HALVINGS levels deep, and each halving is recorded in the result's
-    bridges.  Stops with the error's type name as status at
-    DetachedWedgeAngle, AttachedShockDetected or an unbridged failure; the
-    partial family is returned.
+    theta_grid must start at pi/2 and decrease.  A step from two members
+    off pi/2 starts from their secant prediction (_secant_start); the first
+    two steps after pi/2 start from the last member, as does any step whose
+    pair includes the exact normal reflection.  Each member (and bridge)
+    records metadata["predictor"], "secant" or "transport".  A step that
+    fails with one of BRIDGED_FAILURES is bridged by recursive midpoint
+    solves, SWEEP_HALVINGS levels deep, each predicted from the pair it
+    holds, and each halving is recorded in the result's bridges.  Stops
+    with the error's type name as status at DetachedWedgeAngle,
+    AttachedShockDetected or an unbridged failure; the partial family is
+    returned.
     """
     iter_params = iter_params or IterationParams()
     thetas = [float(t) for t in theta_grid]
@@ -877,16 +917,19 @@ def continuation_sweep(params, theta_grid, iter_params=None):
 
     bridges = []
 
-    def advance(from_sol, target, depth):
+    def advance(prev, last, target, depth):
+        secant = prev is not None and not (prev.metadata["exact"] or last.metadata["exact"])
         try:
-            return fixed_point_solve(params, target, iter_params, init=from_sol)
+            sol = fixed_point_solve(params, target, iter_params,
+                                    init=_secant_start(prev, last, target) if secant else last)
         except BRIDGED_FAILURES as exc:
             if depth >= SWEEP_HALVINGS:
                 raise
             bridges.append((target, type(exc).__name__))
-            mid = 0.5 * (from_sol.theta_w + target)
-            bridge = advance(from_sol, mid, depth + 1)
-            return advance(bridge, target, depth + 1)
+            bridge = advance(prev, last, 0.5 * (last.theta_w + target), depth + 1)
+            return advance(last, bridge, target, depth + 1)
+        sol.metadata["predictor"] = "secant" if secant else "transport"
+        return sol
 
     members = [fixed_point_solve(params, thetas[0], iter_params)]
     out_thetas = [thetas[0]]
@@ -895,7 +938,7 @@ def continuation_sweep(params, theta_grid, iter_params=None):
     failed_theta = None
     for target in thetas[1:]:
         try:
-            sol = advance(members[-1], target, 0)
+            sol = advance(members[-2] if len(members) > 1 else None, members[-1], target, 0)
         except (DetachedWedgeAngle, AttachedShockDetected) + BRIDGED_FAILURES as exc:
             status = type(exc).__name__
             stop_reason = str(exc)

@@ -274,6 +274,28 @@ def test_cli_sweep_small(tmp_path):
     assert all("pass" in r for r in rows[1:])
 
 
+def test_sweep_predictor_and_warm_start_gap_reach_the_archive(tmp_path, caplog, gas_122):
+    """Each member after 90 degrees records its predictor and warm-start gap;
+    both round-trip through the archive, and `sweep --log-level info` logs them."""
+    grid = [math.pi / 2.0] + [math.radians(d) for d in (89.0, 88.0, 87.0)]
+    sweep = solver.continuation_sweep(gas_122, grid, IterationParams(n1=17, n2=17))
+    assert [m.metadata.get("predictor") for m in sweep.members] == [None, "transport", "transport", "secant"]
+    for k, sol in enumerate(sweep.members[1:]):
+        write_solution(sol, str(tmp_path / f"m{k}"))
+        back, tampered = read_solution(str(tmp_path / f"m{k}"))
+        assert not tampered
+        assert back.metadata["predictor"] == sol.metadata["predictor"]
+        assert back.metadata["warm_start_gap"] == sol.metadata["warm_start_gap"] > 0.0
+
+    caplog.set_level(logging.INFO, logger="shockrefl")
+    assert main(["sweep", "--theta-grid", "90:87:1", "--n1", "17", "--n2", "17", "--log-level", "info",
+                 "--out", str(tmp_path / "cli")]) == 0
+    logged = [r.getMessage() for r in caplog.records if "predictor" in r.getMessage()]
+    assert logged == [
+        f"theta={m.metadata['theta_deg']:.4f} deg: {m.metadata['predictor']} predictor, "
+        f"warm-start gap {m.metadata['warm_start_gap']:.3e}" for m in sweep.members[1:]]
+
+
 @pytest.mark.parametrize("command, spec", [
     pytest.param("sweep", "80:90:1", id="sweep_empty"),
     pytest.param("sweep", "90:85", id="sweep_two_numbers"),
@@ -341,6 +363,10 @@ def test_cli_solver_flags_reach_iteration_params(tmp_path, monkeypatch):
     pytest.param(["--theta", "88", "--sweep-step", "nan"], id="sweep_step_nan"),
     pytest.param(["--theta", "89", "--n1", "2", "--n2", "2"], id="grid_2x2"),
     pytest.param(["--theta", "89", "--cutoff-width", "-1"], id="cutoff_width_negative"),
+    pytest.param(["--theta", "89", "--n1", "17", "--n2", "17", "--cutoff-width", "nan"], id="cutoff_width_nan"),
+    pytest.param(["--theta", "89", "--n1", "17", "--n2", "17", "--tol-fp", "nan"], id="tol_fp_nan"),
+    pytest.param(["--theta", "89", "--n1", "17", "--n2", "17", "--lin-tol", "-1"], id="lin_tol_negative"),
+    pytest.param(["--theta", "89", "--max-outer", "0"], id="max_outer_zero"),
 ])
 def test_cli_solve_invalid_inputs_exit_2(tmp_path, capsys, args):
     assert main(["solve", *args, "--out", str(tmp_path)]) == 2

@@ -487,10 +487,51 @@ def test_sweep_start_must_be_the_normal_reflection_angle(gas_122):
 
 
 def test_iteration_params_reject_invalid_grids_and_cutoff():
-    IterationParams(n1=3, n2=5, cutoff_width=0.1)
-    for bad in ({"n1": 2}, {"n2": 4}, {"cutoff_width": 0.0}, {"cutoff_width": -1.0}):
+    IterationParams(n1=3, n2=5, cutoff_width=0.1, tol_fixed_point=1e-12, lin_tol=1e-14, max_outer=1)
+    bad_values = [{"n1": 2}, {"n2": 4}, {"max_outer": 0}, {"max_outer": -3}]
+    for name in ("cutoff_width", "tol_fixed_point", "lin_tol"):
+        bad_values += [{name: v} for v in (0.0, -1.0, math.nan, math.inf, -math.inf)]
+    for bad in bad_values:
         with pytest.raises(ValidationError):
             IterationParams(**bad)
+
+
+@pytest.fixture(scope="module")
+def sweep33_to85(gas_122):
+    """The 33^2 sweep 90 -> 85 degrees in 1-degree steps."""
+    grid = [math.pi / 2.0] + [math.radians(d) for d in (89, 88, 87, 86, 85)]
+    sweep = solver.continuation_sweep(gas_122, grid, IterationParams(n1=33, n2=33))
+    assert sweep.status == "completed" and sweep.bridges == []
+    return sweep
+
+
+def test_sweep_starts_the_secant_at_the_third_member(gas_122, sweep33_to85):
+    """The first two steps after 90 degrees start from the last member, so the
+    exact normal reflection never enters an extrapolation: 89 and 88 degrees
+    are bit-identical to a solve warm-started from the member before."""
+    members = sweep33_to85.members
+    assert [m.metadata.get("predictor") for m in members] == [None] + ["transport"] * 2 + ["secant"] * 3
+    for prev, sol in zip(members[:2], members[1:3]):
+        alone = fixed_point_solve(gas_122, sol.theta_w, IterationParams(n1=33, n2=33), init=prev)
+        assert np.array_equal(alone.shock.points, sol.shock.points)
+        assert np.array_equal(alone.phi, sol.phi)
+        assert alone.metadata["outer_iterations"] == sol.metadata["outer_iterations"]
+
+
+def test_secant_predictor_saves_outer_iterations(gas_122, sweep33_to85):
+    """Each secant-predicted member takes fewer outer iterations than a solve
+    warm-started from the member before it alone, and lands on the same
+    solution within the benchmark reference's tolerances (30 tol in the
+    shock, 60 tol in phi)."""
+    ip = IterationParams(n1=33, n2=33)
+    members = sweep33_to85.members
+    for prev, sol in zip(members[2:], members[3:]):
+        assert sol.metadata["predictor"] == "secant"
+        alone = fixed_point_solve(gas_122, sol.theta_w, ip, init=prev)
+        assert sol.metadata["outer_iterations"] < alone.metadata["outer_iterations"]
+        assert sol.metadata["warm_start_gap"] < alone.metadata["warm_start_gap"]
+        assert np.max(np.abs(sol.shock.points - alone.shock.points)) <= 30 * ip.tol_fixed_point
+        assert np.max(np.abs(sol.phi - alone.phi)) <= 60 * ip.tol_fixed_point
 
 
 def test_multi_start_consistency_cheap(gas_122, sol85_n65):
