@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
     ZeroVector,
 )
-from .gas import GasParams, UniformState, density, ellipticity_margin, make_uniform_state, sound_speed, uniform_potential
+from .gas import GasParams, UniformState, density, ellipticity_margin, make_uniform_state, sound_speed
 from .geometry import (
     ReflectionConfiguration,
     ShockCurve,

@@ -121,6 +121,17 @@ def write_solution(sol, outdir, extra_meta=None):
     return meta
 
 
+def _table(path, ncols):
+    """The rows under the header line of a CSV with ncols numeric columns;
+    a header-only file is an empty table."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if rows.size and rows.shape[1] != ncols:
+        raise ArchiveError(f"{os.path.basename(path)} has {rows.shape[1]} columns, expected {ncols}")
+    return rows.reshape(-1, ncols)
+
+
 def read_solution(indir):
     """Reconstruct a SolutionField from an archive.
 
@@ -129,7 +140,11 @@ def read_solution(indir):
     field.csv, or when a hashed file is missing (the archive is still loaded
     so the verifier can locate the failing check).  An archive without a
     residuals.csv hash, as older versions wrote, is read unchecked there.
-    Raises ArchiveError on missing or structurally inconsistent archives.
+    Raises ArchiveError on a missing or unreadable file, a meta.json that is
+    not a JSON object or holds a value of the wrong kind, a CSV that is not
+    numeric or has the wrong number of columns, and on any other structural
+    inconsistency; the typed errors of the configuration and the shock
+    (DetachedWedgeAngle, TooFewSamples, ...) pass through.
     """
     meta_path = os.path.join(indir, "meta.json")
     if not os.path.isfile(meta_path):
@@ -137,8 +152,10 @@ def read_solution(indir):
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ArchiveError(f"unreadable meta.json: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ArchiveError(f"meta.json in {indir} is not a JSON object")
     for name in ("shock.csv", "field.csv"):
         if not os.path.isfile(os.path.join(indir, name)):
             raise ArchiveError(f"missing {name} in {indir}")
@@ -151,13 +168,19 @@ def read_solution(indir):
         if not os.path.isfile(path) or _hash_file(path) != want:
             tampered = True
 
+    res_path = os.path.join(indir, "residuals.csv")
     try:
         params = GasParams(**meta["params"])
         theta = float(meta["theta_w_rad"])
         n1, n2 = int(meta["n1"]), int(meta["n2"])
-        shock_rows = np.loadtxt(os.path.join(indir, "shock.csv"), delimiter=",", skiprows=1)
-        field_rows = np.loadtxt(os.path.join(indir, "field.csv"), delimiter=",", skiprows=1)
-    except (KeyError, ValueError, OSError) as exc:
+        if n1 < 3 or n2 < 5:
+            raise ArchiveError(f"grid {n1} x {n2} in meta.json is smaller than 3 x 5")
+        shock_rows = _table(os.path.join(indir, "shock.csv"), 4)
+        field_rows = _table(os.path.join(indir, "field.csv"), 8)
+        history = ([(int(r[0]), float(r[1]), float(r[2])) for r in _table(res_path, 3)]
+                   if os.path.isfile(res_path) else [])
+        metadata = dict(meta.get("metadata", {}))
+    except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
         raise ArchiveError(f"inconsistent archive: {exc}") from exc
 
     config = build_configuration(params, theta)
@@ -176,16 +199,6 @@ def read_solution(indir):
     if float(np.max(np.abs(xi - mesh.nodes))) > 1e-6 * scale:
         raise ArchiveError("field.csv node coordinates disagree with the rebuilt mesh")
 
-    history = []
-    res_path = os.path.join(indir, "residuals.csv")
-    if os.path.isfile(res_path):
-        with warnings.catch_warnings():
-            # a header-only file is an empty history
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(res_path, delimiter=",", skiprows=1, ndmin=2)
-        history = [(int(r[0]), float(r[1]), float(r[2])) for r in data]
-
-    metadata = dict(meta.get("metadata", {}))
     metadata["archive_dir"] = os.path.abspath(indir)
     sol = SolutionField(
         config=config,

@@ -19,18 +19,13 @@ import logging
 import math
 import os
 import sys
+import typing
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import admissibility, archive
-from .errors import (
-    ArchiveError,
-    AttachedShockDetected,
-    DetachedWedgeAngle,
-    ShockReflError,
-    ValidationError,
-)
+from .errors import AttachedShockDetected, DetachedWedgeAngle, ShockReflError, ValidationError
 from .gas import GasParams
 from .relations import angle_diagram, state2_solve, detachment_angle
 from .solver import BRIDGED_FAILURES, IterationParams, continuation_sweep, fixed_point_solve
@@ -111,7 +106,7 @@ def build_parser():
     p = sub.add_parser("solve", help="free-boundary solve at one angle")
     _common(p)
     _solver_opts(p)
-    p.add_argument("--theta", type=float, required=True, help="wedge angle in degrees")
+    p.add_argument("--theta", type=float, default=None, help="wedge angle in degrees (or theta in --config)")
     p.add_argument("--init", default=None, help="warm-start archive directory")
     p.add_argument("--sweep-step", type=float, default=None,
                    help="internal warm-up sweep step in degrees")
@@ -119,7 +114,7 @@ def build_parser():
     p = sub.add_parser("sweep", help="continuation family over a descending grid")
     _common(p)
     _solver_opts(p)
-    p.add_argument("--theta-grid", required=True, help="degrees 'start:stop:step', start at 90")
+    p.add_argument("--theta-grid", default=None, help="degrees 'start:stop:step', start at 90 (or theta_grid in --config)")
 
     p = sub.add_parser("verify", help="recompute the report of an archive")
     _common(p)
@@ -128,18 +123,39 @@ def build_parser():
 
 
 def _run_config_from_args(args):
+    """The RunConfig of a command: defaults, then the --config file's fields,
+    each checked against its field's type, then the flags given."""
     cfg = RunConfig()
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"unreadable config file {args.config}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValidationError(f"config file {args.config} is not a JSON object")
+        types = {f.name: f.type for f in fields(RunConfig)}
         for k, v in data.items():
-            if not hasattr(cfg, k):
+            if k not in types:
                 raise ValidationError(f"unknown RunConfig field {k!r} in {args.config}")
+            kinds = typing.get_args(types[k]) or (types[k],)
+            # a float field also takes an int; no field takes a bool
+            if isinstance(v, bool) or not any(isinstance(v, (int, float) if t is float else t) for t in kinds):
+                kind = getattr(types[k], "__name__", types[k])
+                raise ValidationError(f"{k} = {v!r} in {args.config} is not of type {kind}")
             setattr(cfg, k, v)
     for k in vars(cfg):
         if hasattr(args, k) and getattr(args, k) is not None:
             setattr(cfg, k, getattr(args, k))
     return cfg
+
+
+def _required(cfg, name):
+    """A RunConfig value that the command needs, from a flag or the config file."""
+    value = getattr(cfg, name)
+    if value is None:
+        raise ValidationError(f"--{name.replace('_', '-')} is required (as a flag or in --config)")
+    return value
 
 
 def _radians(deg):
@@ -235,7 +251,7 @@ def _report_and_write(sol, outdir, run_config):
 def cmd_solve(args):
     cfg = _run_config_from_args(args)
     gas = cfg.gas()
-    theta = _radians(cfg.theta)
+    theta = _radians(_required(cfg, "theta"))
     if theta != math.pi / 2.0:
         state2_solve(gas, theta)  # raises DetachedWedgeAngle below theta_d
     if cfg.init is not None:
@@ -273,11 +289,8 @@ def _parse_descending_grid(spec):
 def cmd_sweep(args):
     cfg = _run_config_from_args(args)
     gas = cfg.gas()
-    degs = _parse_descending_grid(cfg.theta_grid)
-    grid = [_radians(d) for d in degs]
-    if grid[0] != math.pi / 2.0:
-        raise ValidationError("sweep grid must start at 90 degrees")
-    result = continuation_sweep(gas, grid, cfg.iteration_params())
+    degs = _parse_descending_grid(_required(cfg, "theta_grid"))
+    result = continuation_sweep(gas, [_radians(d) for d in degs], cfg.iteration_params())
     for theta, error in result.bridges:
         log.info("bridged %s at theta=%.4f deg by halving the step", error, math.degrees(theta))
     for sol in result.members[1:]:  # every member after the exact normal reflection
@@ -333,9 +346,6 @@ def main(argv=None):
     except AttachedShockDetected as exc:
         print(f"AttachedShockDetected: {exc}", file=sys.stderr)
         return EXIT_ATTACHED
-    except (ValidationError, DetachedWedgeAngle, ArchiveError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ShockReflError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT

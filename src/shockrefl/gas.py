@@ -24,9 +24,7 @@ GAMMA_RANGE = (1.0, 3.0)
 class GasParams:
     """Upstream data: densities of states (0) and (1) and the adiabatic exponent.
 
-    The Bernoulli constant is derived so that rho0^(gamma-1) = (gamma-1)*B0 + 1
-    holds by construction.  gamma outside (1, 3] is rejected (powers become
-    ill-conditioned there).
+    gamma outside (1, 3] is rejected (powers become ill-conditioned there).
     """
 
     rho0: float
@@ -44,11 +42,6 @@ class GasParams:
             raise ValidationError(f"gamma must exceed 1, got {self.gamma}")
         if self.gamma > GAMMA_RANGE[1]:
             raise ValidationError(f"gamma={self.gamma} outside ({GAMMA_RANGE[0]}, {GAMMA_RANGE[1]}]")
-
-    @property
-    def bernoulli(self):
-        """B0 = (rho0^(gamma-1) - 1)/(gamma-1)."""
-        return (self.rho0 ** (self.gamma - 1.0) - 1.0) / (self.gamma - 1.0)
 
     @property
     def rho0_pow(self):
@@ -157,11 +150,6 @@ def ellipticity_margin(grad, phi, params):
     if np.any(arg < 0.0):
         raise VacuumReached("c_star argument negative: past vacuum")
     return np.sqrt(arg) - speed
-
-
-def uniform_potential(state, xi):
-    """Evaluate (phi, Dphi) of a uniform state at xi; xi of shape (2,) or (..., 2)."""
-    return state.potential(xi), state.gradient(xi)
 
 
 def make_uniform_state(u, v, k, params):

@@ -239,14 +239,6 @@ class SquareMap:
     def n2(self):
         return self.grid.n2
 
-    @property
-    def a_grid(self):
-        return self.grid.a
-
-    @property
-    def w_grid(self):
-        return self.grid.w
-
     @functools.cached_property
     def max_spacing(self):
         """Largest physical edge length of the grid."""
@@ -315,7 +307,7 @@ def _assemble_map(coons, n1, n2, stretch, degenerate):
                      degenerate_sonic=degenerate)
 
 
-def build_square_map(config, shock, n1, n2, stretch="sqrt"):
+def build_square_map(config, shock, n1, n2):
     """Transfinite mesh of the elliptic region for a configuration and shock.
 
     Raises FoldedMesh when the discrete Jacobian changes sign anywhere away
@@ -337,7 +329,7 @@ def build_square_map(config, shock, n1, n2, stretch="sqrt"):
         dang = (ang4 - ang1 + math.pi) % (2.0 * math.pi) - math.pi
         sonic_side = Arc(config.sonic_center, config.sonic_radius, ang1, dang)
     coons = CoonsMap(shock, wedge_side, sym_side, sonic_side, corners=(p2, p3, p1, p4))
-    return _assemble_map(coons, n1, n2, stretch, degenerate)
+    return _assemble_map(coons, n1, n2, "sqrt", degenerate)
 
 
 def quad_map(p2, p3, p4, p1, n1, n2, stretch="uniform"):

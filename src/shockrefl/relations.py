@@ -40,7 +40,7 @@ from .errors import (
     NonpositiveDensity,
     RootSeparationFailure,
 )
-from .gas import UniformState, density, make_uniform_state
+from .gas import UniformState, make_uniform_state
 
 # Scan/bisection controls (see module notes: bracketed bisection only, no
 # derivative methods; roots near detachment can be nearly tangent).
@@ -72,9 +72,7 @@ class State2Pair:
 
     weak: UniformState
     strong: UniformState
-    p0: tuple
     mach_p0_weak: float
-    theta_w: float
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ def state1(params, inc=None):
     return make_uniform_state(inc.u1, 0.0, inc.k1, params)
 
 
-def rh_residual(left, right, point, normal, params=None):
+def rh_residual(left, right, point, normal):
     """Rankine-Hugoniot residuals between two uniform states at a point.
 
     Returns (mass_jump, potential_jump) where
@@ -137,11 +135,9 @@ def rh_residual(left, right, point, normal, params=None):
         mass_jump      = [rho(|Dphi|^2, phi) Dphi . nu],
         potential_jump = [phi],
 
-    evaluated left-minus-right.  Both vanish iff the point can lie on a valid
-    discontinuity between the states with that normal.  When params is given
-    the densities are recomputed through the closure (exercising the
-    xi-independence of the closure on uniform states); otherwise the stored
-    densities are used.
+    evaluated left-minus-right with the states' stored densities.  Both
+    vanish iff the point can lie on a valid discontinuity between the states
+    with that normal.
     """
     point = np.asarray(point, dtype=float)
     nu = np.asarray(normal, dtype=float)
@@ -149,12 +145,7 @@ def rh_residual(left, right, point, normal, params=None):
     out_phi = []
     for st in (left, right):
         phi = st.potential(point)
-        grad = st.gradient(point)
-        if params is not None:
-            rho = density(np.sum(grad * grad, axis=-1), phi, params)
-        else:
-            rho = st.rho
-        out_mass.append(rho * np.sum(grad * nu, axis=-1))
+        out_mass.append(st.rho * np.sum(st.gradient(point) * nu, axis=-1))
         out_phi.append(phi)
     return out_mass[0] - out_mass[1], out_phi[0] - out_phi[1]
 
@@ -397,18 +388,11 @@ def state2_solve(params, theta_w):
     """
     if not 0.0 < theta_w <= math.pi / 2.0:
         raise DetachedWedgeAngle(f"theta_w={theta_w} outside (0, pi/2]")
-    inc = incident_state(params)
-
     if abs(theta_w - math.pi / 2.0) < NORMAL_ANGLE_TOL:
         _, rest = normal_reflection_state(params)
-        return State2Pair(
-            weak=rest,
-            strong=rest,
-            p0=(inc.xi1_0, math.inf),
-            mach_p0_weak=math.inf,
-            theta_w=theta_w,
-        )
+        return State2Pair(weak=rest, strong=rest, mach_p0_weak=math.inf)
 
+    inc = incident_state(params)
     scan = _window_scan(theta_w, params, inc)
     brackets = _root_brackets(scan)
     tangent_pair = False
@@ -437,13 +421,7 @@ def state2_solve(params, theta_w):
 
     weak, mach_p0_weak = _weak_state(brackets, theta_w, params, inc)
     strong = _pair_from_u2(_root(brackets[1], theta_w, params, inc), theta_w, params, inc)
-    pair = State2Pair(
-        weak=weak,
-        strong=strong,
-        p0=(inc.xi1_0, inc.xi1_0 * math.tan(theta_w)),
-        mach_p0_weak=mach_p0_weak,
-        theta_w=theta_w,
-    )
+    pair = State2Pair(weak=weak, strong=strong, mach_p0_weak=mach_p0_weak)
     for st in (weak, strong):
         res = state2_residuals(st, theta_w, params, inc)
         worst = max(abs(r) for r in res)

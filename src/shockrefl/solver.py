@@ -38,6 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # unused here; perfbench/instrument.py replaces solver.spla
+from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import lapack
 
 from .distance import c1_family_distance
@@ -696,14 +697,10 @@ def _transport_shock(old, config):
     return config.shock_curve(pts)
 
 
-def _interp_logical(phi, mesh_from, mesh_to):
-    """Resample a field between meshes through the logical (a, w) square."""
-    from scipy.interpolate import RegularGridInterpolator
-
-    rgi = RegularGridInterpolator(
-        (mesh_from.a_grid, mesh_from.w_grid), phi, bounds_error=False, fill_value=None
-    )
-    aa, ww = np.meshgrid(mesh_to.a_grid, mesh_to.w_grid, indexing="ij")
+def _interp_logical(values, grid_from, grid_to):
+    """Resample nodal values from one logical grid onto another through the (a, w) square."""
+    rgi = RegularGridInterpolator((grid_from.a, grid_from.w), values, bounds_error=False, fill_value=None)
+    aa, ww = np.meshgrid(grid_to.a, grid_to.w, indexing="ij")
     return rgi(np.stack([aa, ww], axis=-1))
 
 
@@ -716,22 +713,24 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     rest state's potential.  One verification pass of the shock update
     (which must not move the exact flat shock) and of the interior residual
     is recorded.  Otherwise the shock is warm-started from `init` (transport
-    between angles) or from the cold-start curve, and each outer iteration
-    moves it by one `update_shock` over all earlier iterates of this solve,
-    until the applied displacement drops below tol_fixed_point.
+    between angles) or from the cold-start curve.  Each pass builds the mesh
+    on the current shock, solves the BVP and moves the shock by one
+    `update_shock` over all earlier iterates of this solve; the pass after
+    the applied displacement drops below tol_fixed_point solves at lin_tol
+    and ends the solve, so the field matches the converged shock.  Earlier
+    passes solve only as accurately as the next shock correction needs.
     Every BVP starts from the state-(2) potential on its own mesh plus the
-    previous field's deviation from its state-(2) potential (resampled
-    through the logical square when the grid size differs, zero on a cold
-    start), so the sonic row starts at its Dirichlet values.
+    previous field's deviation from its state-(2) potential (zero on a cold
+    start; from a coarser grid, resampled once through the logical square),
+    so the sonic row starts at its Dirichlet values.
     metadata["newton_steps"] sums the Newton steps of every BVP of the
-    solve, the final one included, and metadata["warm_start_gap"] is the
-    largest distance, along the graph direction e, of a converged shock node
-    from the start shock (after transport; with grid sequencing, the coarse
-    solution's shock).
+    solve, and metadata["warm_start_gap"] is the largest distance, along the
+    graph direction e, of a converged shock node from the start shock (after
+    transport; with grid sequencing, the coarse solution's shock).
 
-    Raises NoConvergence after max_outer iterations, and DetachedWedgeAngle,
-    AttachedShockDetected, VacuumReached, EllipticityLost, GraphPropertyLost
-    as encountered.
+    Raises NoConvergence after max_outer solves and shock updates, and
+    DetachedWedgeAngle, AttachedShockDetected, VacuumReached,
+    EllipticityLost, GraphPropertyLost as encountered.
     """
     iter_params = iter_params or IterationParams()
     n1, n2 = iter_params.n1, iter_params.n2
@@ -765,6 +764,8 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     if init is not None:
         shock = _transport_shock(init.shock, config)
         dev = init.phi - init.config.state2.potential(init.mesh.nodes)
+        if dev.shape != (n1, n2):  # grid sequencing: from the coarse solution
+            dev = _interp_logical(dev, init.mesh.grid, logical_grid(n1, n2, init.mesh.grid.stretch))
     else:
         shock = initial_shock(config, n=max(n2, 65))
         dev = np.zeros((n1, n2))
@@ -774,36 +775,32 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     earlier = []  # (S, r) of every earlier iterate, for the quasi-Newton step
     newton_steps = 0
     movement = math.inf
-    for outer in range(1, iter_params.max_outer + 1):
+    while True:
         mesh = build_square_map(config, shock, n1, n2)
-        if dev.shape != (n1, n2):  # grid sequencing: from the coarse solution
-            dev = _interp_logical(dev, init.mesh, mesh)
-        # the BVP only needs to be as accurate as the next shock correction
-        lin_eff = max(iter_params.lin_tol, min(1e-5, 1e-3 * movement))
+        last = movement < iter_params.tol_fixed_point
+        # until the last pass the BVP only needs to be as accurate as the next shock correction
+        lin_tol = iter_params.lin_tol if last else max(iter_params.lin_tol, min(1e-5, 1e-3 * movement))
         phi, info = solve_bvp(config, mesh, config.state2.potential(mesh.nodes) + dev,
-                              replace(iter_params, lin_tol=lin_eff))
+                              replace(iter_params, lin_tol=lin_tol))
         newton_steps += info["newton_iters"]
+        if last:
+            break
         shock, upd = update_shock(phi, config, shock, mesh, earlier)
         earlier.append(upd["iterate"])
         movement = upd["movement"]
-        history.append((outer, movement, info["residual"]))
+        history.append((len(history) + 1, movement, info["residual"]))
         dev = phi - config.state2.potential(mesh.nodes)
-        if movement < iter_params.tol_fixed_point:
-            break
-    else:
-        raise NoConvergence(
-            f"shock movement {movement:.3e} after {iter_params.max_outer} outer iterations "
-            f"(tol {iter_params.tol_fixed_point:.1e}) at theta_w={math.degrees(theta_w):.4f} deg"
-        )
+        if len(history) == iter_params.max_outer and not movement < iter_params.tol_fixed_point:
+            raise NoConvergence(
+                f"shock movement {movement:.3e} after {iter_params.max_outer} outer iterations "
+                f"(tol {iter_params.tol_fixed_point:.1e}) at theta_w={math.degrees(theta_w):.4f} deg"
+            )
 
-    # final solve on the converged geometry so the field matches the shock
-    mesh = build_square_map(config, shock, n1, n2)
-    phi, info = solve_bvp(config, mesh, config.state2.potential(mesh.nodes) + dev, iter_params)
     return _solution(
         config, shock, mesh, phi, history,
         exact=False,
         outer_iterations=len(history),
-        newton_steps=newton_steps + info["newton_iters"],
+        newton_steps=newton_steps,
         warm_start_gap=float(np.max(np.abs(shock.s_values - start.graph_value(shock.t_values)[0]))),
         interior_residual=info["residual"],
         cap_outside_band=info["cap_outside_band"],
@@ -857,11 +854,15 @@ class SweepResult:
     """
 
     members: list
-    thetas: list
     status: str
     stop_reason: str | None = None
     failed_theta: float | None = None
     bridges: list = field(default_factory=list)
+
+    @property
+    def thetas(self):
+        """The wedge angle of each member."""
+        return [m.theta_w for m in self.members]
 
     @functools.cached_property
     def distances(self):
@@ -894,26 +895,26 @@ def _secant_start(a, b, theta_w):
 def continuation_sweep(params, theta_grid, iter_params=None):
     """March the family downward in angle, warm-starting each solve.
 
-    theta_grid must start at pi/2 and decrease.  A step from two members
-    off pi/2 starts from their secant prediction (_secant_start); the first
-    two steps after pi/2 start from the last member, as does any step whose
-    pair includes the exact normal reflection.  Each member (and bridge)
-    records metadata["predictor"], "secant" or "transport".  A step that
-    fails with one of BRIDGED_FAILURES is bridged by recursive midpoint
-    solves, SWEEP_HALVINGS levels deep, each predicted from the pair it
-    holds, and each halving is recorded in the result's bridges.  Stops
-    with the error's type name as status at DetachedWedgeAngle,
-    AttachedShockDetected or an unbridged failure; the partial family is
-    returned.
+    theta_grid must start at pi/2 and decrease (ValidationError otherwise).
+    A step from two members off pi/2 starts from their secant prediction
+    (_secant_start); the first two steps after pi/2 start from the last
+    member, as does any step whose pair includes the exact normal
+    reflection.  Each member (and bridge) records metadata["predictor"],
+    "secant" or "transport".  A step that fails with one of
+    BRIDGED_FAILURES is bridged by recursive midpoint solves, SWEEP_HALVINGS
+    levels deep, each predicted from the pair it holds, and each halving is
+    recorded in the result's bridges.  Stops with the error's type name as
+    status at DetachedWedgeAngle, AttachedShockDetected or an unbridged
+    failure; the partial family is returned.
     """
     iter_params = iter_params or IterationParams()
     thetas = [float(t) for t in theta_grid]
     if not thetas:
-        raise ValueError("empty angle grid")
+        raise ValidationError("empty angle grid")
     if abs(thetas[0] - math.pi / 2.0) >= NORMAL_ANGLE_TOL:
-        raise ValueError("continuation must start at theta_w = pi/2")
+        raise ValidationError("continuation must start at theta_w = pi/2")
     if any(t2 >= t1 for t1, t2 in zip(thetas, thetas[1:])):
-        raise ValueError("angle grid must be strictly decreasing")
+        raise ValidationError("angle grid must be strictly decreasing")
 
     bridges = []
 
@@ -932,7 +933,6 @@ def continuation_sweep(params, theta_grid, iter_params=None):
         return sol
 
     members = [fixed_point_solve(params, thetas[0], iter_params)]
-    out_thetas = [thetas[0]]
     status = "completed"
     stop_reason = None
     failed_theta = None
@@ -945,10 +945,8 @@ def continuation_sweep(params, theta_grid, iter_params=None):
             failed_theta = target
             break
         members.append(sol)
-        out_thetas.append(target)
     return SweepResult(
         members=members,
-        thetas=out_thetas,
         status=status,
         stop_reason=stop_reason,
         failed_theta=failed_theta,

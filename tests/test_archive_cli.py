@@ -12,7 +12,7 @@ import pytest
 from shockrefl import GasParams, IterationParams, cli, fixed_point_solve, solver
 from shockrefl.archive import read_solution, write_solution
 from shockrefl.cli import main
-from shockrefl.errors import ArchiveError, EllipticityLost, GraphPropertyLost
+from shockrefl.errors import ArchiveError, EllipticityLost, GraphPropertyLost, ShockReflError, TooFewSamples
 from shockrefl.gas import bernoulli_base, ellipticity_margin
 
 
@@ -95,6 +95,44 @@ def test_archive_without_residuals_hash_reads_untampered(small_run, tmp_path):
     back, tampered = read_solution(str(copy_dir))
     assert not tampered
     assert back.residual_history == small_run[0].residual_history
+
+
+def _edit_csv(arch, name, edit):
+    """Rewrite each data line (not the header) of a CSV as edit(cells)."""
+    header, *rows = (arch / name).read_text().splitlines()
+    (arch / name).write_text("\n".join([header] + [",".join(edit(r.split(","))) for r in rows]) + "\n")
+
+
+@pytest.mark.parametrize("edit, error", [
+    pytest.param(lambda arch: (arch / "meta.json").write_text("[]"), ArchiveError, id="meta_not_an_object"),
+    pytest.param(lambda arch: _edit_meta(arch, lambda meta: meta["params"].update(mu=1.0)), ArchiveError,
+                 id="params_extra_key"),
+    pytest.param(lambda arch: _edit_meta(arch, lambda meta: meta.update(params=[1.0, 2.0, 2.0])), ArchiveError,
+                 id="params_a_list"),
+    pytest.param(lambda arch: _edit_meta(arch, lambda meta: meta.update(n1=None)), ArchiveError, id="n1_null"),
+    pytest.param(lambda arch: _edit_meta(arch, lambda meta: meta.update(n1=True)), ArchiveError, id="n1_true"),
+    pytest.param(lambda arch: _edit_csv(arch, "residuals.csv", lambda cells: cells[:2] + ["abc"]), ArchiveError,
+                 id="residuals_not_numeric"),
+    pytest.param(lambda arch: _edit_csv(arch, "residuals.csv", lambda cells: cells[:2]), ArchiveError,
+                 id="residuals_two_columns"),
+    pytest.param(lambda arch: (arch / "shock.csv").write_text(
+        "\n".join((arch / "shock.csv").read_text().splitlines()[:2]) + "\n"), TooFewSamples, id="shock_one_row"),
+    pytest.param(lambda arch: _edit_csv(arch, "shock.csv", lambda cells: cells[:3]), ArchiveError,
+                 id="shock_three_columns"),
+])
+def test_malformed_archive_raises_typed_error_and_verify_exits_2(small_run, tmp_path, capsys, edit, error):
+    """A malformed archive raises a typed error, never a bare Python one, and
+    verify exits 2 with that error's name."""
+    import shutil
+
+    arch = tmp_path / "bad"
+    shutil.copytree(small_run[1], arch)
+    edit(arch)
+    with pytest.raises(ShockReflError) as info:
+        read_solution(str(arch))
+    assert type(info.value) is error
+    assert main(["verify", str(arch)]) == 2
+    assert capsys.readouterr().err.startswith(f"{error.__name__}: ")
 
 
 def test_archive_missing_file(tmp_path):
@@ -298,6 +336,7 @@ def test_sweep_predictor_and_warm_start_gap_reach_the_archive(tmp_path, caplog, 
 
 @pytest.mark.parametrize("command, spec", [
     pytest.param("sweep", "80:90:1", id="sweep_empty"),
+    pytest.param("sweep", "89:85:1", id="sweep_not_from_90"),
     pytest.param("sweep", "90:85", id="sweep_two_numbers"),
     pytest.param("sweep", "90:abc:1", id="sweep_not_a_number"),
     pytest.param("polar", "90:85:0.5", id="polar_fractional_num"),
@@ -325,7 +364,7 @@ def test_cli_config_file(tmp_path, monkeypatch):
 
     def stub_sweep(params, theta_grid, iter_params):
         grids.append([round(math.degrees(t), 9) for t in theta_grid])
-        return solver.SweepResult(members=[], thetas=[], status="NoConvergence", stop_reason="stub")
+        return solver.SweepResult(members=[], status="NoConvergence", stop_reason="stub")
 
     monkeypatch.setattr(cli, "continuation_sweep", stub_sweep)
     cfgfile.write_text(json.dumps({"sweep_step": 2.0}))
@@ -334,12 +373,49 @@ def test_cli_config_file(tmp_path, monkeypatch):
         assert grids.pop() == grid
 
 
+@pytest.mark.parametrize("command, config", [
+    pytest.param(["angles"], [1, 2], id="not_an_object"),
+    pytest.param(["solve", "--theta", "89"], {"n1": "33"}, id="n1_a_string"),
+    pytest.param(["solve", "--theta", "89"], {"n1": 33.0}, id="n1_a_float"),
+    pytest.param(["angles"], {"gamma": "2"}, id="gamma_a_string"),
+    pytest.param(["angles"], {"rho1": None}, id="rho1_null"),
+    pytest.param(["polar"], {"theta_grid": 5}, id="theta_grid_a_number"),
+])
+def test_cli_malformed_config_file_exits_2(tmp_path, monkeypatch, capsys, command, config):
+    """Each config value must have its RunConfig field's type."""
+    monkeypatch.setattr(cli, "continuation_sweep", lambda *args: pytest.fail("a malformed config ran"))
+    cfgfile = tmp_path / "rc.json"
+    cfgfile.write_text(json.dumps(config))
+    assert main(command + ["--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("ValidationError: ")
+
+
+def test_cli_theta_and_theta_grid_may_come_from_the_config_file(tmp_path, monkeypatch):
+    grids = []
+
+    def stub_sweep(params, theta_grid, iter_params):
+        grids.append([round(math.degrees(t), 9) for t in theta_grid])
+        return solver.SweepResult(members=[], status="NoConvergence", stop_reason="stub",
+                                  failed_theta=theta_grid[-1])
+
+    monkeypatch.setattr(cli, "continuation_sweep", stub_sweep)
+    cfgfile = tmp_path / "rc.json"
+    for command, config in ((["solve"], {"theta": 89}), (["sweep"], {"theta_grid": "90:88:1"})):
+        cfgfile.write_text(json.dumps(config))
+        assert main(command + ["--config", str(cfgfile), "--out", str(tmp_path)]) == 3
+    assert grids == [[90.0, 89.0], [90.0, 89.0, 88.0]]
+    # without the file, the value is missing: exit 2 as for any input error
+    for command in (["solve"], ["sweep"]):
+        assert main(command + ["--out", str(tmp_path)]) == 2
+    assert len(grids) == 2
+
+
 def test_cli_solver_flags_reach_iteration_params(tmp_path, monkeypatch):
     seen = []
 
     def stub_sweep(params, theta_grid, iter_params):
         seen.append(iter_params)
-        return solver.SweepResult(members=[], thetas=[], status="NoConvergence", stop_reason="stub")
+        return solver.SweepResult(members=[], status="NoConvergence", stop_reason="stub")
 
     monkeypatch.setattr(cli, "continuation_sweep", stub_sweep)
     want = IterationParams(n1=17, n2=21, cutoff_width=0.05, tol_fixed_point=3e-6, max_outer=7, lin_tol=2e-8)

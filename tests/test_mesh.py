@@ -38,7 +38,7 @@ def test_sides_land_on_boundary_curves(gas_122, mesh85):
 
 def test_rectangle_map_is_affine():
     sm = quad_map([-1.2, 0.0], [0.0, 0.0], [0.0, 1.3], [-1.2, 1.3], 9, 11)
-    aa, ww = np.meshgrid(sm.a_grid, sm.w_grid, indexing="ij")
+    aa, ww = np.meshgrid(sm.grid.a, sm.grid.w, indexing="ij")
     assert np.allclose(sm.nodes[..., 0], -1.2 * (1.0 - aa))
     assert np.allclose(sm.nodes[..., 1], 1.3 * ww)
     assert np.ptp(sm.jac) < 1e-14

@@ -139,7 +139,7 @@ def _noisy_field(gas, deg, n1, n2):
     cfg = build_configuration(gas, math.radians(deg))
     mesh = build_square_map(cfg, initial_shock(cfg), n1, n2)
     disc, cap, dirichlet_vals, rhs = solver._bvp_data(cfg, mesh, IterationParams(n1=n1, n2=n2), None)
-    noise = np.random.default_rng(1).standard_normal((n1, n2)) * (1.0 - mesh.w_grid) ** 2
+    noise = np.random.default_rng(1).standard_normal((n1, n2)) * (1.0 - mesh.grid.w) ** 2
     phi = cfg.state2.potential(mesh.nodes) + 0.02 * noise
     phi[:, -1] = dirichlet_vals
     return cfg, mesh, disc, cap, rhs, phi
@@ -350,7 +350,7 @@ def test_normal_reflection_exactness_and_rh(gas_122):
     s1 = state1(gas_122)
     xbar = sol.shock.points[0, 0]
     for y in (0.1, 0.5, 1.2):
-        m, p = rh_residual(s1, rest, np.array([xbar, y]), np.array([1.0, 0.0]), gas_122)
+        m, p = rh_residual(s1, rest, np.array([xbar, y]), np.array([1.0, 0.0]))
         assert abs(m) < 1e-12 and abs(p) < 1e-12
     assert rest.rho > gas_122.rho1
 
@@ -481,9 +481,67 @@ def test_sweep_records_no_bridges_on_the_family33_grid(gas_122):
 def test_sweep_start_must_be_the_normal_reflection_angle(gas_122):
     """A start that fixed_point_solve would not treat as pi/2 is refused."""
     start = math.pi / 2.0 - 5e-13
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         solver.continuation_sweep(gas_122, [start, math.radians(89.0)],
                                   IterationParams(n1=17, n2=17))
+
+
+@pytest.mark.parametrize("degs", [
+    pytest.param([], id="empty"),
+    pytest.param([89.0, 88.0], id="not_at_90"),
+    pytest.param([90.0, 89.0, 89.0], id="not_decreasing"),
+    pytest.param([90.0, 88.0, 89.0], id="rising"),
+])
+def test_sweep_grid_checks_raise_validation_error(gas_122, monkeypatch, degs):
+    """A grid that is empty, does not start at pi/2 or does not decrease is
+    refused before any solve."""
+    monkeypatch.setattr(solver, "fixed_point_solve", lambda *a, **k: pytest.fail("solved"))
+    grid = [math.pi / 2.0 if d == 90.0 else math.radians(d) for d in degs]
+    with pytest.raises(ValidationError):
+        solver.continuation_sweep(gas_122, grid, IterationParams(n1=17, n2=17))
+
+
+def _recorded_solve(gas, monkeypatch, ip):
+    """fixed_point_solve at 89 deg from the exact 90-degree member, with the
+    lin_tol of every solve_bvp call and the number of shock updates."""
+    init = fixed_point_solve(gas, math.pi / 2.0, ip)
+    tols, updates = [], []
+    unrecorded_bvp, unrecorded_update = solver.solve_bvp, solver.update_shock
+
+    def bvp(config, mesh, phi_init, iter_params):
+        tols.append(iter_params.lin_tol)
+        return unrecorded_bvp(config, mesh, phi_init, iter_params)
+
+    def update(*args, **kwargs):
+        updates.append(1)
+        return unrecorded_update(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_bvp", bvp)
+    monkeypatch.setattr(solver, "update_shock", update)
+    try:
+        return fixed_point_solve(gas, math.radians(89.0), ip, init=init), tols, len(updates)
+    except NoConvergence as exc:
+        return exc, tols, len(updates)
+
+
+def test_fixed_point_solve_ends_with_one_solve_at_lin_tol(gas_122, monkeypatch):
+    """Each pass solves the BVP once; the pass after convergence solves at
+    lin_tol and updates no shock, and each earlier pass only as accurately as
+    the last shock movement asks."""
+    ip = IterationParams(n1=17, n2=17)
+    sol, tols, updates = _recorded_solve(gas_122, monkeypatch, ip)
+    outer = sol.metadata["outer_iterations"]
+    assert len(tols) == outer + 1 and updates == outer == len(sol.residual_history)
+    movements = [math.inf] + [movement for _, movement, _ in sol.residual_history[:-1]]
+    assert tols[:-1] == [max(ip.lin_tol, min(1e-5, 1e-3 * m)) for m in movements]
+    assert tols[-1] == ip.lin_tol
+
+
+def test_fixed_point_solve_gives_up_after_max_outer_without_a_further_solve(gas_122, monkeypatch):
+    ip = IterationParams(n1=17, n2=17, max_outer=2, tol_fixed_point=1e-12)
+    exc, tols, updates = _recorded_solve(gas_122, monkeypatch, ip)
+    assert isinstance(exc, NoConvergence) and "after 2 outer iterations" in str(exc)
+    assert len(tols) == 2 and updates == 2
 
 
 def test_iteration_params_reject_invalid_grids_and_cutoff():
