@@ -25,7 +25,7 @@ from .errors import ArchiveError
 from .gas import GasParams, bernoulli_base, ellipticity_margin
 from .geometry import build_configuration
 from .mesh import build_square_map
-from .solver import SolutionField
+from .solver import IterationParams, SolutionField
 
 FMT = "%.17g"
 
@@ -180,6 +180,8 @@ def read_solution(indir):
         history = ([(int(r[0]), float(r[1]), float(r[2])) for r in _table(res_path, 3)]
                    if os.path.isfile(res_path) else [])
         metadata = dict(meta.get("metadata", {}))
+        # the band width check_ellipticity reads: None, or what a solve accepts
+        IterationParams(cutoff_width=metadata.get("cutoff_width"))
     except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
         raise ArchiveError(f"inconsistent archive: {exc}") from exc
 

@@ -42,6 +42,7 @@ EXIT_ATTACHED = 5
 # detachment keeps its partial family and exits 0
 _SWEEP_EXIT = {exc.__name__: EXIT_NO_CONVERGENCE for exc in BRIDGED_FAILURES}
 _SWEEP_EXIT["AttachedShockDetected"] = EXIT_ATTACHED
+MAX_ANGLES = 100_000  # most angles one grid may list, checked before any is built
 
 
 @dataclass
@@ -117,7 +118,7 @@ def build_parser():
     p.add_argument("--theta-grid", default=None, help="degrees 'start:stop:step', start at 90 (or theta_grid in --config)")
 
     p = sub.add_parser("verify", help="recompute the report of an archive")
-    _common(p)
+    p.add_argument("--log-level", default="warning")
     p.add_argument("path", help="archive directory")
     return ap
 
@@ -174,6 +175,12 @@ def _grid_spec(spec, form):
     return numbers
 
 
+def _check_angle_count(count, what):
+    """Reject a grid that asks for more than MAX_ANGLES angles (or an infinite number)."""
+    if not count <= MAX_ANGLES:
+        raise ValidationError(f"{what} asks for {count:.6g} angles, more than {MAX_ANGLES}")
+
+
 def cmd_angles(args):
     cfg = _run_config_from_args(args)
     gas = cfg.gas()
@@ -201,6 +208,7 @@ def cmd_polar(args):
         start, stop, num = _grid_spec(cfg.theta_grid, "start:stop:num")
         if num != int(num) or num < 1:
             raise ValidationError(f"--theta-grid {cfg.theta_grid!r}: num must be a positive integer")
+        _check_angle_count(num, f"--theta-grid {cfg.theta_grid!r}")
         thetas = np.linspace(start, stop, int(num))
     else:
         thetas = np.linspace(math.degrees(theta_d) - 0.5, 90.0, 200)
@@ -236,7 +244,9 @@ def _warmup_grid(theta, step_deg):
         raise ValidationError(f"--sweep-step {step_deg!r} must be finite and positive")
     step = math.radians(step_deg)
     # the margin keeps a theta that lies on the step grid from being listed twice
-    n = math.ceil((math.pi / 2.0 - theta) / step - 1e-9)
+    intervals = (math.pi / 2.0 - theta) / step - 1e-9
+    _check_angle_count(intervals + 1.0, f"--sweep-step {step_deg!r}")
+    n = math.ceil(intervals)
     return [math.pi / 2.0 - k * step for k in range(n)] + [theta]
 
 
@@ -280,7 +290,9 @@ def _parse_descending_grid(spec):
     start, stop, step = _grid_spec(spec, "start:stop:step")
     if step <= 0:
         raise ValidationError("sweep step must be positive")
-    n = int(round((start - stop) / step))
+    intervals = (start - stop) / step
+    _check_angle_count(intervals + 1.0, f"grid {spec!r}")
+    n = int(round(intervals))
     if n < 0 or abs(start - stop - n * step) > 1e-9:
         raise ValidationError(f"grid {spec!r} is not a descending arithmetic grid")
     return [start - k * step for k in range(n + 1)]
@@ -322,7 +334,6 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    cfg = _run_config_from_args(args)
     sol, tampered = archive.read_solution(args.path)
     if tampered:
         print("warning: archive hash mismatch (tampered or edited files)", file=sys.stderr)

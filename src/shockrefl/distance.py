@@ -15,9 +15,9 @@ import numpy as np
 from .errors import EmptyOverlap
 
 
-def _field_interpolator(sol):
-    grad = sol.gradient().reshape(-1, 2)
-    return sol.mesh.interpolant(np.column_stack([sol.phi.reshape(-1), grad]))
+def _field_samples(sol):
+    """(phi, Dphi) at every node, one row per node."""
+    return np.column_stack([sol.phi.reshape(-1), sol.gradient().reshape(-1, 2)])
 
 
 def _points_to_polyline(pts, poly):
@@ -53,15 +53,12 @@ def c1_family_distance(sol_a, sol_b):
     admissible solutions are convex, so the hull is the domain up to
     discretization).  Raises EmptyOverlap when no nodes overlap either way.
     """
-    interp_a = _field_interpolator(sol_a)
-    interp_b = _field_interpolator(sol_b)
-    worst_val = 0.0
-    worst_grad = 0.0
+    samples_a, samples_b = _field_samples(sol_a), _field_samples(sol_b)
+    worst_val = worst_grad = 0.0
     n_used = 0
-    for sol, other in ((sol_a, interp_b), (sol_b, interp_a)):
-        pts = sol.mesh.nodes.reshape(-1, 2)
-        own = np.column_stack([sol.phi.reshape(-1), sol.gradient().reshape(-1, 2)])
-        theirs = other(pts)
+    for sol, own, other in ((sol_a, samples_a, sol_b.mesh.interpolant(samples_b)),
+                            (sol_b, samples_b, sol_a.mesh.interpolant(samples_a))):
+        theirs = other(sol.mesh.nodes.reshape(-1, 2))
         ok = ~np.isnan(theirs[:, 0])
         if not np.any(ok):
             continue

@@ -1,10 +1,14 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from shockrefl import ShockCurve, TooFewSamples
 from shockrefl.admissibility import (
+    ENDPOINT_SKIP,
+    FARFIELD_TOL,
+    check_cone_monotonicity,
     check_ellipticity,
     check_far_field,
     check_graph_and_convexity,
@@ -15,6 +19,7 @@ from shockrefl.admissibility import (
     full_report,
     grid_tolerance,
 )
+from shockrefl.geometry import E_XI2
 from falsification import (
     nonconvex_shock,
     pinching_bump,
@@ -154,7 +159,6 @@ def test_nonconvex_shock_fails(sol85_n65):
 
 def test_too_few_samples():
     pts = np.array([[0.0, 1.0], [0.0, 0.5], [0.0, 0.0]])
-    curve = ShockCurve.__new__(ShockCurve)  # bypass __init__ min-sample guard
     with pytest.raises(TooFewSamples):
         ShockCurve(e=np.array([-1.0, 0.0]), points=pts,
                    tau_p1=np.array([0.0, -1.0]), tau_p2=np.array([0.0, 1.0]))
@@ -176,6 +180,35 @@ def test_tangent_distance_circle_arc_is_constant():
 def test_tangent_distance_monotone_on_converged(sol85_n65):
     rec = check_tangent_distance(sol85_n65.shock)
     assert rec.passed  # diagnostic never gates
+
+
+@pytest.mark.parametrize("boundary_dir", ["e_xi2", "e_s1"])
+def test_cone_monotonicity_fails_on_the_shock_row(sol85_n65, boundary_dir):
+    """A ramp of phi along a boundary cone direction breaks d_e(phi1 - phi) <= 0
+    on the shock, found at an interior shock node; interior directions stay strict."""
+    sol = sol85_n65
+    e = np.array(E_XI2) if boundary_dir == "e_xi2" else sol.config.e_s1
+    bad = copy.copy(sol)
+    bad.phi = sol.phi - 2.0 * grid_tolerance(sol) * (sol.mesh.nodes @ e)
+    rec = check_cone_monotonicity(bad)
+    assert not rec.passed
+    assert rec.worst == rec.details[f"shock_{boundary_dir}"] > rec.tolerance
+    assert all(v < 0.0 for k, v in rec.details.items() if k.startswith("interior_dir_"))
+    n2 = sol.phi.shape[1]
+    shock_nodes = [tuple(float(x) for x in sol.mesh.nodes[0, j]) for j in range(ENDPOINT_SKIP, n2 - ENDPOINT_SKIP)]
+    assert rec.location in shock_nodes
+
+
+def test_far_field_detects_wrong_state2(sol85_n65):
+    """State (2) off its polar by 1% fails the RH residual on P0P1, not the incident one."""
+    cfg = sol85_n65.config
+    bad = copy.copy(sol85_n65)
+    bad.config = dataclasses.replace(
+        cfg, state2=dataclasses.replace(cfg.state2, u=cfg.state2.u * 1.01, v=cfg.state2.v * 1.01))
+    rec = check_far_field(bad)
+    assert not rec.passed
+    assert rec.details["p0p1_worst"] > 1e-3
+    assert rec.details["incident_worst"] < FARFIELD_TOL
 
 
 def test_far_field_passes_and_detects_tampering(sol85_n65):

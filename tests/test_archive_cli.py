@@ -103,6 +103,11 @@ def _edit_csv(arch, name, edit):
     (arch / name).write_text("\n".join([header] + [",".join(edit(r.split(","))) for r in rows]) + "\n")
 
 
+def _set_cutoff_width(width):
+    """An edit of meta.json's metadata.cutoff_width, the band width check_ellipticity reads."""
+    return lambda arch: _edit_meta(arch, lambda meta: meta["metadata"].update(cutoff_width=width))
+
+
 @pytest.mark.parametrize("edit, error", [
     pytest.param(lambda arch: (arch / "meta.json").write_text("[]"), ArchiveError, id="meta_not_an_object"),
     pytest.param(lambda arch: _edit_meta(arch, lambda meta: meta["params"].update(mu=1.0)), ArchiveError,
@@ -119,6 +124,11 @@ def _edit_csv(arch, name, edit):
         "\n".join((arch / "shock.csv").read_text().splitlines()[:2]) + "\n"), TooFewSamples, id="shock_one_row"),
     pytest.param(lambda arch: _edit_csv(arch, "shock.csv", lambda cells: cells[:3]), ArchiveError,
                  id="shock_three_columns"),
+    pytest.param(_set_cutoff_width("x"), ArchiveError, id="cutoff_width_string"),
+    pytest.param(_set_cutoff_width([1, 2]), ArchiveError, id="cutoff_width_list"),
+    pytest.param(_set_cutoff_width(math.nan), ArchiveError, id="cutoff_width_nan"),
+    pytest.param(_set_cutoff_width(-1.0), ArchiveError, id="cutoff_width_negative"),
+    pytest.param(_set_cutoff_width(0.0), ArchiveError, id="cutoff_width_zero"),
 ])
 def test_malformed_archive_raises_typed_error_and_verify_exits_2(small_run, tmp_path, capsys, edit, error):
     """A malformed archive raises a typed error, never a bare Python one, and
@@ -229,6 +239,14 @@ def test_cli_solve_verify_and_exit_codes(tmp_path, gas_122):
                  "--out", str(tmp_path)]) == 2
     # missing archive
     assert main(["verify", str(tmp_path / "missing")]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--rho0", "--rho1", "--gamma", "--out", "--config"])
+def test_cli_verify_rejects_run_config_flags(small_run, flag):
+    """verify reads everything from the archive: a run flag is a usage error."""
+    with pytest.raises(SystemExit) as info:
+        main(["verify", flag, "5", small_run[1]])
+    assert info.value.code == 2
 
 
 def test_cli_solve_warmup_no_convergence_exits_3(tmp_path, capsys):
@@ -342,6 +360,9 @@ def test_sweep_predictor_and_warm_start_gap_reach_the_archive(tmp_path, caplog, 
     pytest.param("polar", "90:85:0.5", id="polar_fractional_num"),
     pytest.param("polar", "90:85", id="polar_two_numbers"),
     pytest.param("polar", "85:90:-3", id="polar_negative_num"),
+    pytest.param("polar", "90:89:1e9", id="polar_too_many_angles"),
+    pytest.param("sweep", "90:89:1e-9", id="sweep_too_many_angles"),
+    pytest.param("sweep", "90:89:1e-320", id="sweep_subnormal_step"),
 ])
 def test_cli_sweep_empty_grid_rejected(tmp_path, command, spec):
     assert main([command, "--theta-grid", spec, "--out", str(tmp_path)]) == 2
@@ -443,6 +464,8 @@ def test_cli_solver_flags_reach_iteration_params(tmp_path, monkeypatch):
     pytest.param(["--theta", "89", "--n1", "17", "--n2", "17", "--tol-fp", "nan"], id="tol_fp_nan"),
     pytest.param(["--theta", "89", "--n1", "17", "--n2", "17", "--lin-tol", "-1"], id="lin_tol_negative"),
     pytest.param(["--theta", "89", "--max-outer", "0"], id="max_outer_zero"),
+    pytest.param(["--theta", "89", "--sweep-step", "1e-9"], id="sweep_step_too_many_angles"),
+    pytest.param(["--theta", "89", "--sweep-step", "1e-320"], id="sweep_step_subnormal"),
 ])
 def test_cli_solve_invalid_inputs_exit_2(tmp_path, capsys, args):
     assert main(["solve", *args, "--out", str(tmp_path)]) == 2
