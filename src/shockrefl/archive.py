@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from .errors import ArchiveError
-from .gas import GasParams, bernoulli_base, ellipticity_margin
+from .gas import GasParams, closure_density, ellipticity_margin
 from .geometry import build_configuration
 from .mesh import build_square_map
 from .solver import IterationParams, SolutionField
@@ -77,10 +77,8 @@ def write_solution(sol, outdir, extra_meta=None):
 
     grad = sol.gradient()
     speed = np.linalg.norm(grad, axis=-1)
-    g = cfg.params.gamma
     margin = ellipticity_margin(grad, sol.phi, cfg.params)
-    base = bernoulli_base(speed ** 2, sol.phi, cfg.params)
-    rho = np.where(base > 0, np.abs(base) ** (1.0 / (g - 1.0)), np.nan)
+    rho = closure_density(speed ** 2, sol.phi, cfg.params)
     n1, n2 = sol.phi.shape
     ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
     columns = [ii, jj, sol.mesh.nodes[..., 0], sol.mesh.nodes[..., 1], sol.phi, speed, rho, margin]
@@ -173,15 +171,13 @@ def read_solution(indir):
         params = GasParams(**meta["params"])
         theta = float(meta["theta_w_rad"])
         n1, n2 = int(meta["n1"]), int(meta["n2"])
-        if n1 < 3 or n2 < 5:
-            raise ArchiveError(f"grid {n1} x {n2} in meta.json is smaller than 3 x 5")
+        metadata = dict(meta.get("metadata", {}))
+        # the grid, and the band width check_ellipticity reads (None, or what a solve accepts)
+        IterationParams(n1=n1, n2=n2, cutoff_width=metadata.get("cutoff_width"))
         shock_rows = _table(os.path.join(indir, "shock.csv"), 4)
         field_rows = _table(os.path.join(indir, "field.csv"), 8)
         history = ([(int(r[0]), float(r[1]), float(r[2])) for r in _table(res_path, 3)]
                    if os.path.isfile(res_path) else [])
-        metadata = dict(meta.get("metadata", {}))
-        # the band width check_ellipticity reads: None, or what a solve accepts
-        IterationParams(cutoff_width=metadata.get("cutoff_width"))
     except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
         raise ArchiveError(f"inconsistent archive: {exc}") from exc
 

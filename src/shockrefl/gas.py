@@ -91,6 +91,13 @@ def bernoulli_base(grad_sq, phi, params):
     return params.rho0_pow - (params.gamma - 1.0) * (np.asarray(phi) + 0.5 * np.asarray(grad_sq))
 
 
+def closure_density(grad_sq, phi, params):
+    """Density of the Bernoulli closure on any field, NaN where the base is
+    nonpositive (past vacuum), with no warning and no error."""
+    base = bernoulli_base(grad_sq, phi, params)
+    return np.where(base > 0.0, np.abs(base) ** (1.0 / (params.gamma - 1.0)), np.nan)
+
+
 def density(grad_sq, phi, params):
     """Density from the Bernoulli closure.
 

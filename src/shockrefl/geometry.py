@@ -280,15 +280,22 @@ class ShockCurve:
         s2 = float(self.tau_p2 @ self.e) / float(self.tau_p2 @ ep)
         return s1, s2
 
+    def graph_slopes(self):
+        """(T, S, dS/dT) of the samples.  Raises GraphPropertyLost unless T
+        strictly increases, i.e. unless the samples are a graph in e."""
+        t = self.t_values
+        dt = np.diff(t)
+        if np.any(dt <= 0.0):
+            raise GraphPropertyLost("shock samples are not a graph: T not increasing")
+        s = self.s_values
+        return t, s, np.diff(s) / dt
+
     def _graph_fit(self):
         if self._fit is not None:
             return self._fit
         from scipy.interpolate import CubicSpline
 
-        t = self.t_values
-        s = self.s_values
-        if np.any(np.diff(t) <= 0.0):
-            raise GraphPropertyLost("shock samples are not a graph: T not increasing")
+        t, s, _ = self.graph_slopes()
         cs = CubicSpline(t, s, bc_type="not-a-knot")
         self._fit = (cs, cs.derivative(), float(t[0]), float(t[-1]))
         return self._fit
@@ -332,12 +339,7 @@ class ShockCurve:
         between the endpoint slopes (P2 slope below, P1 slope above) within
         tol.  Raises GraphPropertyLost otherwise.
         """
-        t = self.t_values
-        s = self.s_values
-        dt = np.diff(t)
-        if np.any(dt <= 0.0):
-            raise GraphPropertyLost("shock samples are not a graph: T not increasing")
-        slopes = np.diff(s) / dt
+        _, _, slopes = self.graph_slopes()
         hi, lo = self.endpoint_slopes()
         scale = max(1.0, abs(hi), abs(lo))
         if np.any(slopes > hi + tol * scale) or np.any(slopes < lo - tol * scale):

@@ -33,7 +33,7 @@ logical grid; the Jacobian is factored as a LAPACK band matrix.
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,7 +52,7 @@ from .errors import (
     VacuumReached,
     ValidationError,
 )
-from .gas import bernoulli_base
+from .gas import bernoulli_base, closure_density
 from .geometry import ReflectionConfiguration, ShockCurve, build_configuration, initial_shock
 from .mesh import build_square_map, logical_grid, read_only, sonic_extension
 from .relations import NORMAL_ANGLE_TOL
@@ -77,6 +77,9 @@ class IterationParams:
     lin_tol: float = 1e-9              # relative interior residual of the BVP
 
     def __post_init__(self):
+        for f in fields(self):
+            if isinstance(getattr(self, f.name), (bool, np.bool_)):
+                raise ValidationError(f"{f.name} is a bool, not a number")
         if self.n1 < 3 or self.n2 < 5:
             raise ValidationError(f"grid {self.n1} x {self.n2} is smaller than 3 x 5")
         if self.max_outer < 1:
@@ -403,7 +406,7 @@ class MMSProblem:
 
     def density(self, pts, params):
         g = self.grad(pts)
-        return np.asarray(bernoulli_base((g * g).sum(-1), self.phi(pts), params) ** (1.0 / (params.gamma - 1.0)))
+        return closure_density((g * g).sum(-1), self.phi(pts), params)
 
     def source(self, pts, params):
         """div(rho Dphi) + 2 rho of the manufactured field."""
@@ -608,6 +611,14 @@ def quasi_newton_step(x, r, earlier):
     return r + w @ c
 
 
+def shock_trace(config, mesh, phi):
+    """The field on the mesh's shock row, j = 0 at the foot to n2 - 1 at P1:
+    (nodes, Dphi, phi - phi1, Dphi1), with state (1) ahead of the shock."""
+    nodes = mesh.nodes[0]
+    s1 = config.state1
+    return nodes, mesh.gradient(phi)[0], phi[0] - s1.potential(nodes), s1.gradient(nodes)
+
+
 def update_shock(phi, config, shock, mesh, earlier=()):
     """Move shock nodes along the graph direction toward the zero of phi - phi1.
 
@@ -625,11 +636,8 @@ def update_shock(phi, config, shock, mesh, earlier=()):
     Raises GraphPropertyLost / AttachedShockDetected on invalid updates.
     """
     e = shock.e
-    pts = mesh.nodes[0, :, :]                 # j = 0 foot ... j = n2-1 top
-    grad = mesh.gradient(phi)[0, :, :]
-    s1 = config.state1
-    dphi = phi[0, :] - s1.potential(pts)
-    dge = ((grad - s1.gradient(pts)) * e).sum(-1)
+    pts, grad, dphi, grad1 = shock_trace(config, mesh, phi)
+    dge = ((grad - grad1) * e).sum(-1)
 
     raw = np.zeros(len(pts) - 2)
     s_cap = 0.2 * config.sonic_radius
@@ -740,7 +748,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         shock = initial_shock(config, n=max(n2, 65))
         mesh = build_square_map(config, shock, n1, n2)
         phi = config.state2.potential(mesh.nodes)
-        curve, upd = update_shock(phi, config, shock, mesh)
+        _, upd = update_shock(phi, config, shock, mesh)
         # the exact field's own residual, not a discrete solve's: where the
         # Mach cap is active near the sonic arc the rest state is not a
         # solution of the discrete problem
@@ -748,11 +756,10 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         lin = _residual(disc, phi, params, cap, rhs)
         res = float(np.max(np.abs(lin.r))) / _residual_scale(disc, lin.rho)
         return _solution(
-            config, shock, mesh, phi, [(1, upd["movement"], res)],
+            config, shock, mesh, phi, [(1, upd["movement"], res)], iter_params,
             exact=True, rho2_bar=config.state2.rho, xi1_bar=float(shock.points[0, 0]),
             converged=bool(upd["movement"] < iter_params.tol_fixed_point),
             newton_steps=0,
-            **_solve_record(config, curve, mesh, phi, iter_params),
         )
 
     # grid sequencing: converge the shock on a coarse grid first
@@ -797,7 +804,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
             )
 
     return _solution(
-        config, shock, mesh, phi, history,
+        config, shock, mesh, phi, history, iter_params,
         exact=False,
         outer_iterations=len(history),
         newton_steps=newton_steps,
@@ -805,40 +812,27 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         interior_residual=info["residual"],
         cap_outside_band=info["cap_outside_band"],
         converged=True,
-        **_solve_record(config, shock, mesh, phi, iter_params),
     )
 
 
-def _solution(config, shock, mesh, phi, history, **record):
-    """The SolutionField of a solve; its metadata are the angle, regime and
-    grid that every member records, then what this solve recorded."""
+def _solution(config, shock, mesh, phi, history, iter_params, **record):
+    """The SolutionField of a solve.  Its metadata are the angle, regime and
+    grid that every member records, what this solve recorded, its
+    tolerances, and the a-posteriori RH residuals on the shock it returns:
+    the scheme imposes only the flux condition, so potential continuity (and
+    the pointwise mass jump) are verified after the fact."""
+    pts, grad, dphi, grad1 = shock_trace(config, mesh, phi)
+    nu = shock.normals(t=pts @ shock.e_perp)
+    rho = closure_density((grad * grad).sum(-1), phi[0], config.params)
+    mass = rho * (grad * nu).sum(-1) - config.state1.rho * (grad1 * nu).sum(-1)
     meta = {"theta_deg": math.degrees(config.theta_w), "regime": config.regime.value,
-            "n1": mesh.n1, "n2": mesh.n2, **record}
+            "n1": mesh.n1, "n2": mesh.n2, **record,
+            "cutoff_width": iter_params.cutoff_width, "zeta0": ZETA0,
+            "tol_fixed_point": iter_params.tol_fixed_point, "lin_tol": iter_params.lin_tol,
+            "rh_potential_max": float(np.nanmax(np.abs(dphi))),
+            "rh_mass_max": float(np.nanmax(np.abs(mass)))}
     return SolutionField(config=config, shock=shock, mesh=mesh, phi=phi,
                          residual_history=history, metadata=meta)
-
-
-def _solve_record(config, shock, mesh, phi, iter_params):
-    """What every solve records at its end: its tolerances and the
-    a-posteriori RH residuals on `shock`.  The scheme imposes only the flux
-    condition, so potential continuity (and the pointwise mass jump) are
-    verified after the fact."""
-    pts = mesh.nodes[0, :, :]
-    grad = mesh.gradient(phi)[0, :, :]
-    s1 = config.state1
-    pot = np.abs(phi[0, :] - s1.potential(pts))
-    nu = shock.normals(t=pts @ shock.e_perp)
-    base = bernoulli_base((grad * grad).sum(-1), phi[0, :], config.params)
-    rho = np.where(base > 0, np.abs(base) ** (1.0 / (config.params.gamma - 1.0)), np.nan)
-    mass = rho * (grad * nu).sum(-1) - s1.rho * (s1.gradient(pts) * nu).sum(-1)
-    return {
-        "cutoff_width": iter_params.cutoff_width,
-        "zeta0": ZETA0,
-        "tol_fixed_point": iter_params.tol_fixed_point,
-        "lin_tol": iter_params.lin_tol,
-        "rh_potential_max": float(np.nanmax(pot)),
-        "rh_mass_max": float(np.nanmax(np.abs(mass))),
-    }
 
 
 # step failures that a smaller angle step can get past

@@ -1,10 +1,12 @@
 import copy
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from shockrefl import ShockCurve, TooFewSamples
+from shockrefl import GasParams, IterationParams, ShockCurve, TooFewSamples, fixed_point_solve
 from shockrefl.admissibility import (
     ENDPOINT_SKIP,
     FARFIELD_TOL,
@@ -77,6 +79,24 @@ def test_reversed_field_fails_shock_inequalities(sol85_n65):
     bad = reversed_shock_field(sol85_n65)
     rec = check_shock_inequalities(bad)
     assert not rec.passed
+
+
+def test_shock_density_past_vacuum_is_nan(sol85_n65):
+    """Past vacuum the shock density is NaN (null in JSON) and fails the
+    entropy corollary, with no warning: for gamma = 2, where the plain power
+    of a negative Bernoulli base is a negative density, and for gamma = 1.4,
+    where it is NaN with a RuntimeWarning."""
+    sol14 = fixed_point_solve(GasParams(1.0, 2.0, 1.4), math.pi / 2.0, IterationParams(n1=17, n2=17))
+    lifted = copy.copy(sol14)
+    lifted.phi = sol14.phi + 3.0 * sol14.mesh.nodes[..., 1]
+    for bad in (reversed_shock_field(sol85_n65), lifted):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = check_shock_inequalities(bad)
+            details = rec.to_dict()["details"]
+        assert math.isnan(rec.details["rho_min_on_shock"])
+        assert details["rho_min_on_shock"] is None
+        assert details["entropy_ok"] is False
 
 
 def test_sign_flipped_field_fails_wedge_monotonicity(sol85_n65):

@@ -129,6 +129,7 @@ def _set_cutoff_width(width):
     pytest.param(_set_cutoff_width(math.nan), ArchiveError, id="cutoff_width_nan"),
     pytest.param(_set_cutoff_width(-1.0), ArchiveError, id="cutoff_width_negative"),
     pytest.param(_set_cutoff_width(0.0), ArchiveError, id="cutoff_width_zero"),
+    pytest.param(_set_cutoff_width(True), ArchiveError, id="cutoff_width_true"),
 ])
 def test_malformed_archive_raises_typed_error_and_verify_exits_2(small_run, tmp_path, capsys, edit, error):
     """A malformed archive raises a typed error, never a bare Python one, and

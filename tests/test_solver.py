@@ -21,6 +21,7 @@ from shockrefl import (
 )
 from shockrefl import solver
 from shockrefl.errors import NoConvergence, ValidationError
+from shockrefl.gas import bernoulli_base
 from shockrefl.relations import state1
 from shockrefl.admissibility import full_report
 from shockrefl.mesh import CoonsMap, Segment, _assemble_map, sonic_extension
@@ -549,6 +550,8 @@ def test_iteration_params_reject_invalid_grids_and_cutoff():
     bad_values = [{"n1": 2}, {"n2": 4}, {"max_outer": 0}, {"max_outer": -3}]
     for name in ("cutoff_width", "tol_fixed_point", "lin_tol"):
         bad_values += [{name: v} for v in (0.0, -1.0, math.nan, math.inf, -math.inf)]
+    # a bool is not a number, though Python compares it as one
+    bad_values += [{name: True} for name in ("n1", "n2", "cutoff_width", "tol_fixed_point", "max_outer", "lin_tol")]
     for bad in bad_values:
         with pytest.raises(ValidationError):
             IterationParams(**bad)
@@ -561,6 +564,22 @@ def sweep33_to85(gas_122):
     sweep = solver.continuation_sweep(gas_122, grid, IterationParams(n1=33, n2=33))
     assert sweep.status == "completed" and sweep.bridges == []
     return sweep
+
+
+def test_solve_record_describes_the_returned_shock(sweep33_to85):
+    """rh_potential_max and rh_mass_max are the RH residuals on the shock,
+    mesh and field a solve returns: for the exact 90 degree member, whose
+    shock has 65 samples on the 33^2 mesh, and for a swept member."""
+    for sol in (sweep33_to85.members[0], sweep33_to85.members[-1]):
+        s1, gamma = sol.config.state1, sol.config.params.gamma
+        pts = sol.mesh.nodes[0]
+        grad = sol.mesh.gradient(sol.phi)[0]
+        nu = sol.shock.normals(t=pts @ sol.shock.e_perp)
+        rho = bernoulli_base((grad * grad).sum(-1), sol.phi[0], sol.config.params) ** (1.0 / (gamma - 1.0))
+        mass = rho * (grad * nu).sum(-1) - s1.rho * (s1.gradient(pts) * nu).sum(-1)
+        assert sol.metadata["rh_potential_max"] == float(np.max(np.abs(sol.phi[0] - s1.potential(pts))))
+        assert sol.metadata["rh_mass_max"] == float(np.max(np.abs(mass)))
+    assert len(sweep33_to85.members[0].shock.points) == 65
 
 
 def test_sweep_starts_the_secant_at_the_third_member(gas_122, sweep33_to85):
