@@ -140,7 +140,8 @@ def ellipticity_margin(grad, phi, params):
     """Margin c_star(phi, gamma) - |Dphi| of the mixed-type equation.
 
     The equation is strictly elliptic at a state iff the margin is positive,
-    with c_star = sqrt((2/(gamma+1)) * (rho0^(g-1) - (g-1)*phi)).
+    with c_star = sqrt((2/(gamma+1)) * (rho0^(g-1) - (g-1)*phi)); the margin
+    is NaN where that argument is negative (past vacuum), with no warning.
 
     Parameters
     ----------
@@ -154,9 +155,7 @@ def ellipticity_margin(grad, phi, params):
     grad = np.asarray(grad, dtype=float)
     speed = np.sqrt(np.sum(grad * grad, axis=-1))
     arg = (2.0 / (g + 1.0)) * (params.rho0_pow - (g - 1.0) * np.asarray(phi))
-    if np.any(arg < 0.0):
-        raise VacuumReached("c_star argument negative: past vacuum")
-    return np.sqrt(arg) - speed
+    return np.sqrt(np.where(arg >= 0.0, arg, np.nan)) - speed
 
 
 def make_uniform_state(u, v, k, params):

@@ -619,90 +619,87 @@ def shock_trace(config, mesh, phi):
     return nodes, mesh.gradient(phi)[0], phi[0] - s1.potential(nodes), s1.gradient(nodes)
 
 
+def shock_offsets(pts, w, e):
+    """The shock unknown u = (xi1 of the foot, d_1, ..., d_{n-2}) of the nodes
+    pts, foot first and P1 last, at the chord fractions w: d_j is node j's
+    offset along e from the chord foot -> P1 at fraction w_j, in chord lengths."""
+    chord = pts[-1] - pts[0]
+    d = (pts[1:-1] - pts[0] - w[1:-1, None] * chord) @ e / np.linalg.norm(chord)
+    return np.r_[pts[0, 0], d]
+
+
+def shock_from_offsets(config, u, w):
+    """The shock of the unknown u (see shock_offsets) on config, from the foot
+    (u[0], 0) to P1, with its nodes at T_foot + w_j (T_P1 - T_foot): where
+    build_square_map samples the mesh's shock row."""
+    foot = np.array([u[0], 0.0])
+    chord = config.p1 - foot
+    d = np.r_[0.0, u[1:], 0.0]
+    pts = foot + w[:, None] * chord + np.linalg.norm(chord) * d[:, None] * config.wedge_normal()
+    pts[-1] = config.p1
+    return config.shock_curve(pts[::-1].copy())
+
+
 def update_shock(phi, config, shock, mesh, earlier=()):
-    """Move shock nodes along the graph direction toward the zero of phi - phi1.
+    """Move the shock toward the zero of phi - phi1 by one quasi-Newton step in u.
 
     phi is extrapolated linearly past the shock from its boundary value and
     gradient; with phi1 quadratic the crossing solves
-    s^2/2 + s * d(phi - phi1)/de + (phi - phi1) = 0 in closed form.  That
-    displacement, clipped to 0.2 sonic radii, is the residual r of the
-    interior nodes' S = node . e, which move by quasi_newton_step(S, r,
-    earlier).  The top node stays pinned to P1 (P0 in subsonic regimes); the
-    foot is re-pinned to the axis by the vertical-tangency closure (C1
-    reflected extension) through the two nodes above it.  Returns (new_curve,
-    info) with info["movement"] the sup-norm of applied displacements and
-    info["iterate"] = (S, r).
+    s^2/2 + s * d(phi - phi1)/de + (phi - phi1) = 0 in closed form.  The
+    plain map moves each interior node of the mesh's shock row by that
+    displacement along e, clipped to 0.2 sonic radii, pins the top node to
+    P1 (P0 in subsonic regimes), re-pins the foot to the axis by the
+    vertical-tangency closure (C1 reflected extension) through the two
+    moved nodes above it, and resamples the moved row linearly in T at the
+    new chord's fractions.  Its change in the shock unknown u (shock_offsets)
+    is the residual r, and u moves by quasi_newton_step(u, r, earlier).
+    Returns (new_curve, info) with info["movement"] = max(|change of the
+    foot|, chord length * max |change of d|) and info["iterate"] = (u, r).
 
     Raises GraphPropertyLost / AttachedShockDetected on invalid updates.
     """
-    e = shock.e
+    e, w = shock.e, mesh.grid.w
     pts, grad, dphi, grad1 = shock_trace(config, mesh, phi)
-    dge = ((grad - grad1) * e).sum(-1)
-
-    raw = np.zeros(len(pts) - 2)
+    b, c = ((grad - grad1) @ e)[1:-1], dphi[1:-1]
+    disc = b * b - 2.0 * c
+    live = np.abs(b) > 1e-14
+    s = np.where(live, -c / np.where(live, b, 1.0), 0.0)
+    s = np.where((disc >= 0.0) & (b > 0.0), np.sqrt(np.maximum(disc, 0.0)) - b, s)
+    s[~live & (np.abs(c) < 1e-14)] = 0.0
+    # the clip keeps the first steps of a cold start a graph: without it a
+    # cold solve at 75 degrees on 33^2 loses the slope bounds
     s_cap = 0.2 * config.sonic_radius
-    for j in range(1, len(pts) - 1):
-        b = dge[j]
-        c = dphi[j]
-        if abs(b) < 1e-14 and abs(c) < 1e-14:
-            continue
-        disc = b * b - 2.0 * c
-        if disc >= 0.0 and b > 0.0:
-            s = -b + math.sqrt(disc)
-        elif abs(b) > 1e-14:
-            s = -c / b
-        else:
-            s = 0.0
-        raw[j - 1] = max(-s_cap, min(s_cap, s))
-    x = pts[1:-1] @ e
-    step = quasi_newton_step(x, raw, earlier)
-    new_pts = pts.copy()
-    new_pts[1:-1] += step[:, None] * e[None, :]
-    new_pts[-1] = config.p1
+    moved = pts.copy()
+    moved[1:-1] += np.clip(s, -s_cap, s_cap)[:, None] * e
+    moved[-1] = config.p1
 
-    # vertical-tangency closure at the foot through the two updated nodes above
-    ya, yb = new_pts[1, 1], new_pts[2, 1]
-    xa_, xb_ = new_pts[1, 0], new_pts[2, 0]
+    # vertical-tangency closure at the foot through the two moved nodes above
+    (xa_, ya), (xb_, yb) = moved[1], moved[2]
     denom = yb * yb - ya * ya
     if abs(denom) < 1e-30:
         raise GraphPropertyLost("degenerate foot closure: coincident node heights")
     beta = (xb_ - xa_) / denom
-    alpha = xa_ - beta * ya * ya
-    foot_shift = alpha - pts[0, 0]
-    new_pts[0] = (alpha, 0.0)
-    if alpha > -config.attach_eps:
-        raise AttachedShockDetected(f"shock foot xi1={alpha:.6f} reached the wedge vertex")
+    moved[0] = (xa_ - beta * ya * ya, 0.0)
 
-    movement = float(max(np.max(np.abs(step)), abs(foot_shift)))
-    curve = config.shock_curve(new_pts[::-1].copy())
+    # T decreases from the foot to P1 along the row
+    ep = shock.e_perp
+    t = moved @ ep
+    if np.any(np.diff(t) >= 0.0):
+        raise GraphPropertyLost("foot closure passed the node above it in T")
+    t_new = t[0] + w * (t[-1] - t[0])
+    s_new = np.interp(t_new, t[::-1], (moved @ e)[::-1])
+    u = shock_offsets(pts, w, e)
+    r = shock_offsets(s_new[:, None] * e + t_new[:, None] * ep, w, e) - u
+    step = quasi_newton_step(u, r, earlier)
+    if u[0] + step[0] > -config.attach_eps:
+        raise AttachedShockDetected(f"shock foot xi1={u[0] + step[0]:.6f} reached the wedge vertex")
+    curve = shock_from_offsets(config, u + step, w)
     # transient iterates may overshoot the converged tangent bounds; only the
     # graph property itself is a hard requirement here (the admissibility
     # checker enforces the strict Lemma-type bounds on converged shocks)
     curve.check_graph(tol=0.5)
-    info = {"movement": movement, "iterate": (x, raw), "foot_shift": float(foot_shift)}
-    return curve, info
-
-
-def _transport_shock(old, config):
-    """Similarity transport of a shock to a new configuration.
-
-    Maps the old P1 to the new P1 keeping the old foot fixed, then re-pins
-    endpoint tangents; cheap and preserves the graph property for small
-    angle steps.
-    """
-    p1_old = old.points[0]
-    foot = old.points[-1]
-    z_old = complex(*(p1_old - foot))
-    z_new = complex(*(config.p1 - foot))
-    if abs(z_old) < 1e-300:
-        raise GraphPropertyLost("degenerate shock for transport")
-    alpha = z_new / z_old
-    rel = (old.points - foot) @ np.array([[1.0], [1j]])
-    moved = rel[:, 0] * alpha
-    pts = np.column_stack([moved.real, moved.imag]) + foot
-    pts[:, 1] = np.maximum(pts[:, 1], 0.0)
-    pts[-1, 1] = 0.0
-    return config.shock_curve(pts)
+    movement = max(abs(step[0]), np.linalg.norm(pts[-1] - pts[0]) * np.max(np.abs(step[1:])))
+    return curve, {"movement": float(movement), "iterate": (u, r)}
 
 
 def _interp_logical(values, grid_from, grid_to):
@@ -720,8 +717,10 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     on the strip capped by the rest state's sonic arc, and phi exactly the
     rest state's potential.  One verification pass of the shock update
     (which must not move the exact flat shock) and of the interior residual
-    is recorded.  Otherwise the shock is warm-started from `init` (transport
-    between angles) or from the cold-start curve.  Each pass builds the mesh
+    is recorded.  Otherwise the shock is warm-started from `init`, whose
+    shock unknown u (shock_offsets, sampled at this grid's fractions) is
+    carried to this configuration's P1 and wedge normal, or from the
+    cold-start curve.  Each pass builds the mesh
     on the current shock, solves the BVP and moves the shock by one
     `update_shock` over all earlier iterates of this solve; the pass after
     the applied displacement drops below tol_fixed_point solves at lin_tol
@@ -733,8 +732,8 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     so the sonic row starts at its Dirichlet values.
     metadata["newton_steps"] sums the Newton steps of every BVP of the
     solve, and metadata["warm_start_gap"] is the largest distance, along the
-    graph direction e, of a converged shock node from the start shock (after
-    transport; with grid sequencing, the coarse solution's shock).
+    graph direction e, of a converged shock node from the start shock (the
+    warm start; with grid sequencing, the coarse solution's shock).
 
     Raises NoConvergence after max_outer solves and shock updates, and
     DetachedWedgeAngle, AttachedShockDetected, VacuumReached,
@@ -769,7 +768,8 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
 
     config = build_configuration(params, theta_w)
     if init is not None:
-        shock = _transport_shock(init.shock, config)
+        w = logical_grid(n1, n2, "sqrt").w
+        shock = shock_from_offsets(config, shock_offsets(init.shock.point(w), w, init.shock.e), w)
         dev = init.phi - init.config.state2.potential(init.mesh.nodes)
         if dev.shape != (n1, n2):  # grid sequencing: from the coarse solution
             dev = _interp_logical(dev, init.mesh.grid, logical_grid(n1, n2, init.mesh.grid.stretch))
@@ -869,21 +869,19 @@ def _secant_start(a, b, theta_w):
     b the nearer, both off the exact normal reflection.
 
     With the step ratio rho = (theta_w - theta_b) / (theta_b - theta_a), the
-    shock extrapolates the part of the last shock change that the similarity
-    transport does not explain, b + rho (b - transport(a to b)), with P1
-    pinned and the foot on the axis, and the field extrapolates the
+    shock unknown extrapolates, u_b + rho (u_b - u_a) with both sampled at
+    b's fractions (shock_offsets), and the field extrapolates the
     state-(2)-relative deviation, dev_b + rho (dev_b - dev_a).  The result
-    lives on b's configuration and mesh, so fixed_point_solve transports its
+    lives on b's configuration and mesh, so fixed_point_solve carries its
     shock and reads its deviation as it does for any warm start.
     """
     rho = (theta_w - b.theta_w) / (b.theta_w - a.theta_w)
-    pts = b.shock.points + rho * (b.shock.points - _transport_shock(a.shock, b.config).points)
-    pts[0] = b.config.p1
-    pts[-1, 1] = 0.0
+    w = b.mesh.grid.w
+    u_a, u_b = (shock_offsets(m.shock.point(w), w, m.shock.e) for m in (a, b))
     dev_a = a.phi - a.config.state2.potential(a.mesh.nodes)
     dev_b = b.phi - b.config.state2.potential(b.mesh.nodes)
-    return SolutionField(config=b.config, shock=b.config.shock_curve(pts), mesh=b.mesh,
-                         phi=b.phi + rho * (dev_b - dev_a))
+    return SolutionField(config=b.config, shock=shock_from_offsets(b.config, u_b + rho * (u_b - u_a), w),
+                         mesh=b.mesh, phi=b.phi + rho * (dev_b - dev_a))
 
 
 def continuation_sweep(params, theta_grid, iter_params=None):

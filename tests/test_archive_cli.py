@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from shockrefl import GasParams, IterationParams, cli, fixed_point_solve, solver
+from shockrefl import GasParams, IterationParams, cli, fixed_point_solve, full_report, solver
 from shockrefl.archive import read_solution, write_solution
 from shockrefl.cli import main
 from shockrefl.errors import ArchiveError, EllipticityLost, GraphPropertyLost, ShockReflError, TooFewSamples
@@ -222,6 +222,24 @@ def test_cli_polar_round_trips_residuals(tmp_path, gas_122):
         assert max(abs(x) for x in res) < 1e-9
         checked += 1
     assert checked > 5
+
+
+@pytest.mark.parametrize("gamma, worst", [(2.0, None), (1.4, -1.8719)])
+def test_report_and_archive_of_a_field_past_vacuum(tmp_path, gamma, worst):
+    """The 17^2 normal reflection with phi + 3 xi2 reaches vacuum for gamma = 2:
+    its ellipticity margin is NaN there (null in JSON), so the report fails
+    instead of raising, the archive is written and verify exits 4, not 2.
+    For gamma = 1.4 the same field stays short of vacuum."""
+    sol = fixed_point_solve(GasParams(1.0, 2.0, gamma), math.pi / 2.0, IterationParams(n1=17, n2=17))
+    lifted = dataclasses.replace(sol, phi=sol.phi + 3.0 * sol.mesh.nodes[..., 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = full_report(lifted)
+    record = report["ellipticity"].to_dict()
+    assert not report.verdict and record["passed"] is False
+    assert record["worst"] == (None if worst is None else pytest.approx(worst, abs=1e-4))
+    write_solution(lifted, str(tmp_path / "lifted"))
+    assert main(["verify", str(tmp_path / "lifted")]) == 4
 
 
 def test_cli_solve_verify_and_exit_codes(tmp_path, gas_122):

@@ -417,6 +417,109 @@ def test_quasi_newton_step_solves_affine_map():
     assert np.abs(plain - x_star).max() > 2.0 * np.abs(x_star).max()
 
 
+def test_shock_offsets_invert_shock_from_offsets(gas_122):
+    """u -> shock -> u is the identity, and the shock runs from the foot
+    (u[0], 0) to P1 with its nodes at the chord fractions w in T."""
+    config = build_configuration(gas_122, math.radians(80.0))
+    w = solver.logical_grid(33, 33, "sqrt").w
+    rng = np.random.default_rng(3)
+    u = np.r_[-1.2, 0.02 * np.sin(math.pi * w[1:-1]) + 1e-3 * rng.standard_normal(31)]
+    shock = solver.shock_from_offsets(config, u, w)
+    assert np.array_equal(shock.points[0], config.p1) and shock.points[-1, 1] == 0.0
+    assert np.max(np.abs(solver.shock_offsets(shock.points[::-1], w, shock.e) - u)) < 1e-13
+    t = shock.t_values[::-1]
+    assert np.max(np.abs(t - (t[0] + w * (t[-1] - t[0])))) < 1e-13
+
+
+def test_update_shock_iterate_is_the_shock_unknown(gas_122, sol85_n65):
+    """The quasi-Newton iterate is (u, r) in the shock unknown: n2 - 1 entries,
+    the foot's xi1 first."""
+    sol = sol85_n65
+    _, info = update_shock(sol.phi, sol.config, sol.shock, sol.mesh)
+    u, r = info["iterate"]
+    assert u.shape == r.shape == (sol.mesh.n2 - 1,)
+    assert u[0] == pytest.approx(sol.shock.points[-1, 0], abs=1e-15)
+    assert np.max(np.abs(r)) < 1e-6
+
+
+def _plain_map_residual(phi, config, shock, mesh):
+    """Reference of update_shock's residual r in u, with the closed-form
+    displacement computed node by node in a loop."""
+    e, ep, w = shock.e, shock.e_perp, mesh.grid.w
+    pts, grad, dphi, grad1 = solver.shock_trace(config, mesh, phi)
+    dge = (grad - grad1) @ e
+    s_cap = 0.2 * config.sonic_radius
+    moved = pts.copy()
+    for j in range(1, len(pts) - 1):
+        b, c = dge[j], dphi[j]
+        if abs(b) < 1e-14 and abs(c) < 1e-14:
+            continue
+        disc = b * b - 2.0 * c
+        if disc >= 0.0 and b > 0.0:
+            s = -b + math.sqrt(disc)
+        elif abs(b) > 1e-14:
+            s = -c / b
+        else:
+            s = 0.0
+        moved[j] += max(-s_cap, min(s_cap, s)) * e
+    moved[-1] = config.p1
+    (xa, ya), (xb, yb) = moved[1], moved[2]
+    moved[0] = (xa - (xb - xa) / (yb * yb - ya * ya) * ya * ya, 0.0)
+    t = moved @ ep
+    t_new = t[0] + w * (t[-1] - t[0])
+    s_new = np.interp(t_new, t[::-1], (moved @ e)[::-1])
+    resampled = s_new[:, None] * e + t_new[:, None] * ep
+    return solver.shock_offsets(resampled, w, e) - solver.shock_offsets(pts, w, e)
+
+
+def test_update_shock_residual_matches_the_loop_reference(gas_122):
+    """The vectorized closed-form displacement gives the loop's residual bit
+    for bit.  The first update of a cold start at 75 degrees on 33^2 takes
+    both branches of the displacement and clips 3 nodes to s_cap."""
+    ip = IterationParams(n1=33, n2=33)
+    config = build_configuration(gas_122, math.radians(75.0))
+    shock = initial_shock(config)
+    mesh = build_square_map(config, shock, 33, 33)
+    phi, _ = solve_bvp(config, mesh, config.state2.potential(mesh.nodes), ip)
+    _, info = update_shock(phi, config, shock, mesh)
+    assert np.array_equal(info["iterate"][1], _plain_map_residual(phi, config, shock, mesh))
+
+
+def test_every_mesh_of_a_solve_has_its_shock_row_on_the_shock_nodes(gas_122, monkeypatch):
+    """In every outer iteration of an 85-degree solve at 33^2 the shock's
+    nodes sit at T_foot + w_j (T_P1 - T_foot) and are the mesh's shock row,
+    so no quasi-Newton column compares the shock at shifted nodes; the warm
+    start from the exact 90-degree member is its straight chord (d = 0)."""
+    ip = IterationParams(n1=33, n2=33)
+    init = fixed_point_solve(gas_122, math.pi / 2.0, ip)
+    shocks = []
+
+    def build(config, shock, n1, n2):
+        mesh = build_square_map(config, shock, n1, n2)
+        shocks.append((shock, mesh))
+        return mesh
+
+    monkeypatch.setattr(solver, "build_square_map", build)
+    sol = fixed_point_solve(gas_122, math.radians(85.0), ip, init=init)
+    assert len(shocks) == sol.metadata["outer_iterations"] + 1
+    w = solver.logical_grid(33, 33, "sqrt").w
+    for shock, mesh in shocks:
+        t = shock.t_values[::-1]
+        assert np.max(np.abs(t - (t[0] + w * (t[-1] - t[0])))) < 1e-13
+        assert np.max(np.abs(mesh.nodes[0] - shock.points[::-1])) < 1e-13
+    start = shocks[0][0]
+    u = solver.shock_offsets(start.points[::-1], w, start.e)
+    assert u[0] == init.shock.points[-1, 0] and np.max(np.abs(u[1:])) < 1e-13
+
+
+def test_shock_step_clip_carries_a_cold_start_at_75_degrees(gas_122):
+    """The 0.2 sonic-radius clip on the plain shock displacement stays: it
+    clips the first steps of a cold solve at 75 degrees on 33^2, which lose
+    the graph's slope bounds (GraphPropertyLost) without it."""
+    sol = fixed_point_solve(gas_122, math.radians(75.0), IterationParams(n1=33, n2=33))
+    assert sol.metadata["converged"] and sol.metadata["outer_iterations"] <= 30
+
+
 def test_fixed_point_at_right_angle_returns_exact(gas_122):
     ip = IterationParams(n1=33, n2=33)
     sol = fixed_point_solve(gas_122, math.pi / 2.0, ip)
