@@ -135,9 +135,10 @@ def read_solution(indir):
 
     Returns (solution, tampered) where tampered is True when a CSV hash does
     not match meta.json, when meta.json lacks the hash of shock.csv or
-    field.csv, or when a hashed file is missing (the archive is still loaded
-    so the verifier can locate the failing check).  An archive without a
-    residuals.csv hash, as older versions wrote, is read unchecked there.
+    field.csv or hashes a file other than the three CSVs, or when a hashed
+    file is missing (the archive is still loaded so the verifier can locate
+    the failing check).  An archive without a residuals.csv hash, as older
+    versions wrote, is read unchecked there.
     Raises ArchiveError on a missing or unreadable file, a meta.json that is
     not a JSON object or holds a value of the wrong kind, a CSV that is not
     numeric or has the wrong number of columns, and on any other structural
@@ -160,10 +161,11 @@ def read_solution(indir):
 
     hashes = meta.get("hashes")
     hashes = hashes if isinstance(hashes, dict) else {}
-    tampered = not {"shock.csv", "field.csv"} <= hashes.keys()
+    # a key other than the three CSVs (a path outside the archive, say) is tampering, and is not opened
+    tampered = not {"shock.csv", "field.csv"} <= hashes.keys() <= {"shock.csv", "field.csv", "residuals.csv"}
     for name, want in hashes.items():
         path = os.path.join(indir, name)
-        if not os.path.isfile(path) or _hash_file(path) != want:
+        if tampered or not os.path.isfile(path) or _hash_file(path) != want:
             tampered = True
 
     res_path = os.path.join(indir, "residuals.csv")

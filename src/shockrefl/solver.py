@@ -8,7 +8,7 @@ wedge and symmetry sides), then move the shock toward the zero of
 phi - phi1 along the graph direction by an IQN-ILS quasi-Newton step over
 the solve's earlier iterates.  The iteration is warm-started in angle by a
 continuation sweep from the normal reflection at theta_w = pi/2, which is
-known in closed form; from its third member on, the sweep starts each step
+known in closed form; from its second step on, the sweep starts each step
 from a secant prediction through the two members before it.  Each BVP
 starts from the state-(2) potential of its own configuration and mesh plus
 the previous field's deviation from its state-(2) potential: by the
@@ -77,9 +77,10 @@ class IterationParams:
     lin_tol: float = 1e-9              # relative interior residual of the BVP
 
     def __post_init__(self):
-        for f in fields(self):
-            if isinstance(getattr(self, f.name), (bool, np.bool_)):
-                raise ValidationError(f"{f.name} is a bool, not a number")
+        for f in fields(self):  # a bool is not a number, and a count is an integer
+            value, count = getattr(self, f.name), f.type is int
+            if isinstance(value, (bool, np.bool_)) or (count and not isinstance(value, (int, np.integer))):
+                raise ValidationError(f"{f.name} = {value!r} must be {'an integer' if count else 'a number'}")
         if self.n1 < 3 or self.n2 < 5:
             raise ValidationError(f"grid {self.n1} x {self.n2} is smaller than 3 x 5")
         if self.max_outer < 1:
@@ -479,6 +480,11 @@ def _residual_scale(disc, rho):
     return max(float(np.max(np.abs(2.0 * rho.ravel() * disc.volw))), 1e-300)
 
 
+def _relative_residual(lin, scale):
+    """The max-norm of the interior residual in units of `scale`."""
+    return float(np.max(np.abs(lin.r))) / scale
+
+
 def _roundoff_floor(disc, lin):
     """eps * max over interior rows of |A||phi| + |c|, the rounding error
     of the computed residual; |A| is read off A's data on the grid pattern."""
@@ -545,7 +551,7 @@ def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
 
     lin = _residual(disc, phi, params, cap, build_rhs)
     scale = _residual_scale(disc, lin.rho)
-    res = float(np.max(np.abs(lin.r))) / scale
+    res = _relative_residual(lin, scale)
     kl, ku = disc.grid.kl, disc.grid.ku
     its = trials = 0
     while res >= max(iter_params.lin_tol, _roundoff_floor(disc, lin) / scale):
@@ -575,7 +581,7 @@ def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
         else:
             raise failure
         lin = trial
-        res = float(np.max(np.abs(lin.r))) / scale
+        res = _relative_residual(lin, scale)
     outside_band = sonic_distance(config, mesh.nodes) > cutoff_band_width(config, iter_params.cutoff_width)
     bad = lin.active & outside_band
     info = {"newton_iters": its, "residual_evals": trials, "residual": res,
@@ -702,11 +708,17 @@ def update_shock(phi, config, shock, mesh, earlier=()):
     return curve, {"movement": float(movement), "iterate": (u, r)}
 
 
-def _interp_logical(values, grid_from, grid_to):
-    """Resample nodal values from one logical grid onto another through the (a, w) square."""
-    rgi = RegularGridInterpolator((grid_from.a, grid_from.w), values, bounds_error=False, fill_value=None)
-    aa, ww = np.meshgrid(grid_to.a, grid_to.w, indexing="ij")
-    return rgi(np.stack([aa, ww], axis=-1))
+def _start(sol, grid):
+    """What a solve warm-started from sol starts from on the logical grid:
+    (u, dev), sol's shock unknown at grid's fractions (shock_offsets) and its
+    deviation phi - phi2 on its own mesh, resampled through the (a, w) square
+    when the grids differ (grid sequencing)."""
+    u = shock_offsets(sol.shock.point(grid.w), grid.w, sol.shock.e)
+    dev = sol.phi - sol.config.state2.potential(sol.mesh.nodes)
+    if dev.shape != (grid.n1, grid.n2):
+        rgi = RegularGridInterpolator((sol.mesh.grid.a, sol.mesh.grid.w), dev, bounds_error=False, fill_value=None)
+        dev = rgi(np.stack(np.meshgrid(grid.a, grid.w, indexing="ij"), axis=-1))
+    return u, dev
 
 
 def fixed_point_solve(params, theta_w, iter_params=None, init=None):
@@ -718,18 +730,17 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     rest state's potential.  One verification pass of the shock update
     (which must not move the exact flat shock) and of the interior residual
     is recorded.  Otherwise the shock is warm-started from `init`, whose
-    shock unknown u (shock_offsets, sampled at this grid's fractions) is
-    carried to this configuration's P1 and wedge normal, or from the
-    cold-start curve.  Each pass builds the mesh
-    on the current shock, solves the BVP and moves the shock by one
-    `update_shock` over all earlier iterates of this solve; the pass after
-    the applied displacement drops below tol_fixed_point solves at lin_tol
-    and ends the solve, so the field matches the converged shock.  Earlier
-    passes solve only as accurately as the next shock correction needs.
+    shock unknown u (_start, at this grid's fractions) is carried to this
+    configuration's P1 and wedge normal, or from the cold-start curve.
+    Each pass builds the mesh on the current shock, solves the BVP and moves
+    the shock by one `update_shock` over all earlier iterates of this solve;
+    the pass after the applied displacement drops below tol_fixed_point solves
+    at lin_tol and ends the solve, so the field matches the converged shock.
+    Earlier passes solve only as accurately as the next shock correction needs.
     Every BVP starts from the state-(2) potential on its own mesh plus the
     previous field's deviation from its state-(2) potential (zero on a cold
-    start; from a coarser grid, resampled once through the logical square),
-    so the sonic row starts at its Dirichlet values.
+    start; from a coarser grid, resampled once through the logical square), so
+    the sonic row starts at its Dirichlet values.
     metadata["newton_steps"] sums the Newton steps of every BVP of the
     solve, and metadata["warm_start_gap"] is the largest distance, along the
     graph direction e, of a converged shock node from the start shock (the
@@ -753,7 +764,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         # solution of the discrete problem
         disc, cap, _, rhs = _bvp_data(config, mesh, iter_params, None)
         lin = _residual(disc, phi, params, cap, rhs)
-        res = float(np.max(np.abs(lin.r))) / _residual_scale(disc, lin.rho)
+        res = _relative_residual(lin, _residual_scale(disc, lin.rho))
         return _solution(
             config, shock, mesh, phi, [(1, upd["movement"], res)], iter_params,
             exact=True, rho2_bar=config.state2.rho, xi1_bar=float(shock.points[0, 0]),
@@ -768,11 +779,9 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
 
     config = build_configuration(params, theta_w)
     if init is not None:
-        w = logical_grid(n1, n2, "sqrt").w
-        shock = shock_from_offsets(config, shock_offsets(init.shock.point(w), w, init.shock.e), w)
-        dev = init.phi - init.config.state2.potential(init.mesh.nodes)
-        if dev.shape != (n1, n2):  # grid sequencing: from the coarse solution
-            dev = _interp_logical(dev, init.mesh.grid, logical_grid(n1, n2, init.mesh.grid.stretch))
+        grid = logical_grid(n1, n2, "sqrt")
+        u, dev = _start(init, grid)
+        shock = shock_from_offsets(config, u, grid.w)
     else:
         shock = initial_shock(config, n=max(n2, 65))
         dev = np.zeros((n1, n2))
@@ -866,33 +875,30 @@ class SweepResult:
 
 def _secant_start(a, b, theta_w):
     """First-order (secant) prediction at theta_w from the members a and b,
-    b the nearer, both off the exact normal reflection.
+    b the nearer; either may be the exact normal reflection.
 
     With the step ratio rho = (theta_w - theta_b) / (theta_b - theta_a), the
-    shock unknown extrapolates, u_b + rho (u_b - u_a) with both sampled at
-    b's fractions (shock_offsets), and the field extrapolates the
-    state-(2)-relative deviation, dev_b + rho (dev_b - dev_a).  The result
-    lives on b's configuration and mesh, so fixed_point_solve carries its
-    shock and reads its deviation as it does for any warm start.
+    shock unknown extrapolates, u_b + rho (u_b - u_a), and the field the
+    state-(2)-relative deviation, dev_b + rho (dev_b - dev_a), both read by
+    _start on b's grid.  The result lives on b's configuration and mesh, so
+    fixed_point_solve carries its shock and reads its deviation as it does
+    for any warm start.
     """
     rho = (theta_w - b.theta_w) / (b.theta_w - a.theta_w)
-    w = b.mesh.grid.w
-    u_a, u_b = (shock_offsets(m.shock.point(w), w, m.shock.e) for m in (a, b))
-    dev_a = a.phi - a.config.state2.potential(a.mesh.nodes)
-    dev_b = b.phi - b.config.state2.potential(b.mesh.nodes)
-    return SolutionField(config=b.config, shock=shock_from_offsets(b.config, u_b + rho * (u_b - u_a), w),
-                         mesh=b.mesh, phi=b.phi + rho * (dev_b - dev_a))
+    (u_a, dev_a), (u_b, dev_b) = (_start(m, b.mesh.grid) for m in (a, b))
+    return SolutionField(config=b.config, mesh=b.mesh, phi=b.phi + rho * (dev_b - dev_a),
+                         shock=shock_from_offsets(b.config, u_b + rho * (u_b - u_a), b.mesh.grid.w))
 
 
 def continuation_sweep(params, theta_grid, iter_params=None):
     """March the family downward in angle, warm-starting each solve.
 
-    theta_grid must start at pi/2 and decrease (ValidationError otherwise).
-    A step from two members off pi/2 starts from their secant prediction
-    (_secant_start); the first two steps after pi/2 start from the last
-    member, as does any step whose pair includes the exact normal
-    reflection.  Each member (and bridge) records metadata["predictor"],
-    "secant" or "transport".  A step that fails with one of
+    theta_grid must start at pi/2 and decrease through finite angles
+    (ValidationError otherwise).  The first step starts from the exact
+    normal reflection alone; every later step starts from the secant
+    prediction through the two members before it (_secant_start), the exact
+    one included.  Each member (and bridge) records metadata["predictor"],
+    "transport" or "secant".  A step that fails with one of
     BRIDGED_FAILURES is bridged by recursive midpoint solves, SWEEP_HALVINGS
     levels deep, each predicted from the pair it holds, and each halving is
     recorded in the result's bridges.  Stops with the error's type name as
@@ -903,6 +909,8 @@ def continuation_sweep(params, theta_grid, iter_params=None):
     thetas = [float(t) for t in theta_grid]
     if not thetas:
         raise ValidationError("empty angle grid")
+    if not all(map(math.isfinite, thetas)):
+        raise ValidationError("angle grid holds a non-finite angle")
     if abs(thetas[0] - math.pi / 2.0) >= NORMAL_ANGLE_TOL:
         raise ValidationError("continuation must start at theta_w = pi/2")
     if any(t2 >= t1 for t1, t2 in zip(thetas, thetas[1:])):
@@ -911,36 +919,22 @@ def continuation_sweep(params, theta_grid, iter_params=None):
     bridges = []
 
     def advance(prev, last, target, depth):
-        secant = prev is not None and not (prev.metadata["exact"] or last.metadata["exact"])
         try:
             sol = fixed_point_solve(params, target, iter_params,
-                                    init=_secant_start(prev, last, target) if secant else last)
+                                    init=last if prev is None else _secant_start(prev, last, target))
         except BRIDGED_FAILURES as exc:
             if depth >= SWEEP_HALVINGS:
                 raise
             bridges.append((target, type(exc).__name__))
             bridge = advance(prev, last, 0.5 * (last.theta_w + target), depth + 1)
             return advance(last, bridge, target, depth + 1)
-        sol.metadata["predictor"] = "secant" if secant else "transport"
+        sol.metadata["predictor"] = "transport" if prev is None else "secant"
         return sol
 
     members = [fixed_point_solve(params, thetas[0], iter_params)]
-    status = "completed"
-    stop_reason = None
-    failed_theta = None
     for target in thetas[1:]:
         try:
-            sol = advance(members[-2] if len(members) > 1 else None, members[-1], target, 0)
+            members.append(advance(members[-2] if len(members) > 1 else None, members[-1], target, 0))
         except (DetachedWedgeAngle, AttachedShockDetected) + BRIDGED_FAILURES as exc:
-            status = type(exc).__name__
-            stop_reason = str(exc)
-            failed_theta = target
-            break
-        members.append(sol)
-    return SweepResult(
-        members=members,
-        status=status,
-        stop_reason=stop_reason,
-        failed_theta=failed_theta,
-        bridges=bridges,
-    )
+            return SweepResult(members, type(exc).__name__, str(exc), target, bridges)
+    return SweepResult(members, "completed", bridges=bridges)

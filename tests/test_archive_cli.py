@@ -68,21 +68,46 @@ def _edit_meta(arch, edit):
     (arch / "meta.json").write_text(json.dumps(meta))
 
 
+def _hash_outside(arch, key=None):
+    """Add to meta.json the right hash of a file beside the archive, under
+    `key` or its absolute path."""
+    outside = arch.parent / "outside.txt"
+    outside.write_text("not part of the archive\n")
+    digest = hashlib.sha256(outside.read_bytes()).hexdigest()
+    _edit_meta(arch, lambda meta: meta["hashes"].update({key or str(outside): digest}))
+
+
 @pytest.mark.parametrize("tamper", [
     _edit_residuals,
     lambda arch: _edit_meta(arch, lambda meta: meta.pop("hashes")),
     lambda arch: _edit_meta(arch, lambda meta: meta.update(hashes=None)),
     lambda arch: (arch / "residuals.csv").unlink(),
-], ids=["edited_residuals", "meta_without_hashes", "meta_hashes_null", "deleted_residuals"])
-def test_archive_tamper_detection_covers_every_file(small_run, tmp_path, tamper):
-    """Every CSV is hashed, and a missing hash or hashed file counts as tampering."""
+    _hash_outside,
+    lambda arch: _hash_outside(arch, "../outside.txt"),
+], ids=["edited_residuals", "meta_without_hashes", "meta_hashes_null", "deleted_residuals",
+        "hash_of_absolute_path", "hash_of_path_outside"])
+def test_archive_tamper_detection_covers_every_file(small_run, tmp_path, monkeypatch, tamper):
+    """Every CSV is hashed, and a missing hash or hashed file counts as
+    tampering; so does a hash of any other file, which read_solution does
+    not open: it opens no file outside the archive."""
+    import builtins
     import shutil
 
     copy_dir = tmp_path / "tampered"
     shutil.copytree(small_run[1], copy_dir)
     tamper(copy_dir)
+    opened = []
+    real_open = builtins.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(os.path.realpath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
     _, tampered = read_solution(str(copy_dir))
+    monkeypatch.undo()
     assert tampered
+    assert opened and all(os.path.dirname(path) == str(copy_dir.resolve()) for path in opened)
 
 
 def test_archive_without_residuals_hash_reads_untampered(small_run, tmp_path):
@@ -354,7 +379,7 @@ def test_sweep_predictor_and_warm_start_gap_reach_the_archive(tmp_path, caplog, 
     both round-trip through the archive, and `sweep --log-level info` logs them."""
     grid = [math.pi / 2.0] + [math.radians(d) for d in (89.0, 88.0, 87.0)]
     sweep = solver.continuation_sweep(gas_122, grid, IterationParams(n1=17, n2=17))
-    assert [m.metadata.get("predictor") for m in sweep.members] == [None, "transport", "transport", "secant"]
+    assert [m.metadata.get("predictor") for m in sweep.members] == [None, "transport", "secant", "secant"]
     for k, sol in enumerate(sweep.members[1:]):
         write_solution(sol, str(tmp_path / f"m{k}"))
         back, tampered = read_solution(str(tmp_path / f"m{k}"))

@@ -595,10 +595,13 @@ def test_sweep_start_must_be_the_normal_reflection_angle(gas_122):
     pytest.param([89.0, 88.0], id="not_at_90"),
     pytest.param([90.0, 89.0, 89.0], id="not_decreasing"),
     pytest.param([90.0, 88.0, 89.0], id="rising"),
+    pytest.param([90.0, math.nan], id="nan_end"),
+    pytest.param([90.0, math.degrees(1.5), math.nan, math.degrees(1.4)], id="nan_inside"),
 ])
 def test_sweep_grid_checks_raise_validation_error(gas_122, monkeypatch, degs):
-    """A grid that is empty, does not start at pi/2 or does not decrease is
-    refused before any solve."""
+    """A grid that is empty, holds a non-finite angle, does not start at
+    pi/2 or does not decrease is refused before any solve (NaN fails every
+    comparison, so the decrease check alone lets it through)."""
     monkeypatch.setattr(solver, "fixed_point_solve", lambda *a, **k: pytest.fail("solved"))
     grid = [math.pi / 2.0 if d == 90.0 else math.radians(d) for d in degs]
     with pytest.raises(ValidationError):
@@ -650,7 +653,11 @@ def test_fixed_point_solve_gives_up_after_max_outer_without_a_further_solve(gas_
 
 def test_iteration_params_reject_invalid_grids_and_cutoff():
     IterationParams(n1=3, n2=5, cutoff_width=0.1, tol_fixed_point=1e-12, lin_tol=1e-14, max_outer=1)
+    IterationParams(n1=np.int64(17), n2=np.int32(17), max_outer=np.int64(2))
     bad_values = [{"n1": 2}, {"n2": 4}, {"max_outer": 0}, {"max_outer": -3}]
+    # a count is an integer: 2.5, nan or inf outer iterations would never hit the cap
+    bad_values += [{"max_outer": v} for v in (2.5, 2.0, math.nan, math.inf)]
+    bad_values += [{name: 17.0} for name in ("n1", "n2")]
     for name in ("cutoff_width", "tol_fixed_point", "lin_tol"):
         bad_values += [{name: v} for v in (0.0, -1.0, math.nan, math.inf, -math.inf)]
     # a bool is not a number, though Python compares it as one
@@ -685,27 +692,29 @@ def test_solve_record_describes_the_returned_shock(sweep33_to85):
     assert len(sweep33_to85.members[0].shock.points) == 65
 
 
-def test_sweep_starts_the_secant_at_the_third_member(gas_122, sweep33_to85):
-    """The first two steps after 90 degrees start from the last member, so the
-    exact normal reflection never enters an extrapolation: 89 and 88 degrees
-    are bit-identical to a solve warm-started from the member before."""
+def test_sweep_starts_the_secant_at_the_second_step(gas_122, sweep33_to85):
+    """Only the first step after 90 degrees starts from the last member alone,
+    so 89 degrees is bit-identical to a solve warm-started from the exact
+    normal reflection; every later step is a secant prediction, the one
+    through the exact member included."""
     members = sweep33_to85.members
-    assert [m.metadata.get("predictor") for m in members] == [None] + ["transport"] * 2 + ["secant"] * 3
-    for prev, sol in zip(members[:2], members[1:3]):
-        alone = fixed_point_solve(gas_122, sol.theta_w, IterationParams(n1=33, n2=33), init=prev)
-        assert np.array_equal(alone.shock.points, sol.shock.points)
-        assert np.array_equal(alone.phi, sol.phi)
-        assert alone.metadata["outer_iterations"] == sol.metadata["outer_iterations"]
+    assert [m.metadata.get("predictor") for m in members] == [None, "transport"] + ["secant"] * 4
+    sol = members[1]
+    alone = fixed_point_solve(gas_122, sol.theta_w, IterationParams(n1=33, n2=33), init=members[0])
+    assert np.array_equal(alone.shock.points, sol.shock.points)
+    assert np.array_equal(alone.phi, sol.phi)
+    assert alone.metadata["outer_iterations"] == sol.metadata["outer_iterations"]
 
 
 def test_secant_predictor_saves_outer_iterations(gas_122, sweep33_to85):
-    """Each secant-predicted member takes fewer outer iterations than a solve
+    """Each secant-predicted member, 88 degrees (predicted through the exact
+    normal reflection) included, takes fewer outer iterations than a solve
     warm-started from the member before it alone, and lands on the same
     solution within the benchmark reference's tolerances (30 tol in the
     shock, 60 tol in phi)."""
     ip = IterationParams(n1=33, n2=33)
     members = sweep33_to85.members
-    for prev, sol in zip(members[2:], members[3:]):
+    for prev, sol in zip(members[1:], members[2:]):
         assert sol.metadata["predictor"] == "secant"
         alone = fixed_point_solve(gas_122, sol.theta_w, ip, init=prev)
         assert sol.metadata["outer_iterations"] < alone.metadata["outer_iterations"]
