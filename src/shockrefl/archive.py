@@ -171,8 +171,9 @@ def read_solution(indir):
     res_path = os.path.join(indir, "residuals.csv")
     try:
         params = GasParams(**meta["params"])
-        theta = float(meta["theta_w_rad"])
-        n1, n2 = int(meta["n1"]), int(meta["n2"])
+        theta, n1, n2 = meta["theta_w_rad"], meta["n1"], meta["n2"]
+        if isinstance(theta, bool) or not isinstance(theta, (int, float)):
+            raise ArchiveError(f"theta_w_rad = {theta!r} is not a number")
         metadata = dict(meta.get("metadata", {}))
         # the grid, and the band width check_ellipticity reads (None, or what a solve accepts)
         IterationParams(n1=n1, n2=n2, cutoff_width=metadata.get("cutoff_width"))

@@ -38,6 +38,8 @@ class GasParams:
             raise NoCompression(
                 f"need rho1 > rho0 across the incident shock, got rho1={self.rho1}, rho0={self.rho0}"
             )
+        if not np.isfinite([self.rho0, self.rho1]).all():
+            raise ValidationError(f"densities must be finite, got rho0={self.rho0}, rho1={self.rho1}")
         if not self.gamma > GAMMA_RANGE[0]:
             raise ValidationError(f"gamma must exceed 1, got {self.gamma}")
         if self.gamma > GAMMA_RANGE[1]:

@@ -9,6 +9,7 @@ vertical; the wedge interior normal nu_w always lies in that cone and is
 the direction used by the solver.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -256,7 +257,6 @@ class ShockCurve:
         self.tau_p2 = np.asarray(tau_p2, dtype=float)
         if self.points.shape[0] < 5:
             raise TooFewSamples("shock curve needs at least 5 samples")
-        self._fit = None
 
     @property
     def e_perp(self):
@@ -290,35 +290,28 @@ class ShockCurve:
         s = self.s_values
         return t, s, np.diff(s) / dt
 
-    def _graph_fit(self):
-        if self._fit is not None:
-            return self._fit
+    @functools.cached_property
+    def _spline(self):
+        """The not-a-knot cubic spline of f_e through the samples and its derivative."""
         from scipy.interpolate import CubicSpline
 
         t, s, _ = self.graph_slopes()
         cs = CubicSpline(t, s, bc_type="not-a-knot")
-        self._fit = (cs, cs.derivative(), float(t[0]), float(t[-1]))
-        return self._fit
+        return cs, cs.derivative()
 
     def graph_value(self, t):
         """Interpolated f_e and f'_e at T values (arrays ok)."""
-        cs, dcs, _, _ = self._graph_fit()
+        cs, dcs = self._spline
         t = np.asarray(t, dtype=float)
         return cs(t), dcs(t)
 
-    def point(self, w):
-        """The curve as the mesh's shock side: w = 0 -> P2, w = 1 -> P1."""
-        cs, dcs, t0, t1 = self._graph_fit()
+    def eval(self, w):
+        """The curve as the mesh's shock side, (point, d point/dw): w = 0 -> P2, w = 1 -> P1."""
+        t0, t1 = self._spline[0].x[[0, -1]]
         t = t1 + np.asarray(w, dtype=float) * (t0 - t1)
-        f, _ = self.graph_value(t)
-        return f[..., None] * self.e + t[..., None] * self.e_perp
-
-    def deriv(self, w):
-        cs, dcs, t0, t1 = self._graph_fit()
-        t = t1 + np.asarray(w, dtype=float) * (t0 - t1)
-        _, fd = self.graph_value(t)
-        dt = t0 - t1
-        return dt * (fd[..., None] * self.e + np.ones_like(t)[..., None] * self.e_perp)
+        f, fd = self.graph_value(t)
+        e, ep = self.e, self.e_perp
+        return f[..., None] * e + t[..., None] * ep, (t0 - t1) * (fd[..., None] * e + ep)
 
     def tangents(self, t=None):
         """Unit tangents of the fitted graph, directed from P1 to P2, at the

@@ -44,13 +44,10 @@ class Segment:
         self.p = np.asarray(p, dtype=float)
         self.d = np.asarray(q, dtype=float) - self.p
 
-    def point(self, t):
-        t = np.asarray(t, dtype=float)[..., None]
-        return self.p + t * self.d
-
-    def deriv(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.broadcast_to(self.d, t.shape + (2,)).copy()
+    def eval(self, t):
+        """(point, d point/dt) at fractions t."""
+        x = self.p + np.asarray(t, dtype=float)[..., None] * self.d
+        return x, np.broadcast_to(self.d, x.shape)
 
 
 class Arc:
@@ -62,21 +59,20 @@ class Arc:
         self.ang0 = float(ang0)
         self.dang = float(dang)
 
-    def point(self, t):
+    def eval(self, t):
+        """(point, d point/dt) at fractions t."""
         ang = self.ang0 + np.asarray(t, dtype=float) * self.dang
-        return self.center + self.radius * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-
-    def deriv(self, t):
-        ang = self.ang0 + np.asarray(t, dtype=float) * self.dang
-        return self.radius * self.dang * np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
+        cos, sin = np.cos(ang), np.sin(ang)
+        return (self.center + self.radius * np.stack([cos, sin], axis=-1),
+                self.radius * self.dang * np.stack([-sin, cos], axis=-1))
 
 
 class CoonsMap:
     """Transfinite (Coons) interpolation of four parameterized sides.
 
     Sides are traversed as: shock(w): P2 -> P1, wedge(w): P3 -> P4,
-    sym(a): P2 -> P3, sonic(a): P1 -> P4.  Each side has point(t) and
-    deriv(t); on the reflection mesh the shock side is the ShockCurve itself.
+    sym(a): P2 -> P3, sonic(a): P1 -> P4.  Each side has eval(t) -> (point,
+    d point/dt); on the reflection mesh the shock side is the ShockCurve itself.
     """
 
     def __init__(self, shock_side, wedge_side, sym_side, sonic_side, corners):
@@ -86,43 +82,22 @@ class CoonsMap:
         self.sonic = sonic_side
         self.p2, self.p3, self.p1, self.p4 = (np.asarray(c, dtype=float) for c in corners)
 
-    def point(self, a, w):
-        """Points on the tensor grid of 1-D a and w, shape (len(a), len(w), 2)."""
+    def eval(self, a, w):
+        """(x, x_a, x_w) on the tensor grid of 1-D a and w, each of shape
+        (len(a), len(w), 2); every side is evaluated once."""
         aa, ww = np.asarray(a, dtype=float)[:, None, None], np.asarray(w, dtype=float)[:, None]
-        bl = (
-            (1 - aa) * (1 - ww) * self.p2
-            + aa * (1 - ww) * self.p3
-            + (1 - aa) * ww * self.p1
-            + aa * ww * self.p4
-        )
-        return (
-            (1 - aa) * self.shock.point(w)
-            + aa * self.wedge.point(w)
-            + (1 - ww) * self.sym.point(a)[:, None]
-            + ww * self.sonic.point(a)[:, None]
-            - bl
-        )
-
-    def derivs(self, a, w):
-        """(x_a, x_w) Jacobian columns on the tensor grid of 1-D a and w, as point()."""
-        aa, ww = np.asarray(a, dtype=float)[:, None, None], np.asarray(w, dtype=float)[:, None]
+        shock, shock_w = self.shock.eval(w)
+        wedge, wedge_w = self.wedge.eval(w)
+        sym, sym_a = (v[:, None] for v in self.sym.eval(a))
+        sonic, sonic_a = (v[:, None] for v in self.sonic.eval(a))
+        bl = ((1 - aa) * (1 - ww) * self.p2 + aa * (1 - ww) * self.p3
+              + (1 - aa) * ww * self.p1 + aa * ww * self.p4)
+        x = (1 - aa) * shock + aa * wedge + (1 - ww) * sym + ww * sonic - bl
         d_bl_da = (1 - ww) * (self.p3 - self.p2) + ww * (self.p4 - self.p1)
         d_bl_dw = (1 - aa) * (self.p1 - self.p2) + aa * (self.p4 - self.p3)
-        x_a = (
-            self.wedge.point(w)
-            - self.shock.point(w)
-            + (1 - ww) * self.sym.deriv(a)[:, None]
-            + ww * self.sonic.deriv(a)[:, None]
-            - d_bl_da
-        )
-        x_w = (
-            (1 - aa) * self.shock.deriv(w)
-            + aa * self.wedge.deriv(w)
-            + self.sonic.point(a)[:, None]
-            - self.sym.point(a)[:, None]
-            - d_bl_dw
-        )
-        return x_a, x_w
+        x_a = wedge - shock + (1 - ww) * sym_a + ww * sonic_a - d_bl_da
+        x_w = (1 - aa) * shock_w + aa * wedge_w + sonic - sym - d_bl_dw
+        return x, x_a, x_w
 
 
 def _first_derivative_1d(h):
@@ -295,8 +270,7 @@ class SquareMap:
 
 def _assemble_map(coons, n1, n2, stretch, degenerate):
     grid = logical_grid(n1, n2, stretch)
-    nodes = coons.point(grid.a, grid.w)
-    xa, xw = coons.derivs(grid.a, grid.w)
+    nodes, xa, xw = coons.eval(grid.a, grid.w)
     jac = xa[..., 0] * xw[..., 1] - xa[..., 1] * xw[..., 0]
     interior = jac[:, :-1] if degenerate else jac
     if np.any(interior * np.sign(np.median(interior)) <= 0.0):

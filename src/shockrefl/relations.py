@@ -184,7 +184,8 @@ def _mismatch(u2, theta_w, params, inc):
 
 
 def _window_scan(theta_w, params, inc):
-    """(grid, F) on SCAN_POINTS points of the entropic window, or None when it is empty.
+    """(grid, F) on SCAN_POINTS points of the entropic window, or None when it is
+    empty or unbounded (xi1_0 overflows for a gas of huge rho1).
 
     The window is where rho2 > rho1 and Dphi2(P0) points down-wedge:
     rho2 = rho1 at u*(xi10 - u/2) = delta*cos^2/(g-1), whose lower root
@@ -198,7 +199,7 @@ def _window_scan(theta_w, params, inc):
     delta = params.rho1 ** (g - 1.0) - params.rho0_pow
     c = 2.0 * delta * math.cos(theta_w) ** 2 / (g - 1.0)
     disc = inc.xi1_0 ** 2 - c
-    if disc <= 0.0:
+    if not (disc > 0.0 and math.isfinite(inc.xi1_0)):
         return None
     u_lo = c / (inc.xi1_0 + math.sqrt(disc))
     grid = np.linspace(u_lo * (1.0 + 1e-14) + 1e-300, inc.xi1_0, SCAN_POINTS)

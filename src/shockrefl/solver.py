@@ -330,7 +330,7 @@ def _face_metric(coons, a, w, collapsed):
     metric 0: J can vanish there, and the faces on that side join Dirichlet
     nodes only, so no interior row reads them.
     """
-    xa, xw = coons.derivs(a, w)
+    _, xa, xw = coons.eval(a, w)
     jac = xa[..., 0] * xw[..., 1] - xa[..., 1] * xw[..., 0]
     live = ~(collapsed & (w == 1.0))
     return tuple(
@@ -367,19 +367,17 @@ class _Discretization:
         side is "a" or "w"; n is the mapped normal in the +side direction,
         (x_w2, -x_w1) on a line a = const and (-x_a2, x_a1) on a line
         w = const, and state(points) -> (rho, Dphi).  Two-point Gauss per
-        face span.
+        face span, both points of every span in one evaluation of the map.
         """
         on_a = side == "a"
         lo, hi = self.grid.wspan if on_a else self.grid.aspan
-        out = np.zeros(lo.size)
-        for gp in self._GPTS:
-            t = (lo + hi) / 2.0 + gp * (hi - lo) / 2.0
-            aw = ([value], t) if on_a else (t, [value])
-            xa, xw = (x.reshape(-1, 2) for x in self.mesh.coons.derivs(*aw))
-            nx, ny = (xw[..., 1], -xw[..., 0]) if on_a else (-xa[..., 1], xa[..., 0])
-            rho, g = state(self.mesh.coons.point(*aw).reshape(-1, 2))
-            out += 0.5 * (hi - lo) * (rho * (g[..., 0] * nx + g[..., 1] * ny))
-        return out
+        t = np.concatenate([(lo + hi) / 2.0 + gp * (hi - lo) / 2.0 for gp in self._GPTS])
+        aw = ([value], t) if on_a else (t, [value])
+        x, xa, xw = (v.reshape(-1, 2) for v in self.mesh.coons.eval(*aw))
+        nx, ny = (xw[..., 1], -xw[..., 0]) if on_a else (-xa[..., 1], xa[..., 0])
+        rho, g = state(x)
+        flux = rho * (g[..., 0] * nx + g[..., 1] * ny)
+        return 0.5 * (hi - lo) * flux[:lo.size] + 0.5 * (hi - lo) * flux[lo.size:]
 
     def assemble(self, rho_nodes):
         """Sparse CSR operator A with frozen nodal densities (no BC rows yet).
@@ -713,7 +711,7 @@ def _start(sol, grid):
     (u, dev), sol's shock unknown at grid's fractions (shock_offsets) and its
     deviation phi - phi2 on its own mesh, resampled through the (a, w) square
     when the grids differ (grid sequencing)."""
-    u = shock_offsets(sol.shock.point(grid.w), grid.w, sol.shock.e)
+    u = shock_offsets(sol.shock.eval(grid.w)[0], grid.w, sol.shock.e)
     dev = sol.phi - sol.config.state2.potential(sol.mesh.nodes)
     if dev.shape != (grid.n1, grid.n2):
         rgi = RegularGridInterpolator((sol.mesh.grid.a, sol.mesh.grid.w), dev, bounds_error=False, fill_value=None)

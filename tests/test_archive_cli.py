@@ -141,6 +141,12 @@ def _set_cutoff_width(width):
                  id="params_a_list"),
     pytest.param(lambda arch: _edit_meta(arch, lambda meta: meta.update(n1=None)), ArchiveError, id="n1_null"),
     pytest.param(lambda arch: _edit_meta(arch, lambda meta: meta.update(n1=True)), ArchiveError, id="n1_true"),
+    pytest.param(lambda arch: _edit_meta(arch, lambda meta: meta.update(n1=str(meta["n1"]))), ArchiveError,
+                 id="n1_string"),
+    pytest.param(lambda arch: _edit_meta(arch, lambda meta: meta.update(n1=meta["n1"] + 0.9)), ArchiveError,
+                 id="n1_fraction"),
+    pytest.param(lambda arch: _edit_meta(arch, lambda meta: meta.update(theta_w_rad=repr(meta["theta_w_rad"]))),
+                 ArchiveError, id="theta_string"),
     pytest.param(lambda arch: _edit_csv(arch, "residuals.csv", lambda cells: cells[:2] + ["abc"]), ArchiveError,
                  id="residuals_not_numeric"),
     pytest.param(lambda arch: _edit_csv(arch, "residuals.csv", lambda cells: cells[:2]), ArchiveError,
@@ -199,6 +205,16 @@ def test_cli_angles(tmp_path, capsys):
 def test_cli_angles_bad_inputs(tmp_path):
     assert main(["angles", "--rho0", "1", "--rho1", "1", "--out", str(tmp_path)]) == 2
     assert main(["angles", "--gamma", "0.9", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("rho1", ["inf", "1e300", "1e200"])
+@pytest.mark.parametrize("command", [["angles"], ["polar"], ["solve", "--theta", "89", "--n1", "9", "--n2", "9"]],
+                         ids=["angles", "polar", "solve"])
+def test_cli_overflowing_gas_exits_2(tmp_path, capsys, command, rho1):
+    """A gas set whose state (2) algebra overflows (or a non-finite density)
+    is a typed error and exit 2, not a bare ValueError."""
+    assert main(command + ["--rho1", rho1, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.split(":")[0] in {"ValidationError", "BracketingFailure", "DetachedWedgeAngle"}
 
 
 def test_cli_polar(tmp_path, capsys):

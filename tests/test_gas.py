@@ -100,3 +100,5 @@ def test_gas_params_validation():
         GasParams(1.0, 2.0, 1.0)
     with pytest.raises(ValidationError):
         GasParams(1.0, 2.0, 3.5)
+    with pytest.raises(ValidationError):  # not a gas whose algebra overflows
+        GasParams(1.0, math.inf, 2.0)

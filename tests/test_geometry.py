@@ -122,7 +122,7 @@ def test_shock_normals_tangents_and_mesh_side(cfg85):
     inward = (nu_row * (mesh.nodes[1] - mesh.nodes[0])).sum(-1)
     assert np.all(inward[1:-1] > 0.0)
     # the Coons blend reproduces its shock side up to roundoff
-    assert np.allclose(mesh.nodes[0], shock.point(mesh.grid.w), rtol=0.0, atol=1e-14)
+    assert np.allclose(mesh.nodes[0], shock.eval(mesh.grid.w)[0], rtol=0.0, atol=1e-14)
 
 
 def test_shock_curve_graph_violation_raises():

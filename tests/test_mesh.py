@@ -59,7 +59,7 @@ def test_interpolant_exact_on_linear_fields(mesh85):
     _, sm = mesh85
     rng = np.random.default_rng(11)
     a, w = rng.uniform(0.02, 0.98, size=(2, 32))
-    pts = sm.coons.point(a, w)
+    pts = sm.coons.eval(a, w)[0]
 
     def linear(xy):
         return 0.3 + 1.7 * xy[..., 0] - 0.9 * xy[..., 1]
@@ -118,6 +118,28 @@ def test_gradient_operators_match_node_metric(gas_122, deg):
         ref[:, -1] = 2.0 * ref[:, -2] - ref[:, -3]
     grad = sm.gradient(phi)
     assert np.abs(grad - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("deg", [85.0, 55.0])
+def test_map_derivatives_match_central_differences(gas_122, deg):
+    """The derivatives that CoonsMap.eval and each side's eval return with
+    their points are the derivatives of those points: central differences
+    agree at interior samples, with a sonic arc (85 deg) and with the sonic
+    side collapsed to P0 (55 deg)."""
+    cfg = build_configuration(gas_122, math.radians(deg))
+    sm = build_square_map(cfg, initial_shock(cfg), 17, 17)
+    assert sm.degenerate_sonic == (deg == 55.0)
+    coons, h = sm.coons, 1e-5
+    a, w = np.random.default_rng(5).uniform(0.05, 0.95, size=(2, 9))
+    tol = 1e-8 * max(1.0, float(np.abs(sm.nodes).max()))
+    _, xa, xw = coons.eval(a, w)
+    fd_a = (coons.eval(a + h, w)[0] - coons.eval(a - h, w)[0]) / (2.0 * h)
+    fd_w = (coons.eval(a, w + h)[0] - coons.eval(a, w - h)[0]) / (2.0 * h)
+    assert np.abs(fd_a - xa).max() < tol
+    assert np.abs(fd_w - xw).max() < tol
+    for side in (coons.shock, coons.wedge, coons.sym, coons.sonic):
+        _, dx = side.eval(a)
+        assert np.abs((side.eval(a + h)[0] - side.eval(a - h)[0]) / (2.0 * h) - dx).max() < tol
 
 
 def test_folded_mesh_detected():
