@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
     ZeroVector,
 )
-from .gas import GasParams, UniformState, density, ellipticity_margin, make_uniform_state, sound_speed
+from .gas import GasParams, UniformState, closure_density, ellipticity_margin, make_uniform_state
 from .geometry import (
     ReflectionConfiguration,
     ShockCurve,

@@ -11,6 +11,7 @@ and the density anywhere follows from the Bernoulli closure
     rho = (rho0^(gamma-1) - (gamma-1)*(phi + |Dphi|^2/2))^(1/(gamma-1)).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,10 @@ class GasParams:
             raise ValidationError(f"gamma must exceed 1, got {self.gamma}")
         if self.gamma > GAMMA_RANGE[1]:
             raise ValidationError(f"gamma={self.gamma} outside ({GAMMA_RANGE[0]}, {GAMMA_RANGE[1]}]")
+        try:  # rho1^(g-1), the largest power of a density in the incident algebra
+            math.pow(self.rho1, self.gamma - 1.0)
+        except OverflowError:
+            raise ValidationError(f"rho1^(gamma-1) overflows at rho1={self.rho1}, gamma={self.gamma}") from None
 
     @property
     def rho0_pow(self):
@@ -100,44 +105,6 @@ def closure_density(grad_sq, phi, params):
     return np.where(base > 0.0, np.abs(base) ** (1.0 / (params.gamma - 1.0)), np.nan)
 
 
-def density(grad_sq, phi, params):
-    """Density from the Bernoulli closure.
-
-    Parameters
-    ----------
-    grad_sq : float or ndarray
-        |Dphi|^2 at the evaluation point(s).
-    phi : float or ndarray
-        Pseudo-potential value(s).
-    params : GasParams
-
-    Returns
-    -------
-    float or ndarray
-        (rho0^(g-1) - (g-1)*(phi + grad_sq/2))^(1/(g-1)).
-
-    Raises
-    ------
-    VacuumReached
-        If the base of the power is negative anywhere.  Vacuum is treated as
-        an error, never clamped: admissible solutions stay away from it, so a
-        negative base always signals solver divergence.
-    """
-    base = bernoulli_base(grad_sq, phi, params)
-    if np.any(base < 0.0):
-        worst = float(np.min(base))
-        raise VacuumReached(f"density closure base negative (min {worst:.3e})")
-    return base ** (1.0 / (params.gamma - 1.0))
-
-
-def sound_speed(rho, params):
-    """c = rho^((gamma-1)/2); raises NonpositiveDensity for rho <= 0."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0.0):
-        raise NonpositiveDensity("sound speed needs rho > 0")
-    return rho ** ((params.gamma - 1.0) / 2.0)
-
-
 def ellipticity_margin(grad, phi, params):
     """Margin c_star(phi, gamma) - |Dphi| of the mixed-type equation.
 
@@ -166,7 +133,9 @@ def make_uniform_state(u, v, k, params):
     For a uniform state phi + |Dphi|^2/2 = k + (u^2+v^2)/2 independently of xi,
     so the density is a well-defined constant.
     """
-    rho = float(density(u * u + v * v, k, params))
-    if rho <= 0.0:
-        raise NonpositiveDensity(f"uniform state has rho={rho}")
-    return UniformState(u=float(u), v=float(v), k=float(k), rho=rho, c=float(sound_speed(rho, params)))
+    rho = float(closure_density(u * u + v * v, k, params))
+    if not rho > 0.0:
+        raise VacuumReached(f"uniform state ({u}, {v}, {k}) is past vacuum")
+    # c = rho^((g-1)/2) as a 0-d array power: a float power moves c by an ulp on some (rho, g)
+    c = float(np.asarray(rho) ** ((params.gamma - 1.0) / 2.0))
+    return UniformState(u=float(u), v=float(v), k=float(k), rho=rho, c=c)

@@ -86,7 +86,7 @@ class ReflectionConfiguration:
 
     @property
     def has_sonic_arc(self):
-        return self.regime in (Regime.SUPERSONIC,) and np.linalg.norm(self.p1 - self.p4) > 0
+        return self.regime is Regime.SUPERSONIC
 
     def wedge_normal(self):
         """Interior unit normal on the wedge face, nu_w = (-sin, cos)(theta_w)."""

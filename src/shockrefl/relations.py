@@ -352,9 +352,8 @@ def normal_reflection_state(params):
 
     def mass_mismatch(x):
         k2 = inc.u1 * x + inc.k1
+        # base > rho0^(g-1) on x < 0, as u1 > 0 and k1 = -u1 xi1_0 < 0
         base = params.rho0_pow - (g - 1.0) * k2
-        if base <= 0.0:
-            return math.inf
         return -x * base ** (1.0 / (g - 1.0)) - params.rho1 * (inc.u1 - x)
 
     lo = -max(1.0, inc.xi1_0)

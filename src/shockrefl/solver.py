@@ -153,9 +153,7 @@ def capped_density(phi, grad, params, cap):
     base = a_val - 0.5 * (g - 1.0) * q2
     active = (base <= 0.0) | (q2 > cap * base)
     q2_eff = np.where(active, cap * a_val / (1.0 + 0.5 * cap * (g - 1.0)), q2)
-    base_eff = a_val - 0.5 * (g - 1.0) * q2_eff
-    rho = base_eff ** (1.0 / (g - 1.0))
-    return rho, active
+    return closure_density(q2_eff, phi, params), active
 
 
 # ----------------------------------------------------------------------

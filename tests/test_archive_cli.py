@@ -128,6 +128,21 @@ def _edit_csv(arch, name, edit):
     (arch / name).write_text("\n".join([header] + [",".join(edit(r.split(","))) for r in rows]) + "\n")
 
 
+def _edit_field_rows(edit):
+    """An edit of field.csv's data lines (a list of row strings) as a whole."""
+    def apply(arch):
+        header, *rows = (arch / "field.csv").read_text().splitlines()
+        (arch / "field.csv").write_text("\n".join([header] + edit(rows)) + "\n")
+    return apply
+
+
+def _move_first_node(rows):
+    """The rows with xi1 of the first node (column 2) moved by 1e-3."""
+    cells = rows[0].split(",")
+    cells[2] = repr(float(cells[2]) + 1e-3)
+    return [",".join(cells)] + rows[1:]
+
+
 def _set_cutoff_width(width):
     """An edit of meta.json's metadata.cutoff_width, the band width check_ellipticity reads."""
     return lambda arch: _edit_meta(arch, lambda meta: meta["metadata"].update(cutoff_width=width))
@@ -155,6 +170,8 @@ def _set_cutoff_width(width):
         "\n".join((arch / "shock.csv").read_text().splitlines()[:2]) + "\n"), TooFewSamples, id="shock_one_row"),
     pytest.param(lambda arch: _edit_csv(arch, "shock.csv", lambda cells: cells[:3]), ArchiveError,
                  id="shock_three_columns"),
+    pytest.param(_edit_field_rows(lambda rows: rows[:-1]), ArchiveError, id="field_missing_row"),
+    pytest.param(_edit_field_rows(_move_first_node), ArchiveError, id="field_node_moved"),
     pytest.param(_set_cutoff_width("x"), ArchiveError, id="cutoff_width_string"),
     pytest.param(_set_cutoff_width([1, 2]), ArchiveError, id="cutoff_width_list"),
     pytest.param(_set_cutoff_width(math.nan), ArchiveError, id="cutoff_width_nan"),
@@ -207,13 +224,22 @@ def test_cli_angles_bad_inputs(tmp_path):
     assert main(["angles", "--gamma", "0.9", "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("rho1", ["inf", "1e300", "1e200"])
+@pytest.mark.parametrize("gas", [
+    pytest.param(["--rho1", "inf"], id="inf"),
+    pytest.param(["--rho1", "1e300"], id="1e300"),  # at gamma 2, xi1_0 overflows
+    pytest.param(["--rho1", "1e200"], id="1e200"),
+    # rho1^(gamma-1) itself overflows a double
+    pytest.param(["--rho1", "1e200", "--gamma", "3"], id="1e200-gamma3"),
+    pytest.param(["--rho1", "1e200", "--gamma", "2.9"], id="1e200-gamma2.9"),
+    pytest.param(["--rho1", "1e300", "--gamma", "3"], id="1e300-gamma3"),
+    pytest.param(["--rho1", "1.7e308", "--gamma", "3"], id="1.7e308-gamma3"),
+])
 @pytest.mark.parametrize("command", [["angles"], ["polar"], ["solve", "--theta", "89", "--n1", "9", "--n2", "9"]],
                          ids=["angles", "polar", "solve"])
-def test_cli_overflowing_gas_exits_2(tmp_path, capsys, command, rho1):
+def test_cli_overflowing_gas_exits_2(tmp_path, capsys, command, gas):
     """A gas set whose state (2) algebra overflows (or a non-finite density)
-    is a typed error and exit 2, not a bare ValueError."""
-    assert main(command + ["--rho1", rho1, "--out", str(tmp_path)]) == 2
+    is a typed error and exit 2, not a bare ValueError or OverflowError."""
+    assert main(command + gas + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.split(":")[0] in {"ValidationError", "BracketingFailure", "DetachedWedgeAngle"}
 
 

@@ -9,29 +9,32 @@ from shockrefl import (
     NonpositiveDensity,
     VacuumReached,
     ValidationError,
-    density,
+    closure_density,
     ellipticity_margin,
     make_uniform_state,
-    sound_speed,
 )
 
 
 def test_density_trivial_values():
     p = GasParams(1.0, 2.0, 2.0)
-    assert density(0.0, 0.0, p) == pytest.approx(1.0, abs=0)
-    assert density(1.0, 0.0, p) == pytest.approx(0.5, rel=1e-15)
+    assert closure_density(0.0, 0.0, p) == pytest.approx(1.0, abs=0)
+    assert closure_density(1.0, 0.0, p) == pytest.approx(0.5, rel=1e-15)
+    assert make_uniform_state(1.0, 0.0, 0.0, p).rho == pytest.approx(0.5, rel=1e-15)
 
 
 def test_density_against_high_precision_oracle():
     # mpmath evaluation of the closed form at 50 digits, frozen
     p = GasParams(1.2, 2.0, 1.4)
-    assert density(0.3, 0.1, p) == pytest.approx(0.9402412554833658, rel=1e-14)
+    assert closure_density(0.3, 0.1, p) == pytest.approx(0.9402412554833658, rel=1e-14)
+    assert make_uniform_state(math.sqrt(0.3), 0.0, 0.1, p).rho == pytest.approx(0.9402412554833658, rel=1e-14)
 
 
 def test_density_vacuum_raises():
+    """Past vacuum the closure is NaN on a field, and a uniform state raises."""
     p = GasParams(1.0, 2.0, 2.0)
+    assert np.isnan(closure_density(10.0, 0.0, p))
     with pytest.raises(VacuumReached):
-        density(10.0, 0.0, p)
+        make_uniform_state(math.sqrt(10.0), 0.0, 0.0, p)
 
 
 def test_density_monotone_in_phi_and_gradsq():
@@ -40,17 +43,21 @@ def test_density_monotone_in_phi_and_gradsq():
     for _ in range(50):
         q2 = rng.uniform(0.0, 0.5)
         phi = rng.uniform(-0.5, 0.5)
-        d = density(q2, phi, p)
-        assert density(q2 + 1e-3, phi, p) < d
-        assert density(q2, phi + 1e-3, p) < d
+        d = closure_density(q2, phi, p)
+        assert closure_density(q2 + 1e-3, phi, p) < d
+        assert closure_density(q2, phi + 1e-3, p) < d
 
 
 def test_sound_speed():
-    assert sound_speed(1.0, GasParams(1.0, 2.0, 1.4)) == 1.0
-    assert sound_speed(4.0, GasParams(1.0, 2.0, 3.0)) == pytest.approx(4.0, rel=1e-15)
-    assert sound_speed(2.0, GasParams(1.0, 2.0, 1.4)) == pytest.approx(1.148698354997035, rel=1e-14)
-    with pytest.raises(NonpositiveDensity):
-        sound_speed(0.0, GasParams(1.0, 2.0, 1.4))
+    """c = rho^((gamma-1)/2) of the uniform state at rest, whose density is rho0."""
+    assert make_uniform_state(0.0, 0.0, 0.0, GasParams(1.0, 2.0, 1.4)).c == 1.0
+    assert make_uniform_state(0.0, 0.0, 0.0, GasParams(4.0, 5.0, 3.0)).c == pytest.approx(4.0, rel=1e-15)
+    assert make_uniform_state(0.0, 0.0, 0.0, GasParams(2.0, 3.0, 1.4)).c == pytest.approx(
+        1.148698354997035, rel=1e-14)
+    # rho = 0 (the closure's base exactly 0): no state, so no sound speed
+    assert np.isnan(closure_density(0.0, 1.0, GasParams(1.0, 2.0, 2.0)))
+    with pytest.raises(VacuumReached):
+        make_uniform_state(0.0, 0.0, 1.0, GasParams(1.0, 2.0, 2.0))
 
 
 def test_ellipticity_margin_values_and_monotonicity():
@@ -85,7 +92,7 @@ def test_uniform_state_density_is_xi_independent():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-2.0, 2.0, size=(100, 2))
     phi, grad = st.potential(pts), st.gradient(pts)
-    rho = density(np.sum(grad * grad, axis=-1), phi, p)
+    rho = closure_density(np.sum(grad * grad, axis=-1), phi, p)
     assert np.max(np.abs(rho - st.rho)) < 1e-12
 
 
@@ -102,3 +109,5 @@ def test_gas_params_validation():
         GasParams(1.0, 2.0, 3.5)
     with pytest.raises(ValidationError):  # not a gas whose algebra overflows
         GasParams(1.0, math.inf, 2.0)
+    with pytest.raises(ValidationError):  # rho1^(gamma-1) past the largest double
+        GasParams(1.0, 1e200, 3.0)

@@ -20,7 +20,14 @@ from shockrefl import (
     update_shock,
 )
 from shockrefl import solver
-from shockrefl.errors import NoConvergence, ValidationError
+from shockrefl.errors import (
+    AttachedShockDetected,
+    EllipticityLost,
+    GraphPropertyLost,
+    NoConvergence,
+    VacuumReached,
+    ValidationError,
+)
 from shockrefl.gas import bernoulli_base
 from shockrefl.relations import state1
 from shockrefl.admissibility import full_report
@@ -199,19 +206,74 @@ def test_newton_band_lu_solves_like_splu(gas_122, monkeypatch, deg):
     assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
+def _rest_rectangle(gas, height=1.0 - 1e-6):
+    """The 90-degree configuration and a 9^2 rectangle from the wall to the
+    reflected shock, `height` times the sonic corner's height tall, with a
+    start 0.01 off the rest state that solves the BVP on it exactly."""
+    cfg = build_configuration(gas, math.pi / 2.0)
+    xbar, top = cfg.p1[0], cfg.p1[1] * height
+    sm = quad_map([xbar, 0.0], [0.0, 0.0], [0.0, top], [xbar, top], 9, 9)
+    return cfg, sm, cfg.state2.potential(sm.nodes) + 0.01
+
+
+_RECTANGLE_PARAMS = IterationParams(n1=9, n2=9, cutoff_width=1e-9)
+
+
 def test_singular_newton_factor_raises_no_convergence(gas_122, monkeypatch):
     """A zero pivot in the band LU (dgbtrf's info > 0) ends solve_bvp with
     the typed NoConvergence."""
-    cfg = build_configuration(gas_122, math.pi / 2.0)
-    xbar, height = cfg.p1[0], cfg.p1[1] * (1.0 - 1e-6)
-    sm = quad_map([xbar, 0.0], [0.0, 0.0], [0.0, height], [xbar, height], 9, 9)
+    cfg, sm, start = _rest_rectangle(gas_122)
 
     def singular(band, kl, ku, **options):
         return band, np.zeros(band.shape[1], dtype=np.int32), 5
 
     monkeypatch.setattr(solver, "lapack", SimpleNamespace(dgbtrf=singular))
     with pytest.raises(NoConvergence, match="zero pivot"):
-        solve_bvp(cfg, sm, cfg.state2.potential(sm.nodes) + 0.01, IterationParams(n1=9, n2=9, cutoff_width=1e-9))
+        solve_bvp(cfg, sm, start, _RECTANGLE_PARAMS)
+
+
+def test_newton_step_limit_raises_no_convergence(gas_122, monkeypatch):
+    """A residual still above tolerance after MAX_NEWTON steps is NoConvergence."""
+    cfg, sm, start = _rest_rectangle(gas_122)
+    monkeypatch.setattr(solver, "MAX_NEWTON", 0)
+    with pytest.raises(NoConvergence, match="Newton at relative residual"):
+        solve_bvp(cfg, sm, start, _RECTANGLE_PARAMS)
+
+
+def test_line_search_with_every_trial_past_vacuum_raises_vacuum_reached(gas_122, monkeypatch):
+    """When every trial step of a line search reaches vacuum, solve_bvp
+    raises the last VacuumReached; the first residual, at the start, is real."""
+    cfg, sm, start = _rest_rectangle(gas_122)
+    calls = []
+
+    def vacuum_after_start(phi, grad, params, cap):
+        calls.append(1)
+        if len(calls) > 1:
+            raise VacuumReached("trial past vacuum")
+        return capped_density(phi, grad, params, cap)
+
+    monkeypatch.setattr(solver, "capped_density", vacuum_after_start)
+    with pytest.raises(VacuumReached, match="trial past vacuum"):
+        solve_bvp(cfg, sm, start, _RECTANGLE_PARAMS)
+    assert len(calls) == 1 + solver.MAX_HALVINGS + 1
+
+
+def test_line_search_without_decrease_raises_no_convergence(gas_122, monkeypatch):
+    """An Armijo fraction no trial can meet (1 - ARMIJO t < 0 down to the
+    last halving) ends the line search in NoConvergence."""
+    cfg, sm, start = _rest_rectangle(gas_122)
+    monkeypatch.setattr(solver, "ARMIJO", 2.0 ** (solver.MAX_HALVINGS + 1))
+    with pytest.raises(NoConvergence, match="line search: no decrease"):
+        solve_bvp(cfg, sm, start, _RECTANGLE_PARAMS)
+
+
+def test_supersonic_solution_outside_the_cutoff_band_raises_ellipticity_lost(gas_122):
+    """On a rectangle 1.2 times as tall as the sonic corner the rest state is
+    supersonic beyond the sonic circle, far outside a 1e-9 wide cutoff band:
+    the Mach cap is active there at the solution, with Mach^2 about 1.19."""
+    cfg, sm, start = _rest_rectangle(gas_122, height=1.2)
+    with pytest.raises(EllipticityLost, match=r"Mach\^2 = 1\.1"):
+        solve_bvp(cfg, sm, start, _RECTANGLE_PARAMS)
 
 
 def test_collapsed_sonic_row_gets_zero_metric(gas_122):
@@ -440,6 +502,46 @@ def test_update_shock_iterate_is_the_shock_unknown(gas_122, sol85_n65):
     assert u.shape == r.shape == (sol.mesh.n2 - 1,)
     assert u[0] == pytest.approx(sol.shock.points[-1, 0], abs=1e-15)
     assert np.max(np.abs(r)) < 1e-6
+
+
+def _still_trace(monkeypatch, pts):
+    """Make update_shock read a shock row at pts on which phi = phi1 with
+    equal gradients: the plain map moves no interior node."""
+    grad = np.zeros_like(pts)
+    monkeypatch.setattr(solver, "shock_trace", lambda config, mesh, phi: (pts, grad, np.zeros(len(pts)), grad))
+
+
+def test_foot_closure_through_nodes_of_equal_height_raises_graph_property_lost(sol85_n65, monkeypatch):
+    """The vertical-tangency closure has no parabola through two nodes at
+    one height: GraphPropertyLost, not a division by zero."""
+    sol = sol85_n65
+    pts = sol.mesh.nodes[0].copy()
+    pts[2, 1] = pts[1, 1]
+    _still_trace(monkeypatch, pts)
+    with pytest.raises(GraphPropertyLost, match="coincident node heights"):
+        update_shock(sol.phi, sol.config, sol.shock, sol.mesh)
+
+
+def test_shock_row_out_of_order_in_t_raises_graph_property_lost(sol85_n65, monkeypatch):
+    """Moved nodes that are not in decreasing T from the foot to P1 are no
+    graph over T: GraphPropertyLost before any resampling."""
+    sol = sol85_n65
+    pts = sol.mesh.nodes[0].copy()
+    pts[[4, 5]] = pts[[5, 4]]
+    _still_trace(monkeypatch, pts)
+    with pytest.raises(GraphPropertyLost, match="passed the node above it in T"):
+        update_shock(sol.phi, sol.config, sol.shock, sol.mesh)
+
+
+def test_quasi_newton_step_onto_the_vertex_raises_attached_shock(sol85_n65):
+    """With one earlier iterate (x0, 0), a zero of the residual, the IQN step
+    lands on x0; an x0 whose foot is the wedge vertex is an attached shock."""
+    sol = sol85_n65
+    _, info = update_shock(sol.phi, sol.config, sol.shock, sol.mesh)
+    x0 = info["iterate"][0].copy()
+    x0[0] = 0.0
+    with pytest.raises(AttachedShockDetected, match="reached the wedge vertex"):
+        update_shock(sol.phi, sol.config, sol.shock, sol.mesh, earlier=[(x0, np.zeros_like(x0))])
 
 
 def _plain_map_residual(phi, config, shock, mesh):
