@@ -303,11 +303,14 @@ def cmd_sweep(args):
     gas = cfg.gas()
     degs = _parse_descending_grid(_required(cfg, "theta_grid"))
     result = continuation_sweep(gas, [_radians(d) for d in degs], cfg.iteration_params())
+    for theta, error in result.restarts:
+        log.info("restarted %s at theta=%.4f deg without the carried outer model", error, math.degrees(theta))
     for theta, error in result.bridges:
         log.info("bridged %s at theta=%.4f deg by halving the step", error, math.degrees(theta))
     for sol in result.members[1:]:  # every member after the exact normal reflection
         log.info("theta=%.4f deg: %s predictor, warm-start gap %.3e", sol.metadata["theta_deg"],
                  sol.metadata["predictor"], sol.metadata["warm_start_gap"])
+        log.info("theta=%.4f deg: %s outer model", sol.metadata["theta_deg"], sol.metadata["outer_model"])
     os.makedirs(cfg.out, exist_ok=True)
     rows = ["theta_deg,status,pairwise_distance,report_verdict"]
     prev_dist = [math.nan] + list(result.distances)

@@ -5,10 +5,11 @@ argument: solve a cutoff-regularized elliptic boundary value problem for
 the pseudo-potential on the current domain (Dirichlet phi = phi2 on the
 sonic side, prescribed state-(1) mass flux on the shock side, zero flux on
 wedge and symmetry sides), then move the shock toward the zero of
-phi - phi1 along the graph direction by an IQN-ILS quasi-Newton step over
-the solve's earlier iterates.  The iteration is warm-started in angle by a
-continuation sweep from the normal reflection at theta_w = pi/2, which is
-known in closed form; from its second step on, the sweep starts each step
+phi - phi1 along the graph direction by an IQN-IMVJ quasi-Newton step over
+the solve's earlier iterates, whose inverse-Jacobian model starts from the
+one the member before it ends with.  The iteration is warm-started in angle
+by a continuation sweep from the normal reflection at theta_w = pi/2, which
+is known in closed form; from its second step on, the sweep starts each step
 from a secant prediction through the two members before it.  Each BVP
 starts from the state-(2) potential of its own configuration and mesh plus
 the previous field's deviation from its state-(2) potential: by the
@@ -103,6 +104,7 @@ class SolutionField:
     phi: np.ndarray
     residual_history: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    inverse_jacobian: np.ndarray | None = field(default=None, repr=False)  # outer model; not archived
 
     @property
     def theta_w(self):
@@ -599,18 +601,38 @@ def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
 # ----------------------------------------------------------------------
 # Shock update and the outer fixed-point loop.
 
-def quasi_newton_step(x, r, earlier):
-    """IQN-ILS step (Degroote et al., Comput. Struct. 87, 2009) from x with residual r.
+def _differences(x, r, earlier):
+    """V and dX: the differences of r and of x against every earlier (x_i, r_i)."""
+    return np.column_stack([r - ri for _, ri in earlier]), np.column_stack([x - xi for xi, _ in earlier])
 
-    V and W stack the differences of r and of x + r against every earlier
-    (x_i, r_i); the step is r + W c with c = lstsq(V, -r), or r with no history.
+
+def quasi_newton_step(x, r, earlier, prior=None):
+    """IQN-IMVJ step (Bogaers et al., CMAME 279, 2014) from x with residual r.
+
+    With B = prior, a model of the inverse Jacobian of r, and V, dX the
+    _differences against every earlier (x_i, r_i), the step is -B r - (dX -
+    B V) V^+ r.  prior None is B = -I: the IQN-ILS step (Degroote et al.,
+    Comput. Struct. 87, 2009) r + W c with W = V + dX and c = lstsq(V, -r).
     """
+    b = -np.eye(r.size) if prior is None else prior
+    step = -(b @ r)
     if not earlier:
-        return r
-    v = np.column_stack([r - ri for _, ri in earlier])
-    w = v + np.column_stack([x - xi for xi, _ in earlier])
+        return step
+    v, dx = _differences(x, r, earlier)
     c = np.linalg.lstsq(v, -r, rcond=None)[0]
-    return r + w @ c
+    return step + (dx - b @ v) @ c
+
+
+def quasi_newton_model(earlier, prior=None):
+    """The model of quasi_newton_step after the iterates `earlier`: B + (dX -
+    B V) V^+ with the _differences against the last iterate, which maps every
+    difference of r in V to its difference of x (B = prior, None being -I)."""
+    x, r = earlier[-1]
+    model = -np.eye(r.size) if prior is None else prior
+    if len(earlier) < 2:
+        return model
+    v, dx = _differences(x, r, earlier[:-1])
+    return model + (dx - model @ v) @ np.linalg.pinv(v)
 
 
 def shock_trace(config, mesh, phi):
@@ -642,7 +664,7 @@ def shock_from_offsets(config, u, w):
     return config.shock_curve(pts[::-1].copy())
 
 
-def update_shock(phi, config, shock, mesh, earlier=()):
+def update_shock(phi, config, shock, mesh, earlier=(), prior=None):
     """Move the shock toward the zero of phi - phi1 by one quasi-Newton step in u.
 
     phi is extrapolated linearly past the shock from its boundary value and
@@ -654,7 +676,7 @@ def update_shock(phi, config, shock, mesh, earlier=()):
     vertical-tangency closure (C1 reflected extension) through the two
     moved nodes above it, and resamples the moved row linearly in T at the
     new chord's fractions.  Its change in the shock unknown u (shock_offsets)
-    is the residual r, and u moves by quasi_newton_step(u, r, earlier).
+    is the residual r, and u moves by quasi_newton_step(u, r, earlier, prior).
     Returns (new_curve, info) with info["movement"] = max(|change of the
     foot|, chord length * max |change of d|) and info["iterate"] = (u, r).
 
@@ -692,7 +714,7 @@ def update_shock(phi, config, shock, mesh, earlier=()):
     s_new = np.interp(t_new, t[::-1], (moved @ e)[::-1])
     u = shock_offsets(pts, w, e)
     r = shock_offsets(s_new[:, None] * e + t_new[:, None] * ep, w, e) - u
-    step = quasi_newton_step(u, r, earlier)
+    step = quasi_newton_step(u, r, earlier, prior)
     if u[0] + step[0] > -config.attach_eps:
         raise AttachedShockDetected(f"shock foot xi1={u[0] + step[0]:.6f} reached the wedge vertex")
     curve = shock_from_offsets(config, u + step, w)
@@ -717,6 +739,19 @@ def _start(sol, grid):
     return u, dev
 
 
+def _sequenced(iter_params):
+    """Whether grid sequencing solves a coarse level first."""
+    return min(iter_params.n1, iter_params.n2) > 1.5 * COARSE_LEVEL
+
+
+def _prior(init, iter_params):
+    """init's inverse_jacobian if a solve from init carries it: on the same
+    logical grid (n2 - 1 rows) with no coarse level first; else None."""
+    model = getattr(init, "inverse_jacobian", None)
+    carried = model is not None and len(model) == iter_params.n2 - 1 and not _sequenced(iter_params)
+    return model if carried else None
+
+
 def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     """Alternate BVP solves and shock updates until the shock stops moving.
 
@@ -729,7 +764,8 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     shock unknown u (_start, at this grid's fractions) is carried to this
     configuration's P1 and wedge normal, or from the cold-start curve.
     Each pass builds the mesh on the current shock, solves the BVP and moves
-    the shock by one `update_shock` over all earlier iterates of this solve;
+    the shock by one `update_shock` over all earlier iterates of this solve
+    and the _prior from init (metadata["outer_model"] "carried" or "identity");
     the pass after the applied displacement drops below tol_fixed_point solves
     at lin_tol and ends the solve, so the field matches the converged shock.
     Earlier passes solve only as accurately as the next shock correction needs.
@@ -737,6 +773,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     previous field's deviation from its state-(2) potential (zero on a cold
     start; from a coarser grid, resampled once through the logical square), so
     the sonic row starts at its Dirichlet values.
+    The field returned carries the quasi_newton_model of those iterates.
     metadata["newton_steps"] sums the Newton steps of every BVP of the
     solve, and metadata["warm_start_gap"] is the largest distance, along the
     graph direction e, of a converged shock node from the start shock (the
@@ -765,15 +802,16 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
             config, shock, mesh, phi, [(1, upd["movement"], res)], iter_params,
             exact=True, rho2_bar=config.state2.rho, xi1_bar=float(shock.points[0, 0]),
             converged=bool(upd["movement"] < iter_params.tol_fixed_point),
-            newton_steps=0,
+            newton_steps=0, outer_model="identity",
         )
 
     # grid sequencing: converge the shock on a coarse grid first
-    if min(n1, n2) > 1.5 * COARSE_LEVEL:
+    if _sequenced(iter_params):
         coarse = replace(iter_params, n1=COARSE_LEVEL, n2=COARSE_LEVEL)
         init = fixed_point_solve(params, theta_w, coarse, init=init)
 
     config = build_configuration(params, theta_w)
+    prior = _prior(init, iter_params)
     if init is not None:
         grid = logical_grid(n1, n2, "sqrt")
         u, dev = _start(init, grid)
@@ -797,7 +835,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         newton_steps += info["newton_iters"]
         if last:
             break
-        shock, upd = update_shock(phi, config, shock, mesh, earlier)
+        shock, upd = update_shock(phi, config, shock, mesh, earlier, prior)
         earlier.append(upd["iterate"])
         movement = upd["movement"]
         history.append((len(history) + 1, movement, info["residual"]))
@@ -809,8 +847,9 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
             )
 
     return _solution(
-        config, shock, mesh, phi, history, iter_params,
+        config, shock, mesh, phi, history, iter_params, quasi_newton_model(earlier, prior),
         exact=False,
+        outer_model="identity" if prior is None else "carried",
         outer_iterations=len(history),
         newton_steps=newton_steps,
         warm_start_gap=float(np.max(np.abs(shock.s_values - start.graph_value(shock.t_values)[0]))),
@@ -820,7 +859,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     )
 
 
-def _solution(config, shock, mesh, phi, history, iter_params, **record):
+def _solution(config, shock, mesh, phi, history, iter_params, model=None, **record):
     """The SolutionField of a solve.  Its metadata are the angle, regime and
     grid that every member records, what this solve recorded, its
     tolerances, and the a-posteriori RH residuals on the shock it returns:
@@ -837,7 +876,7 @@ def _solution(config, shock, mesh, phi, history, iter_params, **record):
             "rh_potential_max": float(np.nanmax(np.abs(dphi))),
             "rh_mass_max": float(np.nanmax(np.abs(mass)))}
     return SolutionField(config=config, shock=shock, mesh=mesh, phi=phi,
-                         residual_history=history, metadata=meta)
+                         residual_history=history, metadata=meta, inverse_jacobian=model)
 
 
 # step failures that a smaller angle step can get past
@@ -849,7 +888,8 @@ class SweepResult:
     """Continuation family with its stopping cause.
 
     bridges holds (theta, error type name) of each failed step that the
-    sweep halved, in the order the failures happened.
+    sweep halved, and restarts of each failed step that it retried without
+    its carried outer model, in the order the failures happened.
     """
 
     members: list
@@ -857,6 +897,7 @@ class SweepResult:
     stop_reason: str | None = None
     failed_theta: float | None = None
     bridges: list = field(default_factory=list)
+    restarts: list = field(default_factory=list)
 
     @property
     def thetas(self):
@@ -878,12 +919,13 @@ def _secant_start(a, b, theta_w):
     state-(2)-relative deviation, dev_b + rho (dev_b - dev_a), both read by
     _start on b's grid.  The result lives on b's configuration and mesh, so
     fixed_point_solve carries its shock and reads its deviation as it does
-    for any warm start.
+    for any warm start, and hands on b's inverse-Jacobian model.
     """
     rho = (theta_w - b.theta_w) / (b.theta_w - a.theta_w)
     (u_a, dev_a), (u_b, dev_b) = (_start(m, b.mesh.grid) for m in (a, b))
     return SolutionField(config=b.config, mesh=b.mesh, phi=b.phi + rho * (dev_b - dev_a),
-                         shock=shock_from_offsets(b.config, u_b + rho * (u_b - u_a), b.mesh.grid.w))
+                         shock=shock_from_offsets(b.config, u_b + rho * (u_b - u_a), b.mesh.grid.w),
+                         inverse_jacobian=b.inverse_jacobian)
 
 
 def continuation_sweep(params, theta_grid, iter_params=None):
@@ -895,11 +937,14 @@ def continuation_sweep(params, theta_grid, iter_params=None):
     prediction through the two members before it (_secant_start), the exact
     one included.  Each member (and bridge) records metadata["predictor"],
     "transport" or "secant".  A step that fails with one of
-    BRIDGED_FAILURES is bridged by recursive midpoint solves, SWEEP_HALVINGS
-    levels deep, each predicted from the pair it holds, and each halving is
-    recorded in the result's bridges.  Stops with the error's type name as
-    status at DetachedWedgeAngle, AttachedShockDetected or an unbridged
-    failure; the partial family is returned.
+    BRIDGED_FAILURES while it carries an outer model (_prior; near a zero
+    eigenvalue of dr/du the model can point the wrong way) is retried once
+    from the same start with the identity prior, recorded in restarts.  A
+    step that still fails is bridged by recursive midpoint solves,
+    SWEEP_HALVINGS levels deep, each predicted from the pair it holds, and
+    each halving is recorded in the result's bridges.  Stops with the
+    error's type name as status at DetachedWedgeAngle, AttachedShockDetected
+    or an unbridged failure; the partial family is returned.
     """
     iter_params = iter_params or IterationParams()
     thetas = [float(t) for t in theta_grid]
@@ -912,12 +957,20 @@ def continuation_sweep(params, theta_grid, iter_params=None):
     if any(t2 >= t1 for t1, t2 in zip(thetas, thetas[1:])):
         raise ValidationError("angle grid must be strictly decreasing")
 
-    bridges = []
+    bridges, restarts = [], []
+
+    def solve(init, target):
+        try:
+            return fixed_point_solve(params, target, iter_params, init=init)
+        except BRIDGED_FAILURES as exc:
+            if _prior(init, iter_params) is None:
+                raise
+            restarts.append((target, type(exc).__name__))
+        return fixed_point_solve(params, target, iter_params, init=replace(init, inverse_jacobian=None))
 
     def advance(prev, last, target, depth):
         try:
-            sol = fixed_point_solve(params, target, iter_params,
-                                    init=last if prev is None else _secant_start(prev, last, target))
+            sol = solve(last if prev is None else _secant_start(prev, last, target), target)
         except BRIDGED_FAILURES as exc:
             if depth >= SWEEP_HALVINGS:
                 raise
@@ -932,5 +985,5 @@ def continuation_sweep(params, theta_grid, iter_params=None):
         try:
             members.append(advance(members[-2] if len(members) > 1 else None, members[-1], target, 0))
         except (DetachedWedgeAngle, AttachedShockDetected) + BRIDGED_FAILURES as exc:
-            return SweepResult(members, type(exc).__name__, str(exc), target, bridges)
-    return SweepResult(members, "completed", bridges=bridges)
+            return SweepResult(members, type(exc).__name__, str(exc), target, bridges, restarts)
+    return SweepResult(members, "completed", bridges=bridges, restarts=restarts)

@@ -438,6 +438,33 @@ def test_sweep_predictor_and_warm_start_gap_reach_the_archive(tmp_path, caplog, 
         f"warm-start gap {m.metadata['warm_start_gap']:.3e}" for m in sweep.members[1:]]
 
 
+def test_sweep_logs_outer_models_and_restarts(tmp_path, monkeypatch, caplog):
+    """`sweep --log-level info` logs each member's outer model and each step
+    restarted without its carried model, and meta.json records the model: an
+    injected failure of the carried 88-degree solve restarts it from the
+    identity prior, and 87 degrees carries 88's model."""
+    real = solver.fixed_point_solve
+
+    def failing_carried(params, theta_w, iter_params=None, init=None):
+        if round(math.degrees(theta_w), 9) == 88.0 and init.inverse_jacobian is not None:
+            raise GraphPropertyLost("injected breakdown")
+        return real(params, theta_w, iter_params, init=init)
+
+    monkeypatch.setattr(solver, "fixed_point_solve", failing_carried)
+    caplog.set_level(logging.INFO, logger="shockrefl")
+    assert main(["sweep", "--theta-grid", "90:87:1", "--n1", "17", "--n2", "17", "--log-level", "info",
+                 "--out", str(tmp_path)]) == 0
+    logged = [r.getMessage() for r in caplog.records]
+    assert [m for m in logged if m.startswith(("restarted", "bridged"))] == [
+        "restarted GraphPropertyLost at theta=88.0000 deg without the carried outer model"]
+    models = {"89": "identity", "88": "identity", "87": "carried"}
+    assert [m for m in logged if m.startswith("theta=") and m.endswith(" outer model")] == [
+        f"theta={d}.0000 deg: {model} outer model" for d, model in models.items()]
+    for d, model in models.items():
+        meta = json.loads((tmp_path / f"theta0{d}.000" / "meta.json").read_text())
+        assert meta["metadata"]["outer_model"] == model
+
+
 @pytest.mark.parametrize("command, spec", [
     pytest.param("sweep", "80:90:1", id="sweep_empty"),
     pytest.param("sweep", "89:85:1", id="sweep_not_from_90"),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,10 +33,12 @@ from shockrefl.gas import bernoulli_base
 from shockrefl.relations import state1
 from shockrefl.admissibility import full_report
 from shockrefl.mesh import CoonsMap, Segment, _assemble_map, sonic_extension
+from shockrefl.archive import read_solution, write_solution
 from shockrefl.solver import (
     _Discretization,
     capped_density,
     fixed_point_solve,
+    quasi_newton_model,
     quasi_newton_step,
 )
 from manufactured import SINE_MMS
@@ -479,6 +482,77 @@ def test_quasi_newton_step_solves_affine_map():
     assert np.abs(plain - x_star).max() > 2.0 * np.abs(x_star).max()
 
 
+def _affine_map(m, seed, shift=0.0):
+    """(M, b) of G(x) = M x + b in m dimensions, M's eigenvalues spread over
+    [-1.5, 0.9] less shift, and its fixed point x*."""
+    rng = np.random.default_rng(seed)
+    p = np.eye(m) + 0.3 * rng.standard_normal((m, m))
+    mat = p @ np.diag(np.linspace(-1.5, 0.9, m) - shift) @ np.linalg.inv(p)
+    b = rng.standard_normal(m)
+    return mat, b, np.linalg.solve(np.eye(m) - mat, b)
+
+
+def test_quasi_newton_step_with_the_identity_prior_is_the_iqn_ils_step():
+    """prior None, and the explicit B = -I, give r + W c with W = V + dX and
+    c = lstsq(V, -r) bit for bit, on random histories of every length."""
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        n, k = rng.integers(2, 20), rng.integers(0, 8)
+        x, r = rng.standard_normal(n), rng.standard_normal(n)
+        earlier = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(k)]
+        want = r
+        if earlier:
+            v = np.column_stack([r - ri for _, ri in earlier])
+            w = v + np.column_stack([x - xi for xi, _ in earlier])
+            want = r + w @ np.linalg.lstsq(v, -r, rcond=None)[0]
+        assert np.array_equal(quasi_newton_step(x, r, earlier), want)
+        assert np.array_equal(quasi_newton_step(x, r, earlier, -np.eye(n)), want)
+
+
+def test_quasi_newton_step_with_the_exact_inverse_jacobian_lands_on_the_fixed_point():
+    """With the inverse Jacobian (M - I)^-1 of r(x) = G(x) - x as its prior,
+    one step reaches x*, with no history and with one of three iterates of
+    the same map."""
+    m = 8
+    mat, b, x_star = _affine_map(m, 1)
+    exact = np.linalg.inv(mat - np.eye(m))
+    x = np.zeros(m)
+    earlier = [(xi, mat @ xi + b - xi) for xi in np.random.default_rng(5).standard_normal((3, m))]
+    for history in ([], earlier):
+        step = quasi_newton_step(x, mat @ x + b - x, history, exact)
+        assert np.abs(x + step - x_star).max() < 1e-12
+
+
+def test_carried_quasi_newton_model_saves_steps_on_a_family_of_affine_maps():
+    """On ten affine maps whose eigenvalues shift by 0.02 from one to the
+    next, each solved from the last one's fixed point, starting each from the
+    model of the one before (quasi_newton_model) takes fewer steps in all
+    than starting each from the identity prior, to the same fixed points."""
+    m = 8
+
+    def solve(mat, b, x, prior):
+        earlier = []
+        for steps in range(1, 41):
+            r = mat @ x + b - x
+            step = quasi_newton_step(x, r, earlier, prior)
+            earlier.append((x, r))
+            x = x + step
+            if np.abs(step).max() < 1e-10:
+                return steps, x, quasi_newton_model(earlier, prior)
+        pytest.fail("no convergence in 40 steps")
+
+    totals = {}
+    for carry in (False, True):
+        x, model, totals[carry] = np.zeros(m), None, 0
+        for k in range(10):
+            mat, b, x_star = _affine_map(m, 2, shift=0.02 * k)
+            steps, x, new = solve(mat, b, x, model)
+            model = new if carry else None
+            totals[carry] += steps
+            assert np.abs(x - x_star).max() < 1e-8
+    assert totals[True] < totals[False]
+
+
 def test_shock_offsets_invert_shock_from_offsets(gas_122):
     """u -> shock -> u is the identity, and the shock runs from the foot
     (u[0], 0) to P1 with its nodes at the chord fractions w in T."""
@@ -809,20 +883,72 @@ def test_sweep_starts_the_secant_at_the_second_step(gas_122, sweep33_to85):
 
 
 def test_secant_predictor_saves_outer_iterations(gas_122, sweep33_to85):
-    """Each secant-predicted member, 88 degrees (predicted through the exact
-    normal reflection) included, takes fewer outer iterations than a solve
-    warm-started from the member before it alone, and lands on the same
-    solution within the benchmark reference's tolerances (30 tol in the
-    shock, 60 tol in phi)."""
+    """With the outer model held fixed (the identity prior on both sides),
+    each secant prediction, 88 degrees (predicted through the exact normal
+    reflection) included, takes fewer outer iterations than a solve
+    warm-started from the member before it alone, and the sweep's member
+    lands on the same solution within the benchmark reference's tolerances
+    (30 tol in the shock, 60 tol in phi)."""
     ip = IterationParams(n1=33, n2=33)
     members = sweep33_to85.members
-    for prev, sol in zip(members[1:], members[2:]):
+    for before, prev, sol in zip(members, members[1:], members[2:]):
         assert sol.metadata["predictor"] == "secant"
-        alone = fixed_point_solve(gas_122, sol.theta_w, ip, init=prev)
-        assert sol.metadata["outer_iterations"] < alone.metadata["outer_iterations"]
-        assert sol.metadata["warm_start_gap"] < alone.metadata["warm_start_gap"]
+        start = replace(solver._secant_start(before, prev, sol.theta_w), inverse_jacobian=None)
+        secant = fixed_point_solve(gas_122, sol.theta_w, ip, init=start)
+        alone = fixed_point_solve(gas_122, sol.theta_w, ip, init=replace(prev, inverse_jacobian=None))
+        assert secant.metadata["outer_model"] == alone.metadata["outer_model"] == "identity"
+        assert secant.metadata["outer_iterations"] < alone.metadata["outer_iterations"]
+        assert secant.metadata["warm_start_gap"] < alone.metadata["warm_start_gap"]
         assert np.max(np.abs(sol.shock.points - alone.shock.points)) <= 30 * ip.tol_fixed_point
         assert np.max(np.abs(sol.phi - alone.phi)) <= 60 * ip.tol_fixed_point
+
+
+def test_sweep_carries_the_outer_model_after_89_degrees(gas_122, sweep33_to85, tmp_path):
+    """The exact member and the first step from it start from the identity
+    prior; every later member carries the model of the member before it,
+    which records it in meta.json.  The archive does not keep the model, so a
+    solve warm-started from a read_solution member starts from the identity."""
+    members = sweep33_to85.members
+    assert [m.metadata["outer_model"] for m in members] == ["identity"] * 2 + ["carried"] * 4
+    assert members[0].inverse_jacobian is None
+    assert all(m.inverse_jacobian.shape == (32, 32) for m in members[1:])
+    write_solution(members[-1], str(tmp_path / "m85"))
+    back, tampered = read_solution(str(tmp_path / "m85"))
+    assert not tampered and back.metadata["outer_model"] == "carried" and back.inverse_jacobian is None
+    ip = IterationParams(n1=33, n2=33)
+    assert fixed_point_solve(gas_122, math.radians(84.0), ip, init=back).metadata["outer_model"] == "identity"
+    assert fixed_point_solve(gas_122, math.radians(84.0), ip, init=members[-1]).metadata["outer_model"] == "carried"
+
+
+def test_a_model_of_another_logical_grid_is_not_carried(gas_122, sweep33_to85):
+    """A warm start whose model has another size than n2 - 1 (another logical
+    grid) starts from the identity prior."""
+    sol = fixed_point_solve(gas_122, math.radians(84.0), IterationParams(n1=17, n2=17), init=sweep33_to85.members[-1])
+    assert sol.metadata["outer_model"] == "identity" and sol.inverse_jacobian.shape == (16, 16)
+
+
+def test_sweep_restarts_a_failed_carried_step_without_its_model(gas_122, monkeypatch):
+    """A step whose solve fails while it carries an outer model is solved
+    once more from the same start with the identity prior, and recorded as a
+    restart, not a halving; the next step carries the restarted member's model."""
+    real = solver.fixed_point_solve
+    starts = []
+
+    def failing_carried(params, theta_w, iter_params=None, init=None):
+        if round(math.degrees(theta_w), 9) == 88.0:
+            starts.append(init)
+            if init.inverse_jacobian is not None:
+                raise NoConvergence("injected breakdown")
+        return real(params, theta_w, iter_params, init=init)
+
+    monkeypatch.setattr(solver, "fixed_point_solve", failing_carried)
+    grid = [math.pi / 2.0] + [math.radians(d) for d in (89.0, 88.0, 87.0)]
+    sweep = solver.continuation_sweep(gas_122, grid, IterationParams(n1=17, n2=17))
+    assert sweep.status == "completed" and sweep.bridges == []
+    assert [(round(math.degrees(t), 9), name) for t, name in sweep.restarts] == [(88.0, "NoConvergence")]
+    assert [m.metadata["outer_model"] for m in sweep.members] == ["identity", "identity", "identity", "carried"]
+    first, second = starts
+    assert second.inverse_jacobian is None and second.shock is first.shock and second.phi is first.phi
 
 
 def test_multi_start_consistency_cheap(gas_122, sol85_n65):
