@@ -243,11 +243,11 @@ def _warmup_grid(theta, step_deg):
     if not (math.isfinite(step_deg) and step_deg > 0.0):
         raise ValidationError(f"--sweep-step {step_deg!r} must be finite and positive")
     step = math.radians(step_deg)
-    # the margin keeps a theta that lies on the step grid from being listed twice
+    # pi/2 comes first however near theta lies; the margin lists a theta on the step grid once
     intervals = (math.pi / 2.0 - theta) / step - 1e-9
     _check_angle_count(intervals + 1.0, f"--sweep-step {step_deg!r}")
-    n = math.ceil(intervals)
-    return [math.pi / 2.0 - k * step for k in range(n)] + [theta]
+    grid = [math.pi / 2.0 - k * step for k in range(max(math.ceil(intervals), 1))]
+    return grid if theta == math.pi / 2.0 else grid + [theta]
 
 
 def _report_and_write(sol, outdir, run_config):

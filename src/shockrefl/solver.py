@@ -739,17 +739,12 @@ def _start(sol, grid):
     return u, dev
 
 
-def _sequenced(iter_params):
-    """Whether grid sequencing solves a coarse level first."""
-    return min(iter_params.n1, iter_params.n2) > 1.5 * COARSE_LEVEL
-
-
 def _prior(init, iter_params):
-    """init's inverse_jacobian if a solve from init carries it: on the same
-    logical grid (n2 - 1 rows) with no coarse level first; else None."""
+    """init's inverse_jacobian if it has n2 - 1 rows, the size of the shock
+    unknown on iter_params' grid; else None (so the coarse level of a
+    grid-sequenced solve, whose size differs, starts from the identity)."""
     model = getattr(init, "inverse_jacobian", None)
-    carried = model is not None and len(model) == iter_params.n2 - 1 and not _sequenced(iter_params)
-    return model if carried else None
+    return model if model is not None and len(model) == iter_params.n2 - 1 else None
 
 
 def fixed_point_solve(params, theta_w, iter_params=None, init=None):
@@ -772,12 +767,17 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     Every BVP starts from the state-(2) potential on its own mesh plus the
     previous field's deviation from its state-(2) potential (zero on a cold
     start; from a coarser grid, resampled once through the logical square), so
-    the sonic row starts at its Dirichlet values.
+    the sonic row starts at its Dirichlet values.  Grid sequencing (n1 and n2
+    above 1.5 COARSE_LEVEL) first solves at COARSE_LEVEL^2 from init and
+    starts this level from that solution; the coarse level starts from the
+    identity, and this level carries the _prior from the caller's init.
     The field returned carries the quasi_newton_model of those iterates.
-    metadata["newton_steps"] sums the Newton steps of every BVP of the
-    solve, and metadata["warm_start_gap"] is the largest distance, along the
-    graph direction e, of a converged shock node from the start shock (the
-    warm start; with grid sequencing, the coarse solution's shock).
+    metadata["newton_steps"] sums the Newton steps of every BVP of the solve,
+    the coarse level's included (outer_iterations and residual_history are
+    this level's alone), and metadata["warm_start_gap"] is the largest
+    distance, along the graph direction e, of a converged shock node from the
+    start shock (the warm start; with grid sequencing, the coarse solution's
+    shock).
 
     Raises NoConvergence after max_outer solves and shock updates, and
     DetachedWedgeAngle, AttachedShockDetected, VacuumReached,
@@ -805,13 +805,14 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
             newton_steps=0, outer_model="identity",
         )
 
+    prior = _prior(init, iter_params)
+    newton_steps = 0
     # grid sequencing: converge the shock on a coarse grid first
-    if _sequenced(iter_params):
-        coarse = replace(iter_params, n1=COARSE_LEVEL, n2=COARSE_LEVEL)
-        init = fixed_point_solve(params, theta_w, coarse, init=init)
+    if min(n1, n2) > 1.5 * COARSE_LEVEL:
+        init = fixed_point_solve(params, theta_w, replace(iter_params, n1=COARSE_LEVEL, n2=COARSE_LEVEL), init=init)
+        newton_steps = init.metadata["newton_steps"]
 
     config = build_configuration(params, theta_w)
-    prior = _prior(init, iter_params)
     if init is not None:
         grid = logical_grid(n1, n2, "sqrt")
         u, dev = _start(init, grid)
@@ -823,7 +824,6 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     start = shock
     history = []
     earlier = []  # (S, r) of every earlier iterate, for the quasi-Newton step
-    newton_steps = 0
     movement = math.inf
     while True:
         mesh = build_square_map(config, shock, n1, n2)

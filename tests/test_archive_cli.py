@@ -342,6 +342,18 @@ def test_cli_solve_warmup_no_convergence_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("NoConvergence: ")
 
 
+def test_cli_solve_warmup_grid_starts_at_90_degrees(tmp_path, capsys):
+    """The warm-up grid starts at pi/2 however near theta lies, and lists a
+    theta of 90 once; a solve a hair below 90 degrees then stops with the
+    solve's own typed error (exit 2), not with a grid that lacks pi/2."""
+    assert cli._warmup_grid(math.pi / 2.0, 1.0) == [math.pi / 2.0]
+    theta = cli._radians(89.9999999999)
+    assert cli._warmup_grid(theta, 1.0) == [math.pi / 2.0, theta]
+    assert main(["solve", "--theta", "89.9999999999", "--n1", "9", "--n2", "9", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("DegenerateSonicArc: ") and "must start at theta_w = pi/2" not in err
+
+
 @pytest.mark.parametrize("error", [GraphPropertyLost, EllipticityLost])
 def test_sweep_keeps_partial_family_when_a_step_breaks_down(tmp_path, monkeypatch, capsys, caplog,
                                                            gas_122, error):

@@ -927,6 +927,43 @@ def test_a_model_of_another_logical_grid_is_not_carried(gas_122, sweep33_to85):
     assert sol.metadata["outer_model"] == "identity" and sol.inverse_jacobian.shape == (16, 16)
 
 
+@pytest.fixture(scope="module")
+def sequenced_sweep17(gas_122):
+    """The 17^2 sweep 90 -> 87 degrees with COARSE_LEVEL = 9, so every solve
+    after 90 degrees is grid-sequenced through 9^2, and the info of every BVP."""
+    infos = []
+    unrecorded = solver.solve_bvp
+
+    def recording(*args, **kwargs):
+        phi, info = unrecorded(*args, **kwargs)
+        infos.append(info)
+        return phi, info
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "COARSE_LEVEL", 9)
+        mp.setattr(solver, "solve_bvp", recording)
+        grid = [math.pi / 2.0] + [math.radians(d) for d in (89, 88, 87)]
+        sweep = solver.continuation_sweep(gas_122, grid, IterationParams(n1=17, n2=17))
+    assert sweep.status == "completed" and sweep.bridges == [] and sweep.restarts == []
+    return sweep, infos
+
+
+def test_grid_sequenced_solves_carry_the_outer_model(sequenced_sweep17):
+    """The fine level of a grid-sequenced solve carries the model of the
+    member before it, as a solve on its grid alone does; each member's model
+    is the fine level's (n2 - 1 rows)."""
+    members = sequenced_sweep17[0].members
+    assert [m.metadata["outer_model"] for m in members] == ["identity"] * 2 + ["carried"] * 2
+    assert all(m.inverse_jacobian.shape == (16, 16) for m in members[1:])
+
+
+def test_grid_sequenced_solves_count_the_coarse_newton_steps(sequenced_sweep17):
+    """newton_steps sums the Newton steps of every BVP of a grid-sequenced
+    solve, the coarse level's included."""
+    sweep, infos = sequenced_sweep17
+    assert sum(m.metadata["newton_steps"] for m in sweep.members) == sum(info["newton_iters"] for info in infos)
+
+
 def test_sweep_restarts_a_failed_carried_step_without_its_model(gas_122, monkeypatch):
     """A step whose solve fails while it carries an outer model is solved
     once more from the same start with the identity prior, and recorded as a
