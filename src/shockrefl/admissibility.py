@@ -121,6 +121,10 @@ def _interior_mask(sol):
 
 
 def _worst_at(values, mask, nodes, biggest=True):
+    """The largest (or smallest) of values over mask and its node; on an
+    empty mask the vacuous -inf (inf) and no location."""
+    if not mask.any():
+        return (-math.inf if biggest else math.inf), None
     vals = np.where(mask, values, -np.inf if biggest else np.inf)
     idx = np.unravel_index(np.argmax(vals) if biggest else np.argmin(vals), vals.shape)
     return float(values[idx]), tuple(float(x) for x in nodes[idx])
@@ -141,11 +145,10 @@ def check_ellipticity(sol):
     outside = mask & (dist > width)
     ok, worst, loc = True, math.inf, None
     for region, bound in ((outside, 0.0), (mask & ~outside, -tol)):
-        if np.any(region):
-            w, l = _worst_at(margin, region, sol.mesh.nodes, biggest=False)
-            ok &= w > bound
-            if loc is None or w < worst:
-                worst, loc = w, l
+        w, l = _worst_at(margin, region, sol.mesh.nodes, biggest=False)
+        ok &= w > bound
+        if loc is None or w < worst:
+            worst, loc = w, l
     return CheckRecord(
         name="ellipticity",
         passed=bool(ok),

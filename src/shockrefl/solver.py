@@ -5,17 +5,17 @@ argument: solve a cutoff-regularized elliptic boundary value problem for
 the pseudo-potential on the current domain (Dirichlet phi = phi2 on the
 sonic side, prescribed state-(1) mass flux on the shock side, zero flux on
 wedge and symmetry sides), then move the shock toward the zero of
-phi - phi1 along the graph direction by an IQN-IMVJ quasi-Newton step over
-the solve's earlier iterates, whose inverse-Jacobian model starts from the
-one the member before it ends with.  The iteration is warm-started in angle
-by a continuation sweep from the normal reflection at theta_w = pi/2, which
-is known in closed form; from its second step on, the sweep starts each step
-from a secant prediction through the two members before it.  Each BVP
-starts from the state-(2) potential of its own configuration and mesh plus
-the previous field's deviation from its state-(2) potential: by the
-stability of admissible solutions in the wedge angle that deviation changes
-little from one angle to the next, and the sonic row starts exactly at its
-Dirichlet values.
+phi - phi1 along the graph direction by the step -B r of an IQN-IMVJ
+inverse-Jacobian model B over the solve's iterates; B starts from the model
+of the last shock update of the member before it, which that member returns.
+The iteration is warm-started in angle by a continuation sweep from the
+normal reflection at theta_w = pi/2, which is known in closed form; from its
+second step on, the sweep starts each step from a secant prediction through
+the two members before it.  Each BVP starts from the state-(2) potential of
+its own configuration and mesh plus the previous field's deviation from its
+state-(2) potential: by the stability of admissible solutions in the wedge
+angle that deviation changes little from one angle to the next, and the
+sonic row starts exactly at its Dirichlet values.
 
 Discretization: vertex-centered conservative finite volumes on the mapped
 (a, w) square.  Face densities are averages of nodal densities, which makes
@@ -104,7 +104,7 @@ class SolutionField:
     phi: np.ndarray
     residual_history: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
-    inverse_jacobian: np.ndarray | None = field(default=None, repr=False)  # outer model; not archived
+    inverse_jacobian: np.ndarray | None = field(default=None, repr=False)  # model of the last shock update; not archived
 
     @property
     def theta_w(self):
@@ -601,37 +601,18 @@ def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
 # ----------------------------------------------------------------------
 # Shock update and the outer fixed-point loop.
 
-def _differences(x, r, earlier):
-    """V and dX: the differences of r and of x against every earlier (x_i, r_i)."""
-    return np.column_stack([r - ri for _, ri in earlier]), np.column_stack([x - xi for xi, _ in earlier])
-
-
-def quasi_newton_step(x, r, earlier, prior=None):
-    """IQN-IMVJ step (Bogaers et al., CMAME 279, 2014) from x with residual r.
-
-    With B = prior, a model of the inverse Jacobian of r, and V, dX the
-    _differences against every earlier (x_i, r_i), the step is -B r - (dX -
-    B V) V^+ r.  prior None is B = -I: the IQN-ILS step (Degroote et al.,
-    Comput. Struct. 87, 2009) r + W c with W = V + dX and c = lstsq(V, -r).
-    """
-    b = -np.eye(r.size) if prior is None else prior
-    step = -(b @ r)
-    if not earlier:
-        return step
-    v, dx = _differences(x, r, earlier)
-    c = np.linalg.lstsq(v, -r, rcond=None)[0]
-    return step + (dx - b @ v) @ c
-
-
 def quasi_newton_model(earlier, prior=None):
-    """The model of quasi_newton_step after the iterates `earlier`: B + (dX -
-    B V) V^+ with the _differences against the last iterate, which maps every
-    difference of r in V to its difference of x (B = prior, None being -I)."""
+    """IQN-IMVJ model (Bogaers et al., CMAME 279, 2014) of the inverse
+    Jacobian of r after the iterates `earlier`, the current (x, r) last:
+    B + (dX - B V) V^+ with B = prior (None being -I) and V, dX the
+    differences of r and of x against (x, r).  Its step is -model r; at
+    B = -I, the IQN-ILS step (Degroote et al., Comput. Struct. 87, 2009)."""
     x, r = earlier[-1]
     model = -np.eye(r.size) if prior is None else prior
     if len(earlier) < 2:
         return model
-    v, dx = _differences(x, r, earlier[:-1])
+    v = np.column_stack([r - ri for _, ri in earlier[:-1]])
+    dx = np.column_stack([x - xi for xi, _ in earlier[:-1]])
     return model + (dx - model @ v) @ np.linalg.pinv(v)
 
 
@@ -676,9 +657,11 @@ def update_shock(phi, config, shock, mesh, earlier=(), prior=None):
     vertical-tangency closure (C1 reflected extension) through the two
     moved nodes above it, and resamples the moved row linearly in T at the
     new chord's fractions.  Its change in the shock unknown u (shock_offsets)
-    is the residual r, and u moves by quasi_newton_step(u, r, earlier, prior).
+    is the residual r, and u moves by -B r with the inverse-Jacobian model
+    B = quasi_newton_model([*earlier, (u, r)], prior).
     Returns (new_curve, info) with info["movement"] = max(|change of the
-    foot|, chord length * max |change of d|) and info["iterate"] = (u, r).
+    foot|, chord length * max |change of d|), info["iterate"] = (u, r) and
+    info["model"] = B.
 
     Raises GraphPropertyLost / AttachedShockDetected on invalid updates.
     """
@@ -714,7 +697,8 @@ def update_shock(phi, config, shock, mesh, earlier=(), prior=None):
     s_new = np.interp(t_new, t[::-1], (moved @ e)[::-1])
     u = shock_offsets(pts, w, e)
     r = shock_offsets(s_new[:, None] * e + t_new[:, None] * ep, w, e) - u
-    step = quasi_newton_step(u, r, earlier, prior)
+    model = quasi_newton_model([*earlier, (u, r)], prior)
+    step = -(model @ r)
     if u[0] + step[0] > -config.attach_eps:
         raise AttachedShockDetected(f"shock foot xi1={u[0] + step[0]:.6f} reached the wedge vertex")
     curve = shock_from_offsets(config, u + step, w)
@@ -723,7 +707,7 @@ def update_shock(phi, config, shock, mesh, earlier=(), prior=None):
     # checker enforces the strict Lemma-type bounds on converged shocks)
     curve.check_graph(tol=0.5)
     movement = max(abs(step[0]), np.linalg.norm(pts[-1] - pts[0]) * np.max(np.abs(step[1:])))
-    return curve, {"movement": float(movement), "iterate": (u, r)}
+    return curve, {"movement": float(movement), "iterate": (u, r), "model": model}
 
 
 def _start(sol, grid):
@@ -739,14 +723,6 @@ def _start(sol, grid):
     return u, dev
 
 
-def _prior(init, iter_params):
-    """init's inverse_jacobian if it has n2 - 1 rows, the size of the shock
-    unknown on iter_params' grid; else None (so the coarse level of a
-    grid-sequenced solve, whose size differs, starts from the identity)."""
-    model = getattr(init, "inverse_jacobian", None)
-    return model if model is not None and len(model) == iter_params.n2 - 1 else None
-
-
 def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     """Alternate BVP solves and shock updates until the shock stops moving.
 
@@ -759,10 +735,12 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     shock unknown u (_start, at this grid's fractions) is carried to this
     configuration's P1 and wedge normal, or from the cold-start curve.
     Each pass builds the mesh on the current shock, solves the BVP and moves
-    the shock by one `update_shock` over all earlier iterates of this solve
-    and the _prior from init (metadata["outer_model"] "carried" or "identity");
-    the pass after the applied displacement drops below tol_fixed_point solves
-    at lin_tol and ends the solve, so the field matches the converged shock.
+    the shock by one `update_shock` over all earlier iterates of this solve,
+    whose model starts from init's inverse_jacobian if it has n2 - 1 rows
+    (the size of this grid's shock unknown), else from the identity
+    (metadata["outer_model"] "carried" or "identity"); the pass after the
+    applied displacement drops below tol_fixed_point solves at lin_tol and
+    ends the solve, so the field matches the converged shock.
     Earlier passes solve only as accurately as the next shock correction needs.
     Every BVP starts from the state-(2) potential on its own mesh plus the
     previous field's deviation from its state-(2) potential (zero on a cold
@@ -770,8 +748,9 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     the sonic row starts at its Dirichlet values.  Grid sequencing (n1 and n2
     above 1.5 COARSE_LEVEL) first solves at COARSE_LEVEL^2 from init and
     starts this level from that solution; the coarse level starts from the
-    identity, and this level carries the _prior from the caller's init.
-    The field returned carries the quasi_newton_model of those iterates.
+    identity, and this level carries the model of the caller's init.
+    The field returned carries the model of its last shock update as
+    inverse_jacobian.
     metadata["newton_steps"] sums the Newton steps of every BVP of the solve,
     the coarse level's included (outer_iterations and residual_history are
     this level's alone), and metadata["warm_start_gap"] is the largest
@@ -805,7 +784,9 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
             newton_steps=0, outer_model="identity",
         )
 
-    prior = _prior(init, iter_params)
+    prior = getattr(init, "inverse_jacobian", None)
+    if prior is not None and len(prior) != n2 - 1:  # the coarse level of a grid-sequenced solve
+        prior = None
     newton_steps = 0
     # grid sequencing: converge the shock on a coarse grid first
     if min(n1, n2) > 1.5 * COARSE_LEVEL:
@@ -823,7 +804,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
 
     start = shock
     history = []
-    earlier = []  # (S, r) of every earlier iterate, for the quasi-Newton step
+    earlier = []  # (u, r) of every earlier iterate, for the quasi-Newton model
     movement = math.inf
     while True:
         mesh = build_square_map(config, shock, n1, n2)
@@ -837,7 +818,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
             break
         shock, upd = update_shock(phi, config, shock, mesh, earlier, prior)
         earlier.append(upd["iterate"])
-        movement = upd["movement"]
+        movement, model = upd["movement"], upd["model"]
         history.append((len(history) + 1, movement, info["residual"]))
         dev = phi - config.state2.potential(mesh.nodes)
         if len(history) == iter_params.max_outer and not movement < iter_params.tol_fixed_point:
@@ -847,7 +828,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
             )
 
     return _solution(
-        config, shock, mesh, phi, history, iter_params, quasi_newton_model(earlier, prior),
+        config, shock, mesh, phi, history, iter_params, model,
         exact=False,
         outer_model="identity" if prior is None else "carried",
         outer_iterations=len(history),
@@ -937,8 +918,8 @@ def continuation_sweep(params, theta_grid, iter_params=None):
     prediction through the two members before it (_secant_start), the exact
     one included.  Each member (and bridge) records metadata["predictor"],
     "transport" or "secant".  A step that fails with one of
-    BRIDGED_FAILURES while it carries an outer model (_prior; near a zero
-    eigenvalue of dr/du the model can point the wrong way) is retried once
+    BRIDGED_FAILURES while it carries an outer model (near a zero eigenvalue
+    of dr/du the model can point the wrong way) is retried once
     from the same start with the identity prior, recorded in restarts.  A
     step that still fails is bridged by recursive midpoint solves,
     SWEEP_HALVINGS levels deep, each predicted from the pair it holds, and
@@ -963,7 +944,7 @@ def continuation_sweep(params, theta_grid, iter_params=None):
         try:
             return fixed_point_solve(params, target, iter_params, init=init)
         except BRIDGED_FAILURES as exc:
-            if _prior(init, iter_params) is None:
+            if init.inverse_jacobian is None:
                 raise
             restarts.append((target, type(exc).__name__))
         return fixed_point_solve(params, target, iter_params, init=replace(init, inverse_jacobian=None))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from shockrefl import GasParams, IterationParams, ShockCurve, TooFewSamples, fixed_point_solve
+from shockrefl import admissibility
 from shockrefl.admissibility import (
     ENDPOINT_SKIP,
     FARFIELD_TOL,
@@ -117,6 +118,29 @@ def test_phi_equals_phi2_is_boundary_case(sol85_n65):
     assert rec.passed
     # zero up to the discrete-gradient truncation error of the sampled state
     assert abs(rec.worst) < 1e-3
+
+
+@pytest.mark.parametrize("n1", [3, 4])
+def test_an_empty_interior_mask_gives_the_vacuous_record(gas_122, n1):
+    """On a 3 x 5 or 4 x 5 grid the interior mask is empty: the checks over
+    it report -inf (the largest of nothing) or inf (the smallest) and no
+    location, not a masked corner such as P2."""
+    sol = fixed_point_solve(gas_122, math.pi / 2.0, IterationParams(n1=n1, n2=5))
+    assert not admissibility._interior_mask(sol).any()
+    wedge, ell = check_wedge_monotonicity(sol), check_ellipticity(sol)
+    assert (wedge.worst, wedge.location, wedge.passed) == (-math.inf, None, True)
+    assert (ell.worst, ell.location, ell.passed) == (math.inf, None, True)
+
+
+def test_cone_monotonicity_on_an_empty_interior_mask(sol85_n65, monkeypatch):
+    """With no interior node, every interior cone direction is vacuous and
+    the worst value and its location come from the shock row."""
+    monkeypatch.setattr(admissibility, "_interior_mask", lambda sol: np.zeros(sol.phi.shape, dtype=bool))
+    rec = check_cone_monotonicity(sol85_n65)
+    interior = [v for k, v in rec.details.items() if k.startswith("interior_dir_")]
+    assert len(interior) == 3 and all(v == -math.inf for v in interior)
+    assert rec.worst == max(rec.details["shock_e_s1"], rec.details["shock_e_xi2"])
+    assert rec.location in {tuple(map(float, p)) for p in sol85_n65.mesh.nodes[0]}
 
 
 def test_cone_monotonicity_inverted_direction_fails(sol85_n65):

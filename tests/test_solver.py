@@ -39,7 +39,6 @@ from shockrefl.solver import (
     capped_density,
     fixed_point_solve,
     quasi_newton_model,
-    quasi_newton_step,
 )
 from manufactured import SINE_MMS
 
@@ -459,6 +458,12 @@ def test_update_shock_contracts_after_perturbation(gas_122, sol85_n65):
     assert after < 0.85 * before
 
 
+def _step(x, r, earlier, prior=None):
+    """The step of update_shock from x with residual r: -B r, B the
+    quasi_newton_model of the earlier iterates and (x, r)."""
+    return -(quasi_newton_model([*earlier, (x, r)], prior) @ r)
+
+
 def test_quasi_newton_step_solves_affine_map():
     """On G(x) = Mx + b in m = 8 dimensions with spectral radius 1.5, the
     IQN-ILS step over the full history reaches x* in m + 1 steps, where
@@ -474,7 +479,7 @@ def test_quasi_newton_step_solves_affine_map():
     plain = np.zeros(m)
     for _ in range(m + 1):
         r = mat @ x + b - x
-        step = quasi_newton_step(x, r, earlier)
+        step = _step(x, r, earlier)
         earlier.append((x, r))
         x = x + step
         plain = mat @ plain + b
@@ -493,8 +498,11 @@ def _affine_map(m, seed, shift=0.0):
 
 
 def test_quasi_newton_step_with_the_identity_prior_is_the_iqn_ils_step():
-    """prior None, and the explicit B = -I, give r + W c with W = V + dX and
-    c = lstsq(V, -r) bit for bit, on random histories of every length."""
+    """prior None gives the step of the explicit B = -I bit for bit, and that
+    step is r + W c with W = V + dX and c = lstsq(V, -r) up to rounding (the
+    model goes through pinv, not lstsq: at most 7.3e-15 of max |step| on
+    these histories, and exact with no history), on random histories of every
+    length."""
     rng = np.random.default_rng(4)
     for _ in range(200):
         n, k = rng.integers(2, 20), rng.integers(0, 8)
@@ -505,8 +513,10 @@ def test_quasi_newton_step_with_the_identity_prior_is_the_iqn_ils_step():
             v = np.column_stack([r - ri for _, ri in earlier])
             w = v + np.column_stack([x - xi for xi, _ in earlier])
             want = r + w @ np.linalg.lstsq(v, -r, rcond=None)[0]
-        assert np.array_equal(quasi_newton_step(x, r, earlier), want)
-        assert np.array_equal(quasi_newton_step(x, r, earlier, -np.eye(n)), want)
+        step = _step(x, r, earlier)
+        assert np.array_equal(step, _step(x, r, earlier, -np.eye(n)))
+        assert np.abs(step - want).max() <= 5e-14 * np.abs(want).max()
+        assert earlier or np.array_equal(step, want)
 
 
 def test_quasi_newton_step_with_the_exact_inverse_jacobian_lands_on_the_fixed_point():
@@ -519,14 +529,14 @@ def test_quasi_newton_step_with_the_exact_inverse_jacobian_lands_on_the_fixed_po
     x = np.zeros(m)
     earlier = [(xi, mat @ xi + b - xi) for xi in np.random.default_rng(5).standard_normal((3, m))]
     for history in ([], earlier):
-        step = quasi_newton_step(x, mat @ x + b - x, history, exact)
+        step = _step(x, mat @ x + b - x, history, exact)
         assert np.abs(x + step - x_star).max() < 1e-12
 
 
 def test_carried_quasi_newton_model_saves_steps_on_a_family_of_affine_maps():
     """On ten affine maps whose eigenvalues shift by 0.02 from one to the
     next, each solved from the last one's fixed point, starting each from the
-    model of the one before (quasi_newton_model) takes fewer steps in all
+    model of the last step of the one before takes fewer steps in all
     than starting each from the identity prior, to the same fixed points."""
     m = 8
 
@@ -534,11 +544,12 @@ def test_carried_quasi_newton_model_saves_steps_on_a_family_of_affine_maps():
         earlier = []
         for steps in range(1, 41):
             r = mat @ x + b - x
-            step = quasi_newton_step(x, r, earlier, prior)
             earlier.append((x, r))
+            model = quasi_newton_model(earlier, prior)
+            step = -(model @ r)
             x = x + step
             if np.abs(step).max() < 1e-10:
-                return steps, x, quasi_newton_model(earlier, prior)
+                return steps, x, model
         pytest.fail("no convergence in 40 steps")
 
     totals = {}
@@ -925,6 +936,27 @@ def test_a_model_of_another_logical_grid_is_not_carried(gas_122, sweep33_to85):
     grid) starts from the identity prior."""
     sol = fixed_point_solve(gas_122, math.radians(84.0), IterationParams(n1=17, n2=17), init=sweep33_to85.members[-1])
     assert sol.metadata["outer_model"] == "identity" and sol.inverse_jacobian.shape == (16, 16)
+
+
+def test_a_solve_returns_the_model_of_its_last_shock_update(gas_122, sweep33_to85, monkeypatch):
+    """A carried 33^2 solve steps each shock update by -model r bit for bit,
+    model the one its info records, and returns the last update's model
+    (and shock) as its own."""
+    updates = []
+    unrecorded = solver.update_shock
+
+    def recording(phi, config, shock, mesh, earlier=(), prior=None):
+        curve, info = unrecorded(phi, config, shock, mesh, earlier, prior)
+        updates.append((config, mesh.grid.w, curve, info))
+        return curve, info
+
+    monkeypatch.setattr(solver, "update_shock", recording)
+    sol = fixed_point_solve(gas_122, math.radians(85.0), IterationParams(n1=33, n2=33), init=sweep33_to85.members[-2])
+    assert sol.metadata["outer_model"] == "carried" and len(updates) == sol.metadata["outer_iterations"]
+    for config, w, curve, info in updates:
+        u, r = info["iterate"]
+        assert np.array_equal(curve.points, solver.shock_from_offsets(config, u - info["model"] @ r, w).points)
+    assert sol.inverse_jacobian is updates[-1][3]["model"] and sol.shock is updates[-1][2]
 
 
 @pytest.fixture(scope="module")
