@@ -12,14 +12,16 @@ against state (1).  With the slip condition (u2, v2) = u2*(1, tan(theta_w))
 and phi-continuity fixing k2, the system collapses to one scalar equation
 F(u2) = 0 whose two entropic roots are the weak and strong states (2).
 
-Every 1-D solve here is bracketed bisection through one helper, `_bisect`:
-the u2 roots, xi1_bar of the normal reflection, theta_d (sign of the
-existence indicator), theta_s (Mach - 1) and rho^c.  No derivative method
-is used, since the roots near detachment can be nearly tangent.  Each angle
-samples F once on its entropic window (`_window_scan`); the root count and
-the lobe extremum both read that scan.  `angle_diagram` finds theta_d once
-and brackets theta_s above it, refining only the weak (lowest) root at each
-probed angle.
+Every 1-D solve here goes through one bracketed ITP helper,
+`_bracketed_root`: the u2 roots, xi1_bar of the normal reflection, theta_d
+(a signed existence margin), theta_s (Mach - 1) and rho^c.  ITP keeps a
+bracket with a sign change, as bisection does, and never takes more than
+ITP_N0 steps beyond bisection's count, but it interpolates, so it converges
+superlinearly on the smooth roots here.  No derivative is used, since the
+roots near detachment can be nearly tangent.  Each angle samples F once on
+its entropic window (`_window_scan`); the root count and the lobe extremum
+both read that scan.  `angle_diagram` finds theta_d once and brackets
+theta_s above it, refining only the weak (lowest) root at each probed angle.
 
 F is one function, `_mismatch`, for the scan (an ndarray) and for every
 refinement (floats in, floats out): a float evaluation is about ten times
@@ -42,14 +44,17 @@ from .errors import (
 )
 from .gas import UniformState, make_uniform_state
 
-# Scan/bisection controls (see module notes: bracketed bisection only, no
-# derivative methods; roots near detachment can be nearly tangent).
+# Scan and root-finding controls (see module notes: bracketed ITP steps only,
+# no derivative methods; roots near detachment can be nearly tangent).
 SCAN_POINTS = 10_000                 # samples of F per entropic window
-BISECT_STEPS = 120
+BISECT_STEPS = 120                   # cap on the steps of one bracketed root
+ITP_K1 = 0.2                         # truncation: ITP_K1 * (b - a)^2 / (b0 - a0)
+ITP_N0 = 2                           # steps allowed beyond bisection's count
 ANGLE_TOL = 1e-10                    # bracket width of theta_d and theta_s
 SONIC_TOL = 1e-8                     # |Mach - 1| counted as sonic
 NEAR_SONIC_SIGMA = 0.1               # Mach in (1 - NEAR_SONIC_SIGMA, 1) counted as near sonic
 NORMAL_ANGLE_TOL = 1e-14             # |theta_w - pi/2| treated as normal reflection
+_SQRT_DOUBLE_MAX = math.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -194,6 +199,13 @@ def _window_scan(theta_w, params, inc):
     trivial, non-entropic root u2 = 0 of F near pi/2.  The grid
     includes u2 = xi1_0 itself: F there is strictly negative, and the strong
     root crowds against it as theta_w -> pi/2.
+
+    Each term of F is at most rho2/rho1 times the state-(1) scale
+    rho1 * xi1_0^2 * sec^2(theta_w), so a product that overflows has one of
+    the two past the square root of the largest double.  Where the scale is
+    (a gas of huge rho1), a scan that overflows raises BracketingFailure;
+    where only rho2/rho1 is (gamma near 1 and theta_w near pi/2, where rho2
+    itself overflows), the scan keeps its infinities and NaNs.
     """
     g = params.gamma
     delta = params.rho1 ** (g - 1.0) - params.rho0_pow
@@ -203,15 +215,32 @@ def _window_scan(theta_w, params, inc):
         return None
     u_lo = c / (inc.xi1_0 + math.sqrt(disc))
     grid = np.linspace(u_lo * (1.0 + 1e-14) + 1e-300, inc.xi1_0, SCAN_POINTS)
+    t = math.tan(theta_w)
+    if params.rho1 * inc.xi1_0 * inc.xi1_0 * (1.0 + t * t) > _SQRT_DOUBLE_MAX:
+        with np.errstate(over="raise"):
+            try:
+                return grid, _mismatch(grid, theta_w, params, inc)
+            except FloatingPointError:
+                raise BracketingFailure(
+                    f"F overflows a double at theta_w={math.degrees(theta_w):.6f} deg "
+                    f"for rho1={params.rho1}, gamma={g}"
+                ) from None
     return grid, _mismatch(grid, theta_w, params, inc)
 
 
-def _bisect(f, a, b, fa, fb, tol=0.0):
-    """Bracketed bisection of f on [a, b], a < b, with f(a) = fa and f(b) = fb.
+def _bracketed_root(f, a, b, fa, fb, tol=0.0):
+    """Root of f in [a, b], a < b, with f(a) = fa and f(b) = fb of opposite signs.
 
-    Stops at the first exact zero, once b - a <= tol, or (tol = 0) when the
-    midpoint can no longer be told from the bracket ends, so small roots keep
-    full relative precision.  Unconditionally safe for tangent-prone roots.
+    An ITP iteration (interpolate, truncate, project; Oliveira & Takahashi,
+    ACM TOMS 47(1), 2020): each step evaluates f at the regula-falsi point,
+    moved toward the midpoint by ITP_K1 * (b - a)^2 / (b0 - a0) and kept
+    within the radius from the midpoint that leaves the bracket no wider
+    than ITP_N0 bisection steps behind.  It keeps a sign change in [a, b]
+    throughout, converges superlinearly on a smooth simple root and takes at
+    most ITP_N0 steps more than bisection on any f.  Stops at the first
+    exact zero, once b - a <= tol, or (tol = 0) when the midpoint can no
+    longer be told from the bracket ends, so small roots keep full relative
+    precision; then returns the midpoint.
     """
     if fa == 0.0:
         return a
@@ -219,17 +248,27 @@ def _bisect(f, a, b, fa, fb, tol=0.0):
         return b
     if fa * fb > 0.0:
         raise BracketingFailure(f"no sign change on [{a}, {b}]")
-    for _ in range(BISECT_STEPS):
+    width0 = b - a
+    for j in range(BISECT_STEPS):
         m = 0.5 * (a + b)
         if b - a <= tol or m == a or m == b:
             return m
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b = m
+        width = b - a
+        x = a - fa * (width / (fb - fa))  # regula falsi, NaN (then m) if an end value is infinite
+        delta = ITP_K1 * width * width / width0
+        x = x + math.copysign(delta, m - x) if abs(m - x) > delta else m
+        radius = max(math.ldexp(width0, ITP_N0 - j - 1) - 0.5 * width, 0.0)
+        if abs(x - m) > radius:
+            x = m + math.copysign(radius, x - m)
+        if not a < x < b:  # rounding in the last ulps of the bracket
+            x = m
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if fa < 0.0 < fx or fx < 0.0 < fa:
+            b, fb = x, fx
         else:
-            a, fa = m, fm
+            a, fa = x, fx
     return 0.5 * (a + b)
 
 
@@ -238,20 +277,28 @@ def _root_brackets(scan):
 
     A sign change between neighbouring samples brackets one root; a sample
     where F is exactly 0 is a root and brackets itself.  Values are floats.
+    Every sign change flips F > 0 between its samples, so only those places
+    and the zero samples are looked at one by one.
     """
     if scan is None:
         return []
     grid, fval = scan
-    sign = np.sign(fval)
-    flip = np.append(sign[:-1] * sign[1:] < 0, False)
-    lo = np.nonzero(flip | (fval == 0.0))[0]
-    hi = lo + flip[lo]
-    return list(zip(grid[lo].tolist(), grid[hi].tolist(), fval[lo].tolist(), fval[hi].tolist()))
+    pos = fval > 0.0
+    brackets = []
+    for i in np.flatnonzero(np.append(pos[:-1] != pos[1:], False) | (fval == 0.0)).tolist():
+        fa = float(fval[i])
+        if fa == 0.0:
+            brackets.append((float(grid[i]), float(grid[i]), fa, fa))
+            continue
+        fb = float(fval[i + 1])
+        if fa < 0.0 < fb or fb < 0.0 < fa:
+            brackets.append((float(grid[i]), float(grid[i + 1]), fa, fb))
+    return brackets
 
 
 def _root(bracket, theta_w, params, inc):
-    """The root of F in one bracket of `_root_brackets`, refined by bisection."""
-    return _bisect(lambda u: _mismatch(u, theta_w, params, inc), *bracket)
+    """The root of F in one bracket of `_root_brackets`, refined by `_bracketed_root`."""
+    return _bracketed_root(lambda u: _mismatch(u, theta_w, params, inc), *bracket)
 
 
 def _weak_state(brackets, theta_w, params, inc):
@@ -313,28 +360,29 @@ def state2_residuals(state, theta_w, params, inc=None):
     Returns (slip, potential, mass), each normalized by the magnitude of the
     terms entering it (so the check is meaningful in float64 even near pi/2,
     where the strong-root fluxes grow like sec^2).  The mass condition uses
-    the unit normal nu_S1 = D(phi1-phi2)/|D(phi1-phi2)|.
+    the unit normal nu_S1 = D(phi1-phi2)/|D(phi1-phi2)|.  Computed on floats:
+    a uniform state's Dphi and phi at P0 are a few products each.
     """
     inc = inc or incident_state(params)
     s1 = state1(params, inc)
-    p0 = np.array([inc.xi1_0, inc.xi1_0 * math.tan(theta_w)])
-    nu_w = np.array([-math.sin(theta_w), math.cos(theta_w)])
-    d2 = state.gradient(p0)
-    d1 = s1.gradient(p0)
-    slip = float(d2 @ nu_w) / max(1.0, float(np.linalg.norm(d2)))
-    phi2_val = float(state.potential(p0))
-    phi1_val = float(s1.potential(p0))
+    x, y = inc.xi1_0, inc.xi1_0 * math.tan(theta_w)  # P0
+    r2 = x * x + y * y
+    d2x, d2y = state.u - x, state.v - y              # Dphi2(P0)
+    d1x, d1y = s1.u - x, s1.v - y                    # Dphi1(P0)
+    slip = (-d2x * math.sin(theta_w) + d2y * math.cos(theta_w)) / max(1.0, math.sqrt(d2x * d2x + d2y * d2y))
+    phi2_val = -0.5 * r2 + state.u * x + state.v * y + state.k
+    phi1_val = -0.5 * r2 + s1.u * x + s1.v * y + s1.k
     pot = (phi2_val - phi1_val) / max(1.0, abs(phi1_val), abs(phi2_val))
-    n = np.array([s1.u - state.u, -state.v])
-    nn = np.linalg.norm(n)
+    nx, ny = s1.u - state.u, -state.v
+    nn = math.sqrt(nx * nx + ny * ny)
     if nn == 0.0:
         return slip, pot, math.nan
-    n = n / nn
+    nx, ny = nx / nn, ny / nn
     # Densities of uniform states are xi-independent; the stored values are
     # the well-conditioned evaluation of the closure (recomputing it at a far
     # P0 would add |P0|^2 * eps cancellation noise, nothing else).
-    flux2 = state.rho * float(d2 @ n)
-    flux1 = s1.rho * float(d1 @ n)
+    flux2 = state.rho * (d2x * nx + d2y * ny)
+    flux1 = s1.rho * (d1x * nx + d1y * ny)
     mass = (flux2 - flux1) / max(1.0, abs(flux1), abs(flux2))
     return slip, pot, mass
 
@@ -344,7 +392,7 @@ def normal_reflection_state(params):
 
     Solves the vertical-shock RH pair between state (1) and a state at rest:
     returns (xi1_bar < 0, UniformState).  The root is bracketed by scanning
-    g(x) = -x*rho(x) - rho1*(u1 - x) on x < 0 and refined by bisection; the
+    g(x) = -x*rho(x) - rho1*(u1 - x) on x < 0 and refined by `_bracketed_root`; the
     entropy condition rho_bar > rho1 is verified.
     """
     inc = incident_state(params)
@@ -364,7 +412,7 @@ def normal_reflection_state(params):
         lo *= 2.0
     else:
         raise BracketingFailure("normal reflection: no bracket for the vertical shock")
-    xbar = _bisect(mass_mismatch, lo, -1e-300, f_lo, mass_mismatch(-1e-300))
+    xbar = _bracketed_root(mass_mismatch, lo, -1e-300, f_lo, mass_mismatch(-1e-300))
     rest = make_uniform_state(0.0, 0.0, inc.u1 * xbar + inc.k1, params)
     if not rest.rho > params.rho1:
         raise BracketingFailure("normal reflection root violates entropy")
@@ -376,7 +424,7 @@ def state2_solve(params, theta_w):
 
     The 3x3 system is reduced to a scalar F(u2) = 0 on the entropic window
     (rho2 > rho1, u2 < xi1_0); the two roots, bracketed by a dense scan and
-    refined by bisection, are the weak (smaller density, lower u2) and
+    refined by `_bracketed_root`, are the weak (smaller density, lower u2) and
     strong states.
 
     At theta_w = pi/2 exactly the system degenerates: the weak root is the
@@ -400,7 +448,7 @@ def state2_solve(params, theta_w):
         # Possibly a tangent double root the scan cannot split: accept it when
         # the interior lobe extremum of F is indistinguishable from zero
         # (angles within ~1e-8 of the detachment angle).  It stands for both
-        # roots, as a bracket of its own that bisection returns as it is.
+        # roots, as a bracket of its own that `_bracketed_root` returns as it is.
         lobe, u_star = _lobe_extremum(scan, theta_w, params, inc)
         fscale = abs(_mismatch(inc.xi1_0 * (1 - 1e-14), theta_w, params, inc))
         if math.isfinite(lobe) and abs(lobe) <= 1e-8 * max(fscale, 1.0):
@@ -442,34 +490,42 @@ def state2_solve(params, theta_w):
 
 
 def detachment_angle(params):
-    """Smallest wedge angle with real reflection states, to ANGLE_TOL by bisection.
+    """Smallest wedge angle with real reflection states, to ANGLE_TOL.
 
-    The existence indicator is the sign of the maximum of F over the entropic
-    window (positive iff F crosses zero, see `_lobe_extremum`), which stays
-    resolvable even when the two roots are closer than the scan spacing.
-    Each probed angle samples F once.
+    The existence margin is the maximum of F over the entropic window
+    (positive iff F crosses zero, see `_lobe_extremum`): the largest scan
+    sample where the scan brackets two roots, the refined lobe maximum
+    otherwise, which stays resolvable even when the two roots are closer
+    than the scan spacing.  It is taken relative to |F| at the window's
+    lower end and squashed by tanh into (-1, 1): continuous in theta_w, with
+    the sign of the maximum, and without the growth of F toward pi/2 that
+    would stall the interpolation of `_bracketed_root`.  Each probed angle
+    samples F once.
     """
     inc = incident_state(params)
     lo, hi = 0.01, math.pi / 2.0 - 0.01
 
-    def exists(theta):
+    def margin(theta):
         scan = _window_scan(theta, params, inc)
+        if scan is None:
+            return -1.0
         if len(_root_brackets(scan)) >= 2:
-            return 1.0
-        lobe, _ = _lobe_extremum(scan, theta, params, inc)
-        return 1.0 if lobe > 0.0 else -1.0
+            top = float(np.nanmax(scan[1]))
+        else:
+            top = _lobe_extremum(scan, theta, params, inc)[0]
+        return math.tanh(top / -float(scan[1][0]))  # F < 0 at the lower end
 
-    f_hi = exists(hi)
-    if f_hi < 0.0:
+    f_hi = margin(hi)
+    if not f_hi > 0.0:
         raise BracketingFailure("no reflection states even near pi/2")
-    f_lo = exists(lo)
+    f_lo = margin(lo)
     if f_lo > 0.0:
         raise BracketingFailure("reflection states persist at 0.01 rad; no detachment bracket")
-    return _bisect(exists, lo, hi, f_lo, f_hi, tol=ANGLE_TOL)
+    return _bracketed_root(margin, lo, hi, f_lo, f_hi, tol=ANGLE_TOL)
 
 
 def sonic_angle(params):
-    """Angle where the weak state (2) is exactly sonic at P0, to ANGLE_TOL by bisection.
+    """Angle where the weak state (2) is exactly sonic at P0, to ANGLE_TOL.
 
     Near pi/2 state (2) is supersonic at P0 and near the detachment angle it
     is subsonic, so mach - 1 brackets a sign change on (theta_d, pi/2).
@@ -496,7 +552,7 @@ def _sonic_angle(params, theta_d):
         raise BracketingFailure(
             f"mach-1 does not change sign on ({lo}, {hi}): {f_lo:.3e}, {f_hi:.3e}"
         )
-    return _bisect(mach_minus_one, lo, hi, f_lo, f_hi, tol=ANGLE_TOL)
+    return _bracketed_root(mach_minus_one, lo, hi, f_lo, f_hi, tol=ANGLE_TOL)
 
 
 def critical_density(params_gamma, rho0):
@@ -524,7 +580,7 @@ def critical_density(params_gamma, rho0):
     f_lo = mismatch(lo)
     if f_lo >= 0.0:
         raise BracketingFailure("u1 - c1 not negative just above rho0")
-    return _bisect(mismatch, lo, hi, f_lo, mismatch(hi), tol=1e-12 * max(1.0, lo))
+    return _bracketed_root(mismatch, lo, hi, f_lo, mismatch(hi), tol=1e-12 * max(1.0, lo))
 
 
 def attachment_possible(params):

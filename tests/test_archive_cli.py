@@ -243,6 +243,20 @@ def test_cli_overflowing_gas_exits_2(tmp_path, capsys, command, gas):
     assert capsys.readouterr().err.split(":")[0] in {"ValidationError", "BracketingFailure", "DetachedWedgeAngle"}
 
 
+@pytest.mark.parametrize("gamma", ["1.4", "2", "3"])
+@pytest.mark.parametrize("rho1", ["1e10", "1e50", "1e100", "1e150", "1e152", "1e153", "5e153",
+                                  "9.9e153", "1e154", "1e200", "1e300", "1.7e308"])
+def test_cli_angles_of_a_huge_rho1_exits_0_or_2(tmp_path, capsys, rho1, gamma):
+    """With a RuntimeWarning an error (pytest's filterwarnings), a huge rho1
+    gives angles or a typed error: a scan of F whose products overflow a
+    double is refused, where the window's scale rho1 * xi1_0^2 * sec^2 is past
+    the square root of the largest double."""
+    rc = main(["angles", "--rho1", rho1, "--gamma", gamma, "--out", str(tmp_path)])
+    assert rc in (0, 2)
+    if rc == 2:
+        assert capsys.readouterr().err.split(":")[0] in {"ValidationError", "BracketingFailure"}
+
+
 def test_cli_polar(tmp_path, capsys):
     rc = main(["polar", "--rho0", "1", "--rho1", "2", "--gamma", "2",
                "--out", str(tmp_path)])

@@ -20,7 +20,7 @@ from shockrefl import (
     state2_residuals,
     state2_solve,
 )
-from shockrefl.errors import RootSeparationFailure
+from shockrefl.errors import BracketingFailure, RootSeparationFailure, ShockReflError
 from shockrefl.relations import state0, state1
 
 
@@ -216,8 +216,8 @@ def test_sonic_angle(gas_122):
 
 @pytest.mark.parametrize("params", [(1.0, 2.0, 2.0), (1.0, 1.4, 1.2), (1.0, 3.0, 2.5)])
 def test_sonic_angle_refines_the_weak_root_alone(params, monkeypatch):
-    """theta_s bisects the weak state's Mach number from the lowest root of F
-    alone: bit-identical to bisecting state2_solve's, with about half of its
+    """theta_s refines the weak state's Mach number from the lowest root of F
+    alone: bit-identical to refining state2_solve's, with about half of its
     scalar F evaluations."""
     from shockrefl import relations
 
@@ -236,7 +236,7 @@ def test_sonic_angle_refines_the_weak_root_alone(params, monkeypatch):
     fast = sum(scalar_calls)
     scalar_calls.clear()
     full = lambda th: state2_solve(gas, th).mach_p0_weak - 1.0
-    ref = relations._bisect(full, lo, hi, full(lo), full(hi), tol=relations.ANGLE_TOL)
+    ref = relations._bracketed_root(full, lo, hi, full(lo), full(hi), tol=relations.ANGLE_TOL)
     assert theta_s == ref
     assert fast < 0.6 * sum(scalar_calls)
 
@@ -310,14 +310,210 @@ def _bisect_while_loop(pred, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
+def _counted(f):
+    """f and the list its calls are appended to."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+CUBE_ROOT_OF_2 = 2.0 ** (1.0 / 3.0)
+STEP_AT = 0.7390851332151607
+
+
 @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-6])
-def test_bisect_with_tolerance_matches_while_loop(tol):
-    from shockrefl.relations import _bisect
+def test_bracketed_root_keeps_the_bisection_contract(tol):
+    """Within tol of the sign change the reference bisection brackets, on a
+    smooth root and on a step; on the step, where interpolation has nothing
+    to go on, at most one evaluation more than the reference."""
+    from shockrefl.relations import _bracketed_root
 
     cubic = lambda x: x ** 3 - 2.0
-    step = lambda x: 1.0 if x > 0.7390851332151607 else -1.0
-    for f, lo, hi in ((cubic, 0.3, 3.1), (step, 0.01, math.pi / 2.0 - 0.01)):
-        assert _bisect(f, lo, hi, f(lo), f(hi), tol=tol) == _bisect_while_loop(f, lo, hi, tol)
+    step = lambda x: 1.0 if x > STEP_AT else -1.0
+    for f, lo, hi, change in ((cubic, 0.3, 3.1, CUBE_ROOT_OF_2), (step, 0.01, math.pi / 2.0 - 0.01, STEP_AT)):
+        counted, calls = _counted(f)
+        root = _bracketed_root(counted, lo, hi, f(lo), f(hi), tol=tol)
+        ref_counted, ref_calls = _counted(f)
+        ref = _bisect_while_loop(ref_counted, lo, hi, tol)
+        assert abs(root - change) <= tol
+        assert abs(ref - change) <= tol
+        if f is step:
+            assert len(calls) <= len(ref_calls) + 1
+
+
+def test_bracketed_root_to_adjacent_floats():
+    """tol = 0 runs to adjacent floats: the result and one of its neighbours
+    bracket the sign change of x^3 - 2, after at most a third of the
+    evaluations the reference bisection needs to get there."""
+    from shockrefl.relations import _bracketed_root
+
+    cubic = lambda x: x ** 3 - 2.0
+    counted, calls = _counted(cubic)
+    root = _bracketed_root(counted, 0.3, 3.1, cubic(0.3), cubic(3.1))
+    ref_counted, ref_calls = _counted(cubic)
+    _bisect_while_loop(ref_counted, 0.3, 3.1, math.ulp(CUBE_ROOT_OF_2))
+    f_root = cubic(root)
+    neighbours = (cubic(math.nextafter(root, -math.inf)), cubic(math.nextafter(root, math.inf)))
+    assert f_root == 0.0 or any(f_root * f_n < 0.0 for f_n in neighbours)
+    assert 3 * len(calls) <= len(ref_calls)
+
+
+def test_reflection_point_algebra_counts(gas_122, monkeypatch):
+    """Scalar F evaluations of one state2_solve and window scans of one
+    angle_diagram (84 and 71 with bisection)."""
+    from shockrefl import relations
+
+    scalar_calls = []
+    mismatch = relations._mismatch
+
+    def counted(u2, *args):
+        if np.ndim(u2) == 0:
+            scalar_calls.append(u2)
+        return mismatch(u2, *args)
+
+    monkeypatch.setattr(relations, "_mismatch", counted)
+    state2_solve(gas_122, 1.3)
+    assert len(scalar_calls) <= 30
+    monkeypatch.setattr(relations, "_mismatch", mismatch)
+    scans = []
+    window_scan = relations._window_scan
+
+    def recorded(*args):
+        scans.append(args[0])
+        return window_scan(*args)
+
+    monkeypatch.setattr(relations, "_window_scan", recorded)
+    relations.angle_diagram(gas_122)
+    assert len(scans) <= 55
+
+
+def _bisect_reference(f, a, b, fa, fb, tol=0.0):
+    """Reference: bracketed bisection to tol, or (tol = 0) to adjacent floats."""
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0.0:
+        raise BracketingFailure(f"no sign change on [{a}, {b}]")
+    for _ in range(120):
+        m = 0.5 * (a + b)
+        if b - a <= tol or m == a or m == b:
+            return m
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if fa * fm < 0.0:
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
+def _state2_residuals_numpy(state, theta_w, params, inc):
+    """Reference: the reflection-point residuals on numpy 2-vectors."""
+    s1 = state1(params, inc)
+    p0 = np.array([inc.xi1_0, inc.xi1_0 * math.tan(theta_w)])
+    nu_w = np.array([-math.sin(theta_w), math.cos(theta_w)])
+    d2 = state.gradient(p0)
+    d1 = s1.gradient(p0)
+    slip = float(d2 @ nu_w) / max(1.0, float(np.linalg.norm(d2)))
+    phi2_val = float(state.potential(p0))
+    phi1_val = float(s1.potential(p0))
+    pot = (phi2_val - phi1_val) / max(1.0, abs(phi1_val), abs(phi2_val))
+    n = np.array([s1.u - state.u, -state.v])
+    nn = np.linalg.norm(n)
+    if nn == 0.0:
+        return slip, pot, math.nan
+    n = n / nn
+    flux2 = state.rho * float(d2 @ n)
+    flux1 = s1.rho * float(d1 @ n)
+    mass = (flux2 - flux1) / max(1.0, abs(flux1), abs(flux2))
+    return slip, pot, mass
+
+
+ORACLE_GAS_SETS = [(1.0, 2.0, 2.0), (1.0, 1.4, 1.2), (1.0, 3.0, 2.5), (1.0, 2.0, 1.4),
+                   (1.0, 2.6, 1.9), (1.0, 1.5, 1.4), (1.0, 5.0, 1.05)]
+
+
+# theta_d and theta_s of the oracle sets as bisection gave them
+BISECTION_ANGLES = {
+    (1.0, 2.0, 2.0): (0.9496544133754641, 0.97230731191558),
+    (1.0, 1.4, 1.2): (0.7401805117052584, 0.755518051460728),
+    (1.0, 3.0, 2.5): (1.0647256610819738, 1.09202446578841),
+    (1.0, 2.0, 1.4): (0.8539665542500874, 0.8728606057608044),
+    (1.0, 2.6, 1.9): (0.9660038023649427, 0.9902759542834133),
+    (1.0, 1.5, 1.4): (0.7958142099733025, 0.8127345384101894),
+    (1.0, 5.0, 1.05): (0.7836787630552806, 0.803133124041),
+}
+
+
+@pytest.mark.parametrize("params", ORACLE_GAS_SETS)
+def test_angle_diagram_within_angle_tol_of_bisection(params):
+    from shockrefl import relations
+
+    diagram = relations.angle_diagram(GasParams(*params))
+    theta_d, theta_s = BISECTION_ANGLES[params]
+    assert abs(diagram.theta_d - theta_d) <= relations.ANGLE_TOL
+    assert abs(diagram.theta_s - theta_s) <= relations.ANGLE_TOL
+
+
+def _outcome(gas, theta):
+    try:
+        return state2_solve(gas, theta)
+    except ShockReflError as exc:
+        return exc
+
+
+@pytest.fixture(scope="module")
+def itp_and_bisection_outcomes():
+    """(gas, theta, ITP outcome, bisection outcome) at theta_d + 1e-6 and 59
+    angles on (theta_d, pi/2] for each oracle gas set."""
+    from shockrefl import relations
+
+    rows = []
+    for params in ORACLE_GAS_SETS:
+        gas = GasParams(*params)
+        theta_d = detachment_angle(gas)
+        thetas = [theta_d + 1e-6] + np.linspace(theta_d, math.pi / 2.0, 60)[1:].tolist()
+        for theta in thetas:
+            itp = _outcome(gas, theta)
+            relations._bracketed_root, original = _bisect_reference, relations._bracketed_root
+            try:
+                ref = _outcome(gas, theta)
+            finally:
+                relations._bracketed_root = original
+            rows.append((gas, theta, theta - theta_d < 2e-6, itp, ref))
+    return rows
+
+
+def test_state2_roots_match_bisection(itp_and_bisection_outcomes):
+    """Same outcome at every angle; weak and strong u2 within 1e-12 relative
+    of bisection's, 1e-11 next to theta_d where F is flat at its roots."""
+    pairs = 0
+    for gas, theta, near_detachment, itp, ref in itp_and_bisection_outcomes:
+        assert type(itp) is type(ref), (gas, theta)
+        if isinstance(ref, ShockReflError):
+            continue
+        rel = 1e-11 if near_detachment else 1e-12
+        for a, b in ((itp.weak.u, ref.weak.u), (itp.strong.u, ref.strong.u)):
+            assert abs(a - b) <= rel * max(abs(a), abs(b)), (gas, theta)
+        pairs += 1
+    assert pairs >= 0.9 * len(itp_and_bisection_outcomes)
+
+
+def test_state2_residuals_of_floats_match_numpy(itp_and_bisection_outcomes):
+    for gas, theta, _, itp, _ in itp_and_bisection_outcomes:
+        if isinstance(itp, ShockReflError):
+            continue
+        inc = incident_state(gas)
+        for st in (itp.weak, itp.strong):
+            got = state2_residuals(st, theta, gas, inc)
+            ref = _state2_residuals_numpy(st, theta, gas, inc)
+            assert all(abs(a - b) <= 1e-15 for a, b in zip(got, ref)), (gas, theta, got, ref)
 
 
 @pytest.mark.parametrize("rho1", [1.05, 1.6, 2.5, 4.0, 6.0])
@@ -405,6 +601,38 @@ def test_root_brackets_are_floats(gas_122):
     brackets = _root_brackets(_window_scan(theta, gas_122, incident_state(gas_122)))
     assert len(brackets) == 2
     assert all(type(x) is float for bracket in brackets for x in bracket)
+
+
+def _root_brackets_sign_products(scan):
+    """Reference: sign flips from products of np.sign."""
+    grid, fval = scan
+    sign = np.sign(fval)
+    flip = np.append(sign[:-1] * sign[1:] < 0, False)
+    lo = np.nonzero(flip | (fval == 0.0))[0]
+    hi = lo + flip[lo]
+    return list(zip(grid[lo].tolist(), grid[hi].tolist(), fval[lo].tolist(), fval[hi].tolist()))
+
+
+def test_root_brackets_match_sign_products():
+    """The same brackets in the same order as np.sign products give, exact
+    zeros (one at the last sample too) as brackets of their own and NaN
+    samples bracketing nothing, on synthetic scans and window scans."""
+    from shockrefl.relations import _root_brackets, _window_scan
+
+    grid = np.linspace(0.0, 1.0, 12)
+    for fval in ([-1.0, 2.0, 0.0, 0.0, -3.0, 0.0, 4.0, np.nan, -1.0, 5.0, -0.0, 0.0],
+                 [1.0, -1.0, np.nan, 1.0, -np.inf, np.inf, 2.0, 3.0, -2.0, -1.0, 1.0, 0.0]):
+        scan = (grid, np.array(fval))
+        assert _root_brackets(scan) == _root_brackets_sign_products(scan)
+    scans = 0
+    for gas in _gas_sets(10, 5):
+        inc = incident_state(gas)
+        for theta in np.linspace(0.6, math.pi / 2.0 - 1e-3, 9).tolist():
+            scan = _window_scan(theta, gas, inc)
+            if scan is not None:
+                assert _root_brackets(scan) == _root_brackets_sign_products(scan)
+                scans += 1
+    assert scans >= 45
 
 
 @pytest.mark.parametrize("k", range(3, 12))
