@@ -10,7 +10,9 @@ the incident shock meets the wedge boundary) a uniform state (2) must satisfy
 three conditions: slip along the wedge, phi2 = phi1, and the mass flux jump
 against state (1).  With the slip condition (u2, v2) = u2*(1, tan(theta_w))
 and phi-continuity fixing k2, the system collapses to one scalar equation
-F(u2) = 0 whose two entropic roots are the weak and strong states (2).
+F(u2) = 0 whose two entropic roots are the weak and strong states (2).  It
+is solved as G = F/rho2 = 0 (`_mismatch`): G has F's roots and sign on the
+entropic window and, as rho1/rho2 <= 1 there, no term of it overflows.
 
 Every 1-D solve here goes through one bracketed ITP helper,
 `_bracketed_root`: the u2 roots, xi1_bar of the normal reflection, theta_d
@@ -18,12 +20,12 @@ Every 1-D solve here goes through one bracketed ITP helper,
 bracket with a sign change, as bisection does, and never takes more than
 ITP_N0 steps beyond bisection's count, but it interpolates, so it converges
 superlinearly on the smooth roots here.  No derivative is used, since the
-roots near detachment can be nearly tangent.  Each angle samples F once on
+roots near detachment can be nearly tangent.  Each angle samples G once on
 its entropic window (`_window_scan`); the root count and the lobe extremum
 both read that scan.  `angle_diagram` finds theta_d once and brackets
 theta_s above it, refining only the weak (lowest) root at each probed angle.
 
-F is one function, `_mismatch`, for the scan (an ndarray) and for every
+G is one function, `_mismatch`, for the scan (an ndarray) and for every
 refinement (floats in, floats out): a float evaluation is about ten times
 cheaper than one through numpy scalars and bit-identical to it, as both call
 libm `pow` (numpy's array power is a SIMD `pow`; its last ulp may differ).
@@ -46,7 +48,7 @@ from .gas import UniformState, make_uniform_state
 
 # Scan and root-finding controls (see module notes: bracketed ITP steps only,
 # no derivative methods; roots near detachment can be nearly tangent).
-SCAN_POINTS = 10_000                 # samples of F per entropic window
+SCAN_POINTS = 10_000                 # samples of G per entropic window
 BISECT_STEPS = 120                   # cap on the steps of one bracketed root
 ITP_K1 = 0.2                         # truncation: ITP_K1 * (b - a)^2 / (b0 - a0)
 ITP_N0 = 2                           # steps allowed beyond bisection's count
@@ -54,7 +56,6 @@ ANGLE_TOL = 1e-10                    # bracket width of theta_d and theta_s
 SONIC_TOL = 1e-8                     # |Mach - 1| counted as sonic
 NEAR_SONIC_SIGMA = 0.1               # Mach in (1 - NEAR_SONIC_SIGMA, 1) counted as near sonic
 NORMAL_ANGLE_TOL = 1e-14             # |theta_w - pi/2| treated as normal reflection
-_SQRT_DOUBLE_MAX = math.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -166,46 +167,34 @@ def entropy_satisfied(upstream_rho, downstream_rho):
 # The reduced state-(2) system.
 
 def _mismatch(u2, theta_w, params, inc):
-    """F(u2): the mass condition rho2*Dphi2.n - rho1*Dphi1.n of state (2) at P0.
+    """G(u2) = F/rho2, F the mass condition rho2*Dphi2.n - rho1*Dphi1.n of state (2) at P0.
 
-    v2 = u2*tan(th) and k2 = -xi1_0*u2*sec^2(th) are eliminated and n =
-    (u1-u2, -v2) is unnormalized (roots are unchanged).  u2 is a float or the
-    scan's ndarray, and F is of the same type.  F is only evaluated on the
-    entropic window, where rho2^(g-1) = base > 0: its slope in u2 is
-    (g-1) sec^2(th) (xi1_0 - u2) > 0, from rho1^(g-1) at the lower end.
+    With v2 = u2*tan(th), k2 = -xi1_0*u2*sec^2(th) and n = (u1-u2, -v2) unnormalized,
+    G = (u2 - xi1_0)(u1 - u2 sec^2) - (rho1/rho2)((u1 - xi1_0)(u1 - u2) + xi1_0 u2 tan^2).
+    On the entropic window rho2 >= rho1, so G has F's roots and sign, and
+    rho1/rho2 = (rho1^(g-1)/base)^(1/(g-1)) <= 1 may underflow but never
+    overflows.  u2 is a float or the scan's ndarray, and G is of the same type.
     """
     g = params.gamma
     u1, xi10 = inc.u1, inc.xi1_0
     t = math.tan(theta_w)
     sec2 = 1.0 + t * t
     base = params.rho0_pow + (g - 1.0) * (u2 * sec2) * (xi10 - 0.5 * u2)
-    try:
-        rho2 = abs(base) ** (1.0 / (g - 1.0))
-    except OverflowError:  # a float past the largest double: inf, as numpy's array power
-        rho2 = math.inf
-    lhs = rho2 * (u2 - xi10) * (u1 - u2 * sec2)
-    rhs = params.rho1 * ((u1 - xi10) * (u1 - u2) + xi10 * u2 * t * t)
-    return lhs - rhs
+    ratio = (params.rho1 ** (g - 1.0) / base) ** (1.0 / (g - 1.0))
+    return (u2 - xi10) * (u1 - u2 * sec2) - ratio * ((u1 - xi10) * (u1 - u2) + xi10 * u2 * t * t)
 
 
 def _window_scan(theta_w, params, inc):
-    """(grid, F) on SCAN_POINTS points of the entropic window, or None when it is
+    """(grid, G) on SCAN_POINTS points of the entropic window, or None when it is
     empty or unbounded (xi1_0 overflows for a gas of huge rho1).
 
     The window is where rho2 > rho1 and Dphi2(P0) points down-wedge:
     rho2 = rho1 at u*(xi10 - u/2) = delta*cos^2/(g-1), whose lower root
     bounds it from below, and u2 = xi1_0 caps it from above.  That root is
     taken as c / (xi10 + sqrt(disc)): xi10 - sqrt(disc) cancels to the
-    trivial, non-entropic root u2 = 0 of F near pi/2.  The grid
-    includes u2 = xi1_0 itself: F there is strictly negative, and the strong
+    trivial, non-entropic root u2 = 0 of G near pi/2.  The grid
+    includes u2 = xi1_0 itself: G there is strictly negative, and the strong
     root crowds against it as theta_w -> pi/2.
-
-    Each term of F is at most rho2/rho1 times the state-(1) scale
-    rho1 * xi1_0^2 * sec^2(theta_w), so a product that overflows has one of
-    the two past the square root of the largest double.  Where the scale is
-    (a gas of huge rho1), a scan that overflows raises BracketingFailure;
-    where only rho2/rho1 is (gamma near 1 and theta_w near pi/2, where rho2
-    itself overflows), the scan keeps its infinities and NaNs.
     """
     g = params.gamma
     delta = params.rho1 ** (g - 1.0) - params.rho0_pow
@@ -215,16 +204,6 @@ def _window_scan(theta_w, params, inc):
         return None
     u_lo = c / (inc.xi1_0 + math.sqrt(disc))
     grid = np.linspace(u_lo * (1.0 + 1e-14) + 1e-300, inc.xi1_0, SCAN_POINTS)
-    t = math.tan(theta_w)
-    if params.rho1 * inc.xi1_0 * inc.xi1_0 * (1.0 + t * t) > _SQRT_DOUBLE_MAX:
-        with np.errstate(over="raise"):
-            try:
-                return grid, _mismatch(grid, theta_w, params, inc)
-            except FloatingPointError:
-                raise BracketingFailure(
-                    f"F overflows a double at theta_w={math.degrees(theta_w):.6f} deg "
-                    f"for rho1={params.rho1}, gamma={g}"
-                ) from None
     return grid, _mismatch(grid, theta_w, params, inc)
 
 
@@ -273,11 +252,11 @@ def _bracketed_root(f, a, b, fa, fb, tol=0.0):
 
 
 def _root_brackets(scan):
-    """Brackets (a, b, F(a), F(b)) of the roots of F in the window scan, by increasing u2.
+    """Brackets (a, b, G(a), G(b)) of the roots of G in the window scan, by increasing u2.
 
     A sign change between neighbouring samples brackets one root; a sample
-    where F is exactly 0 is a root and brackets itself.  Values are floats.
-    Every sign change flips F > 0 between its samples, so only those places
+    where G is exactly 0 is a root and brackets itself.  Values are floats.
+    Every sign change flips G > 0 between its samples, so only those places
     and the zero samples are looked at one by one.
     """
     if scan is None:
@@ -297,7 +276,7 @@ def _root_brackets(scan):
 
 
 def _root(bracket, theta_w, params, inc):
-    """The root of F in one bracket of `_root_brackets`, refined by `_bracketed_root`."""
+    """The root of G in one bracket of `_root_brackets`, refined by `_bracketed_root`."""
     return _bracketed_root(lambda u: _mismatch(u, theta_w, params, inc), *bracket)
 
 
@@ -314,18 +293,17 @@ def _weak_state(brackets, theta_w, params, inc):
 
 
 def _lobe_extremum(scan, theta_w, params, inc):
-    """F at the interior lobe maximum over the window; crosses zero at theta_d.
+    """G at the interior lobe maximum over the window; crosses zero at theta_d.
 
-    F is negative at both ends of the entropic window: at u2 = xi1_0 the rho2
-    term vanishes, so F = -rho1*((u1 - xi1_0)^2 + (xi1_0*tan(theta_w))^2), and
-    at the lower end rho2 = rho1, so F = -rho1*((u1 - u2)^2 + (u2*tan(theta_w))^2).
-    F is therefore positive between the weak and strong roots, and the lobe
+    G is negative at both ends of the entropic window: at the lower end
+    rho2 = rho1, so G = -((u1 - u2)^2 + (u2*tan(theta_w))^2), and at
+    u2 = xi1_0 the first term vanishes, so
+    G = -(rho1/rho2)*((u1 - xi1_0)^2 + (xi1_0*tan(theta_w))^2).  G is
+    therefore positive between the weak and strong roots, and the lobe
     maximum is positive iff both roots exist.
     """
-    if scan is None:
-        return -math.inf, math.nan
     grid, fval = scan
-    i = int(np.nanargmax(fval))
+    i = int(np.argmax(fval))
     a, b = grid[[max(i - 1, 0), min(i + 1, len(grid) - 1)]].tolist()
     # golden-section refine the smooth lobe maximum
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -347,11 +325,18 @@ def _lobe_extremum(scan, theta_w, params, inc):
 
 
 def _pair_from_u2(u2, theta_w, params, inc):
-    """Uniform state (2) from the reduced unknown u2."""
+    """Uniform state (2) from the reduced unknown u2; RootSeparationFailure where
+    its density is past a double (the strong root, gamma near 1, near pi/2)."""
     t = math.tan(theta_w)
     v2 = u2 * t
     k2 = -inc.xi1_0 * u2 * (1.0 + t * t)
-    return make_uniform_state(u2, v2, k2, params)
+    with np.errstate(over="ignore"):
+        state = make_uniform_state(u2, v2, k2, params)
+    if math.isinf(state.rho):
+        raise RootSeparationFailure(
+            f"the density of state (2) overflows a double at theta_w={math.degrees(theta_w):.6f} deg"
+        )
+    return state
 
 
 def state2_residuals(state, theta_w, params, inc=None):
@@ -364,7 +349,11 @@ def state2_residuals(state, theta_w, params, inc=None):
     a uniform state's Dphi and phi at P0 are a few products each.
     """
     inc = inc or incident_state(params)
-    s1 = state1(params, inc)
+    return _residuals(state, state1(params, inc), theta_w, inc)
+
+
+def _residuals(state, s1, theta_w, inc):
+    """`state2_residuals` against a given state (1)."""
     x, y = inc.xi1_0, inc.xi1_0 * math.tan(theta_w)  # P0
     r2 = x * x + y * y
     d2x, d2y = state.u - x, state.v - y              # Dphi2(P0)
@@ -422,7 +411,7 @@ def normal_reflection_state(params):
 def state2_solve(params, theta_w):
     """Both roots of the reflection-point system at wedge angle theta_w.
 
-    The 3x3 system is reduced to a scalar F(u2) = 0 on the entropic window
+    The 3x3 system is reduced to a scalar G(u2) = 0 on the entropic window
     (rho2 > rho1, u2 < xi1_0); the two roots, bracketed by a dense scan and
     refined by `_bracketed_root`, are the weak (smaller density, lower u2) and
     strong states.
@@ -444,20 +433,18 @@ def state2_solve(params, theta_w):
     scan = _window_scan(theta_w, params, inc)
     brackets = _root_brackets(scan)
     tangent_pair = False
-    if not brackets:
+    if not brackets and scan is not None:
         # Possibly a tangent double root the scan cannot split: accept it when
-        # the interior lobe extremum of F is indistinguishable from zero
-        # (angles within ~1e-8 of the detachment angle).  It stands for both
-        # roots, as a bracket of its own that `_bracketed_root` returns as it is.
+        # the interior lobe extremum of G is indistinguishable from zero against
+        # |G| at the window top (angles within ~1e-8 of the detachment angle).
+        # It stands for both roots, as a bracket of its own that
+        # `_bracketed_root` returns as it is.
         lobe, u_star = _lobe_extremum(scan, theta_w, params, inc)
-        fscale = abs(_mismatch(inc.xi1_0 * (1 - 1e-14), theta_w, params, inc))
-        if math.isfinite(lobe) and abs(lobe) <= 1e-8 * max(fscale, 1.0):
+        if abs(lobe) <= -1e-8 * float(scan[1][-1]):
             brackets = [(u_star, u_star, 0.0, 0.0)] * 2
             tangent_pair = True
-        else:
-            raise DetachedWedgeAngle(
-                f"no reflection states at theta_w={math.degrees(theta_w):.6f} deg"
-            )
+    if not brackets:
+        raise DetachedWedgeAngle(f"no reflection states at theta_w={math.degrees(theta_w):.6f} deg")
     if len(brackets) == 1:
         raise RootSeparationFailure(
             f"single sign change at theta_w={math.degrees(theta_w):.6f} deg"
@@ -470,8 +457,9 @@ def state2_solve(params, theta_w):
     weak, mach_p0_weak = _weak_state(brackets, theta_w, params, inc)
     strong = _pair_from_u2(_root(brackets[1], theta_w, params, inc), theta_w, params, inc)
     pair = State2Pair(weak=weak, strong=strong, mach_p0_weak=mach_p0_weak)
+    s1 = state1(params, inc)
     for st in (weak, strong):
-        res = state2_residuals(st, theta_w, params, inc)
+        res = _residuals(st, s1, theta_w, inc)
         worst = max(abs(r) for r in res)
         # The mass flux scales with (xi1_0 - u2); once that gap nears the ulp
         # of u2 (strong root as theta_w -> pi/2) the achievable residual is
@@ -492,15 +480,15 @@ def state2_solve(params, theta_w):
 def detachment_angle(params):
     """Smallest wedge angle with real reflection states, to ANGLE_TOL.
 
-    The existence margin is the maximum of F over the entropic window
-    (positive iff F crosses zero, see `_lobe_extremum`): the largest scan
+    The existence margin is the maximum of G over the entropic window
+    (positive iff G crosses zero, see `_lobe_extremum`): the largest scan
     sample where the scan brackets two roots, the refined lobe maximum
     otherwise, which stays resolvable even when the two roots are closer
-    than the scan spacing.  It is taken relative to |F| at the window's
-    lower end and squashed by tanh into (-1, 1): continuous in theta_w, with
-    the sign of the maximum, and without the growth of F toward pi/2 that
-    would stall the interpolation of `_bracketed_root`.  Each probed angle
-    samples F once.
+    than the scan spacing.  It is taken relative to |G| at the window's
+    lower end, (u1 - u2)^2 + (u2*tan(theta_w))^2, and squashed by tanh into
+    (-1, 1): continuous in theta_w, with the sign of the maximum, and
+    without the growth of G toward pi/2 that would stall the interpolation
+    of `_bracketed_root`.  Each probed angle samples G once.
     """
     inc = incident_state(params)
     lo, hi = 0.01, math.pi / 2.0 - 0.01
@@ -510,10 +498,10 @@ def detachment_angle(params):
         if scan is None:
             return -1.0
         if len(_root_brackets(scan)) >= 2:
-            top = float(np.nanmax(scan[1]))
+            top = float(np.max(scan[1]))
         else:
             top = _lobe_extremum(scan, theta, params, inc)[0]
-        return math.tanh(top / -float(scan[1][0]))  # F < 0 at the lower end
+        return math.tanh(top / -float(scan[1][0]))  # G < 0 at the lower end
 
     f_hi = margin(hi)
     if not f_hi > 0.0:

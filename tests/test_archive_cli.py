@@ -243,18 +243,26 @@ def test_cli_overflowing_gas_exits_2(tmp_path, capsys, command, gas):
     assert capsys.readouterr().err.split(":")[0] in {"ValidationError", "BracketingFailure", "DetachedWedgeAngle"}
 
 
+# theta_d in the rho1 -> inf limit, in degrees
+HUGE_RHO1_THETA_D = {"2": 59.4365835, "3": 68.2707732}
+
+
 @pytest.mark.parametrize("gamma", ["1.4", "2", "3"])
-@pytest.mark.parametrize("rho1", ["1e10", "1e50", "1e100", "1e150", "1e152", "1e153", "5e153",
+@pytest.mark.parametrize("rho1", ["1e10", "1e50", "1e100", "1e148", "1e150", "1e152", "1e153", "5e153",
                                   "9.9e153", "1e154", "1e200", "1e300", "1.7e308"])
 def test_cli_angles_of_a_huge_rho1_exits_0_or_2(tmp_path, capsys, rho1, gamma):
     """With a RuntimeWarning an error (pytest's filterwarnings), a huge rho1
-    gives angles or a typed error: a scan of F whose products overflow a
-    double is refused, where the window's scale rho1 * xi1_0^2 * sec^2 is past
-    the square root of the largest double."""
+    gives angles or a typed error, as u1 or rho1^(gamma-1) overflows a
+    double.  No term of G = F/rho2 overflows where u1 is finite, so gamma 2
+    up to rho1 = 5e153 and gamma 3 up to 1e100 give the rho1 -> inf angles."""
     rc = main(["angles", "--rho1", rho1, "--gamma", gamma, "--out", str(tmp_path)])
     assert rc in (0, 2)
     if rc == 2:
         assert capsys.readouterr().err.split(":")[0] in {"ValidationError", "BracketingFailure"}
+    if (gamma == "2" and 1e148 <= float(rho1) <= 5e153) or (gamma == "3" and rho1 == "1e100"):
+        assert rc == 0
+        payload = json.loads((tmp_path / "angles.json").read_text())
+        assert payload["theta_d_deg"] == pytest.approx(HUGE_RHO1_THETA_D[gamma], abs=1e-6)
 
 
 def test_cli_polar(tmp_path, capsys):

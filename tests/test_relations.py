@@ -519,8 +519,8 @@ def test_state2_residuals_of_floats_match_numpy(itp_and_bisection_outcomes):
 @pytest.mark.parametrize("rho1", [1.05, 1.6, 2.5, 4.0, 6.0])
 @pytest.mark.parametrize("gamma", [1.05, 1.4, 2.0, 3.0])
 def test_lobe_sign_fixed_by_window_ends(rho1, gamma):
-    """F is negative at both ends of the entropic window, in closed form, so
-    it is positive between the weak and strong roots at every angle."""
+    """G = F/rho2 is negative at both ends of the entropic window, in closed
+    form, so it is positive between the weak and strong roots at every angle."""
     from shockrefl.relations import _window_scan
 
     gas = GasParams(1.0, rho1, gamma)
@@ -528,9 +528,15 @@ def test_lobe_sign_fixed_by_window_ends(rho1, gamma):
     thd = detachment_angle(gas)
     for frac in (1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-6):
         theta = thd + frac * (math.pi / 2.0 - thd)
+        t = math.tan(theta)
         grid, fval = _window_scan(theta, gas, inc)
-        for u, f in ((grid[0], fval[0]), (grid[-1], fval[-1])):
-            closed = -gas.rho1 * ((inc.u1 - u) ** 2 + (u * math.tan(theta)) ** 2)
+        u = grid[0]  # rho2 = rho1
+        lower = -((inc.u1 - u) ** 2 + (u * t) ** 2)
+        x = inc.xi1_0
+        rho2_top = (gas.rho0_pow + 0.5 * (gamma - 1.0) * (x / math.cos(theta)) ** 2) ** (1.0 / (gamma - 1.0))
+        top = -(rho1 / rho2_top) * ((inc.u1 - x) ** 2 + (x * t) ** 2)
+        assert grid[-1] == x
+        for f, closed in ((fval[0], lower), (fval[-1], top)):
             assert f < 0.0
             assert f == pytest.approx(closed, rel=1e-9)
 
@@ -579,19 +585,18 @@ def test_mismatch_of_a_float_matches_numpy_scalars():
     assert compared >= 20 * 7 * 50 * 0.9
 
 
-def test_mismatch_of_a_float_overflows_to_the_scan_value():
-    """Where rho2 exceeds the largest double, F of a float is what the
-    scan's array power gives (gamma near 1, theta_w near pi/2)."""
+def test_mismatch_of_a_float_next_to_right_angle_is_the_scan_value():
+    """Where rho2 exceeds the largest double (gamma near 1, theta_w near
+    pi/2), G of a float is finite and the scan's value, with no warning."""
     from shockrefl.relations import _mismatch
 
     gas = GasParams(1.0, 3.0, 1.002)
     inc = incident_state(gas)
     theta = math.pi / 2.0 - 1e-4
     u = 0.999 * inc.xi1_0
-    with np.errstate(over="ignore"):
-        scan_value = float(_mismatch(np.array([u]), theta, gas, inc)[0])
-    assert math.isinf(scan_value)
-    assert _mismatch(u, theta, gas, inc) == scan_value
+    scan_value = float(_mismatch(np.array([u]), theta, gas, inc)[0])
+    assert math.isfinite(scan_value)
+    assert _mismatch(u, theta, gas, inc).hex() == scan_value.hex()
 
 
 def test_root_brackets_are_floats(gas_122):
@@ -637,15 +642,51 @@ def test_root_brackets_match_sign_products():
 
 @pytest.mark.parametrize("k", range(3, 12))
 def test_small_gamma_near_right_angle(k):
-    """(1, 5, 1.05): the strong root's rho2 = base^20 overflows the scan at
-    pi/2 - 1e-9 and beyond, so the pair is found up to k = 8 and the scan's
-    single sign change is reported from k = 9 on.  The overflowed rho2 times
-    the zero factor u2 - xi1_0 at the window's top is NaN, hence `invalid`."""
+    """(1, 5, 1.05): the strong root's rho2 = base^20 is past the largest
+    double at pi/2 - 1e-9 and beyond, so the pair is found up to k = 8 and
+    the overflowing density is reported from k = 9 on."""
     gas = GasParams(1.0, 5.0, 1.05)
     theta = math.pi / 2.0 - 10.0 ** -k
-    with np.errstate(over="ignore", invalid="ignore"):
-        if k <= 8:
-            assert state2_solve(gas, theta).weak.rho == pytest.approx(23.2287, abs=1e-4)
-        else:
-            with pytest.raises(RootSeparationFailure):
-                state2_solve(gas, theta)
+    if k <= 8:
+        assert state2_solve(gas, theta).weak.rho == pytest.approx(23.2287, abs=1e-4)
+    else:
+        with pytest.raises(RootSeparationFailure, match="overflows"):
+            state2_solve(gas, theta)
+
+
+def test_gamma_near_one_next_to_right_angle_ends_typed():
+    """On a grid of gamma down to 1.001 and three rho1, state2_solve at
+    pi/2 - 10^-k (k = 2..14) gives a pair or RootSeparationFailure (the
+    strong density past a double) and angle_diagram returns, all with
+    RuntimeWarning an error (pytest's filterwarnings)."""
+    from shockrefl import relations
+
+    outcomes = set()
+    for gamma in (1.001, 1.002, 1.005, 1.01, 1.02, 1.05, 1.1, 1.2, 1.4):
+        for rho1 in (1.5, 3.0, 5.0):
+            gas = GasParams(1.0, rho1, gamma)
+            for k in range(2, 15):
+                try:
+                    state2_solve(gas, math.pi / 2.0 - 10.0 ** -k)
+                    outcomes.add("pair")
+                except RootSeparationFailure as exc:
+                    assert "overflows" in str(exc)
+                    outcomes.add("overflow")
+            relations.angle_diagram(gas)
+    assert outcomes == {"pair", "overflow"}
+
+
+def test_state2_solve_builds_state1_once(gas_122, monkeypatch):
+    """make_uniform_state runs for the weak root, the strong root and state (1)."""
+    from shockrefl import relations
+
+    calls = []
+    original = relations.make_uniform_state
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(relations, "make_uniform_state", counted)
+    state2_solve(gas_122, 1.3)
+    assert len(calls) <= 3
