@@ -39,6 +39,26 @@ ATTACH_EPS_FACTOR = 1e-3  # attached-shock trigger: xi1(P2) > -factor * c2
 E_XI2 = (0.0, 1.0)        # the vertical edge of the monotonicity cone
 
 
+def cone_supremum(g, e_s1):
+    """sup of g . e over the unit directions e of the closed cone Con(e_S1, e_xi2),
+    for each vector g along the last axis.
+
+    g . e is linear in e: the supremum is |g| where g points into the open cone
+    and max(g . e_S1, g . e_xi2) otherwise.  At theta_w = pi/2 the cone is a
+    line (e_S1 = -e_xi2) with no interior, so only the two edges count.
+    """
+    g, e_s1, e_xi2 = np.asarray(g, dtype=float), np.asarray(e_s1, dtype=float), np.array(E_XI2)
+
+    def cross(a, b):
+        return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+    # inside: e_xi2 -> g -> e_S1 turns one way; turn = 0 for the line at pi/2
+    turn = cross(e_xi2, e_s1)
+    inside = (turn * cross(e_xi2, g) > 0.0) & (turn * cross(g, e_s1) > 0.0)
+    edges = np.maximum((g * e_s1).sum(-1), (g * e_xi2).sum(-1))
+    return np.where(inside, np.hypot(g[..., 0], g[..., 1]), edges)
+
+
 def lambda_contains(xi, theta_w):
     """Membership test for Lambda = upper half-plane minus the solid wedge.
 
@@ -119,23 +139,16 @@ def _cone_dirs_from_states(u1, state2):
     return e_s1, degenerate
 
 
-def interior_cone_directions(e_s1, fractions=(0.25, 0.5, 0.75)):
-    """Unit directions sampled across the open cone Con(e_S1, e_xi2).
-
-    Sampling is by angle from e_xi2 to e_s1 (the cone is nearly a half-plane
-    for steep wedges, so linear combinations would pile up near e_S1).
-    """
+def interior_cone_directions(e_s1):
+    """The shock graph's cross-check directions in the open cone Con(e_S1, e_xi2),
+    at 30% and 70% of the angle from e_xi2 to e_S1 (by angle: the cone is nearly a
+    half-plane for steep wedges, so linear combinations would pile up near e_S1)."""
     e_s1 = np.asarray(e_s1, dtype=float)
     if np.linalg.norm(e_s1) < 1e-14:
         raise ZeroVector("cone edge direction degenerated")
     a0 = math.atan2(E_XI2[1], E_XI2[0])
-    a1 = math.atan2(e_s1[1], e_s1[0])
-    span = (a1 - a0) % (2.0 * math.pi)
-    out = []
-    for t in fractions:
-        ang = a0 + t * span
-        out.append(np.array([math.cos(ang), math.sin(ang)]))
-    return out
+    span = (math.atan2(e_s1[1], e_s1[0]) - a0) % (2.0 * math.pi)
+    return [np.array([math.cos(a0 + t * span), math.sin(a0 + t * span)]) for t in (0.3, 0.7)]
 
 
 def build_configuration(params, theta_w):

@@ -22,7 +22,7 @@ from shockrefl.admissibility import (
     full_report,
     grid_tolerance,
 )
-from shockrefl.geometry import E_XI2
+from shockrefl.geometry import E_XI2, cone_supremum
 from falsification import (
     nonconvex_shock,
     pinching_bump,
@@ -133,26 +133,64 @@ def test_an_empty_interior_mask_gives_the_vacuous_record(gas_122, n1):
 
 
 def test_cone_monotonicity_on_an_empty_interior_mask(sol85_n65, monkeypatch):
-    """With no interior node, every interior cone direction is vacuous and
-    the worst value and its location come from the shock row."""
+    """With no interior node the region is vacuous, and the worst value and
+    its location come from the shock row."""
     monkeypatch.setattr(admissibility, "_interior_mask", lambda sol: np.zeros(sol.phi.shape, dtype=bool))
     rec = check_cone_monotonicity(sol85_n65)
-    interior = [v for k, v in rec.details.items() if k.startswith("interior_dir_")]
-    assert len(interior) == 3 and all(v == -math.inf for v in interior)
-    assert rec.worst == max(rec.details["shock_e_s1"], rec.details["shock_e_xi2"])
+    assert rec.details["region"] == -math.inf
+    assert rec.worst == rec.details["shock_row"]
     assert rec.location in {tuple(map(float, p)) for p in sol85_n65.mesh.nodes[0]}
 
 
 def test_cone_monotonicity_inverted_direction_fails(sol85_n65):
-    """Sanity inversion: the negated mid-cone direction flips the sign."""
+    """Sanity inversion: each negated interior cone direction flips the sign."""
     from shockrefl import interior_cone_directions
 
-    mid = interior_cone_directions(sol85_n65.config.e_s1)[1]
     grad1 = sol85_n65.config.state1.gradient(sol85_n65.mesh.nodes)
     diff = grad1 - sol85_n65.gradient()
-    vals = (diff * (-mid)).sum(-1)
-    interior = vals[3:-3, 3:-3]
-    assert interior.max() > grid_tolerance(sol85_n65)
+    dirs = interior_cone_directions(sol85_n65.config.e_s1)
+    assert len(dirs) == 2
+    for e in dirs:
+        vals = (diff * (-e)).sum(-1)
+        interior = vals[3:-3, 3:-3]
+        assert interior.max() > grid_tolerance(sol85_n65)
+
+
+def test_cone_supremum_is_the_maximum_over_the_closed_cone(sol85_n65):
+    """The closed form agrees with a brute-force maximum over 2,001 directions
+    across the closed cone and is never below a sampled direction's value."""
+    cfg = sol85_n65.config
+    g = cfg.state1.gradient(sol85_n65.mesh.nodes) - sol85_n65.gradient()
+    sup = cone_supremum(g, cfg.e_s1)
+    a0 = math.pi / 2.0
+    span = (math.atan2(cfg.e_s1[1], cfg.e_s1[0]) - a0) % (2.0 * math.pi)
+    ang = a0 + np.linspace(0.0, 1.0, 2001) * span
+    brute = np.max(g[..., 0, None] * np.cos(ang) + g[..., 1, None] * np.sin(ang), axis=-1)
+    assert np.max(np.abs(sup - brute)) < 1e-12
+    # 25%, 50% and 75% of the cone's angle, and its two edges
+    sampled = [np.array([math.cos(a), math.sin(a)]) for a in a0 + np.array([0.25, 0.5, 0.75]) * span]
+    for e in sampled + [cfg.e_s1, np.array(E_XI2)]:
+        assert np.all(sup >= (g * e).sum(-1))
+
+
+def test_cone_supremum_closed_forms(sol85_n65):
+    """|g| for g inside the cone; the larger edge value at pi/2, where the
+    cone is a line and nothing is inside."""
+    e_s1 = sol85_n65.config.e_s1
+    g = 2.0 * e_s1 + 3.0 * np.array(E_XI2)
+    assert cone_supremum(g, e_s1) == pytest.approx(np.linalg.norm(g), rel=1e-15)
+    line = np.array([0.0, -1.0])
+    g90 = np.array([[-1.0, 0.5], [-1.0, -0.25], [2.0, 0.0]])
+    assert np.array_equal(cone_supremum(g90, line), [0.5, 0.25, 0.0])
+
+
+def test_cone_monotonicity_checks_the_region_at_90(sol_normal65):
+    """The exact 90-degree member passes with its region checked: the cone
+    is a line there, and its two edges bound the region too."""
+    rec = check_cone_monotonicity(sol_normal65)
+    assert rec.passed
+    assert set(rec.details) == {"region", "shock_row"}
+    assert math.isfinite(rec.details["region"]) and rec.details["region"] < rec.tolerance
 
 
 def test_state2_closed_form_cone_derivative(sol85_n65):
@@ -201,6 +239,18 @@ def test_nonconvex_shock_fails(sol85_n65):
     assert not rec.passed
 
 
+def test_folded_shock_fails_with_the_worst_value(sol85_n65):
+    """Two swapped interior shock nodes are a graph in no direction: the check
+    fails with the worst value there is, inf."""
+    shock = sol85_n65.shock
+    pts = shock.points.copy()
+    pts[[10, 11]] = pts[[11, 10]]
+    folded = ShockCurve(e=shock.e, points=pts, tau_p1=shock.tau_p1, tau_p2=shock.tau_p2)
+    rec = check_graph_and_convexity(folded, config=sol85_n65.config)
+    assert not rec.passed
+    assert rec.worst == math.inf
+
+
 def test_too_few_samples():
     pts = np.array([[0.0, 1.0], [0.0, 0.5], [0.0, 0.0]])
     with pytest.raises(TooFewSamples):
@@ -227,17 +277,21 @@ def test_tangent_distance_monotone_on_converged(sol85_n65):
 
 
 @pytest.mark.parametrize("boundary_dir", ["e_xi2", "e_s1"])
-def test_cone_monotonicity_fails_on_the_shock_row(sol85_n65, boundary_dir):
+def test_cone_monotonicity_fails_on_the_shock_row(sol85_n65, boundary_dir, monkeypatch):
     """A ramp of phi along a boundary cone direction breaks d_e(phi1 - phi) <= 0
-    on the shock, found at an interior shock node; interior directions stay strict."""
+    on the shock, found at an interior shock node even with the region masked
+    off; unmasked, the ramp raises the supremum over the cone in the region too."""
     sol = sol85_n65
     e = np.array(E_XI2) if boundary_dir == "e_xi2" else sol.config.e_s1
     bad = copy.copy(sol)
     bad.phi = sol.phi - 2.0 * grid_tolerance(sol) * (sol.mesh.nodes @ e)
     rec = check_cone_monotonicity(bad)
     assert not rec.passed
-    assert rec.worst == rec.details[f"shock_{boundary_dir}"] > rec.tolerance
-    assert all(v < 0.0 for k, v in rec.details.items() if k.startswith("interior_dir_"))
+    assert rec.details["region"] > rec.tolerance and rec.details["shock_row"] > rec.tolerance
+    monkeypatch.setattr(admissibility, "_interior_mask", lambda sol: np.zeros(sol.phi.shape, dtype=bool))
+    rec = check_cone_monotonicity(bad)
+    assert not rec.passed
+    assert rec.worst == rec.details["shock_row"] > rec.tolerance
     n2 = sol.phi.shape[1]
     shock_nodes = [tuple(float(x) for x in sol.mesh.nodes[0, j]) for j in range(ENDPOINT_SKIP, n2 - ENDPOINT_SKIP)]
     assert rec.location in shock_nodes

@@ -88,6 +88,7 @@ def test_cone_directions(gas_122, cfg85):
 
 def test_interior_cone_directions_are_interior(gas_122, cfg85):
     dirs = interior_cone_directions(cfg85.e_s1)
+    assert len(dirs) == 2
     for d in dirs:
         assert np.linalg.norm(d) == pytest.approx(1.0, rel=1e-14)
         # strictly between the edges: positive cross products against both
