@@ -134,13 +134,14 @@ def _worst_at(values, mask, nodes, biggest=True):
 def check_ellipticity(sol):
     """Strict ellipticity in the closed region away from the sonic arc.
 
-    Outside the cutoff band the margin must be positive; inside the band it
-    may vanish (down to -tol) where the equation is legitimately degenerate.
+    Outside the cutoff band of every solve (CUTOFF_WIDTH sonic radii, its width
+    in the details) the margin must be positive; inside the band it may
+    vanish (down to -tol) where the equation is legitimately degenerate.
     """
     tol = grid_tolerance(sol)
     cfg = sol.config
     margin = ellipticity_margin(sol.gradient(), sol.phi, cfg.params)
-    width = cutoff_band_width(cfg, sol.metadata.get("cutoff_width"))
+    width = cutoff_band_width(cfg)
     dist = sonic_distance(cfg, sol.mesh.nodes)
     mask = _interior_mask(sol)
     outside = mask & (dist > width)
@@ -210,12 +211,13 @@ def check_pinching(sol):
 def check_cone_monotonicity(sol):
     """d_e(phi1 - phi) <= 0 for every unit direction e of the closed cone
     Con(e_S1, e_xi2), through its supremum over the cone at each node:
-    strict (< tol) in the region, non-strict (<= tol) on the shock row."""
+    strict (< tol) in the open region, which leaves out the shock row, and
+    non-strict (<= tol) on the shock row."""
     tol, nodes = grid_tolerance(sol), sol.mesh.nodes
     sup = cone_supremum(sol.config.state1.gradient(nodes) - sol.gradient(), sol.config.e_s1)
     on_shock = np.zeros(sol.phi.shape, dtype=bool)
     on_shock[0, ENDPOINT_SKIP:-ENDPOINT_SKIP] = True
-    region, shock_row = _worst_at(sup, _interior_mask(sol), nodes), _worst_at(sup, on_shock, nodes)
+    region, shock_row = _worst_at(sup, _interior_mask(sol) & ~on_shock, nodes), _worst_at(sup, on_shock, nodes)
     worst, loc = max(region, shock_row, key=lambda r: r[0])
     return CheckRecord(
         name="cone_monotonicity",

@@ -141,9 +141,10 @@ def read_solution(indir):
     versions wrote, is read unchecked there.
     Raises ArchiveError on a missing or unreadable file, a meta.json that is
     not a JSON object or holds a value of the wrong kind, a CSV that is not
-    numeric or has the wrong number of columns, and on any other structural
-    inconsistency; the typed errors of the configuration and the shock
-    (DetachedWedgeAngle, TooFewSamples, ...) pass through.
+    numeric or has the wrong number of columns, a metadata.cutoff_width that
+    is not null (the archive was solved on another cutoff band), and on any
+    other structural inconsistency; the typed errors of the configuration and
+    the shock (DetachedWedgeAngle, TooFewSamples, ...) pass through.
     """
     meta_path = os.path.join(indir, "meta.json")
     if not os.path.isfile(meta_path):
@@ -175,8 +176,10 @@ def read_solution(indir):
         if isinstance(theta, bool) or not isinstance(theta, (int, float)):
             raise ArchiveError(f"theta_w_rad = {theta!r} is not a number")
         metadata = dict(meta.get("metadata", {}))
-        # the grid, and the band width check_ellipticity reads (None, or what a solve accepts)
-        IterationParams(n1=n1, n2=n2, cutoff_width=metadata.get("cutoff_width"))
+        IterationParams(n1=n1, n2=n2)  # the grid a solve accepts
+        if metadata.get("cutoff_width") is not None:
+            raise ArchiveError(f"metadata.cutoff_width = {metadata['cutoff_width']!r}: the archive was "
+                               "solved on another cutoff band than solver.CUTOFF_WIDTH")
         shock_rows = _table(os.path.join(indir, "shock.csv"), 4)
         field_rows = _table(os.path.join(indir, "field.csv"), 8)
         history = ([(int(r[0]), float(r[1]), float(r[2])) for r in _table(res_path, 3)]

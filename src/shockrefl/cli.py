@@ -47,7 +47,8 @@ MAX_ANGLES = 100_000  # most angles one grid may list, checked before any is bui
 
 @dataclass
 class RunConfig:
-    """Everything needed to reproduce a run; serialized into meta.json."""
+    """Everything needed to reproduce a run; serialized into meta.json.  Its
+    solver settings are the grid and the tolerances; the rest are constants."""
 
     rho0: float = 1.0
     rho1: float = 2.0
@@ -56,11 +57,8 @@ class RunConfig:
     theta_grid: str | None = None       # degrees, "start:stop:num" (polar) or "start:stop:step" (sweep)
     n1: int = IterationParams.n1
     n2: int = IterationParams.n2
-    cutoff_width: float | None = IterationParams.cutoff_width
     tol_fixed_point: float = IterationParams.tol_fixed_point
-    max_outer: int = IterationParams.max_outer
     lin_tol: float = IterationParams.lin_tol
-    sweep_step: float = 1.0             # internal warm-up step for solve (degrees)
     out: str = "runs"
     init: str | None = None
 
@@ -85,9 +83,7 @@ def _common(parser):
 def _solver_opts(parser):
     parser.add_argument("--n1", type=int, default=None)
     parser.add_argument("--n2", type=int, default=None)
-    parser.add_argument("--cutoff-width", type=float, default=None)
     parser.add_argument("--tol-fp", dest="tol_fixed_point", type=float, default=None)
-    parser.add_argument("--max-outer", type=int, default=None)
     parser.add_argument("--lin-tol", type=float, default=None)
 
 
@@ -109,8 +105,6 @@ def build_parser():
     _solver_opts(p)
     p.add_argument("--theta", type=float, default=None, help="wedge angle in degrees (or theta in --config)")
     p.add_argument("--init", default=None, help="warm-start archive directory")
-    p.add_argument("--sweep-step", type=float, default=None,
-                   help="internal warm-up sweep step in degrees")
 
     p = sub.add_parser("sweep", help="continuation family over a descending grid")
     _common(p)
@@ -238,14 +232,12 @@ def cmd_polar(args):
     return EXIT_OK
 
 
-def _warmup_grid(theta, step_deg):
-    """Continuation grid 90, 90 - step, ..., theta (radians) for a solve at theta."""
-    if not (math.isfinite(step_deg) and step_deg > 0.0):
-        raise ValidationError(f"--sweep-step {step_deg!r} must be finite and positive")
-    step = math.radians(step_deg)
+def _warmup_grid(theta):
+    """Continuation grid 90, 89, ..., theta (radians, 1-degree steps) for a
+    solve at theta in (theta_d, pi/2], so at most 91 angles."""
+    step = math.radians(1.0)
     # pi/2 comes first however near theta lies; the margin lists a theta on the step grid once
     intervals = (math.pi / 2.0 - theta) / step - 1e-9
-    _check_angle_count(intervals + 1.0, f"--sweep-step {step_deg!r}")
     grid = [math.pi / 2.0 - k * step for k in range(max(math.ceil(intervals), 1))]
     return grid if theta == math.pi / 2.0 else grid + [theta]
 
@@ -274,7 +266,7 @@ def cmd_solve(args):
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return _SWEEP_EXIT[type(exc).__name__]
     else:
-        result = continuation_sweep(gas, _warmup_grid(theta, cfg.sweep_step), cfg.iteration_params())
+        result = continuation_sweep(gas, _warmup_grid(theta), cfg.iteration_params())
         if result.status != "completed":
             print(f"{result.status}: {result.stop_reason}", file=sys.stderr)
             return _SWEEP_EXIT[result.status]

@@ -81,7 +81,7 @@ class ReflectionConfiguration:
     axis is a free-boundary unknown: it is the last point of the shock.
     The closed forms of states (0), (1), (2) ride along for boundary data.
     e_s1 and E_XI2 span the monotonicity cone Con(e_S1, e_xi2); at
-    theta_w = pi/2 it has empty interior and cone_degenerate is set.
+    theta_w = pi/2 it has empty interior and cone_degenerate is true.
     """
 
     theta_w: float
@@ -98,7 +98,11 @@ class ReflectionConfiguration:
     state1: UniformState
     state2: UniformState
     e_s1: np.ndarray
-    cone_degenerate: bool
+
+    @property
+    def cone_degenerate(self):
+        """The cone has empty interior: theta_w = pi/2, where state (2) is at rest (v2 = 0)."""
+        return self.state2.v == 0.0
 
     @property
     def attach_eps(self):
@@ -120,23 +124,17 @@ class ReflectionConfiguration:
 
 
 def _cone_dirs_from_states(u1, state2):
-    """(e_S1, degenerate): the edge of the monotonicity cone Con(e_S1, e_xi2)
-    other than E_XI2, and whether the cone has empty interior.
+    """e_S1, the edge of the monotonicity cone Con(e_S1, e_xi2) other than E_XI2.
 
     e_S1 = -(v2, u1-u2)/|.| is parallel to the straight shock S1 and oriented
-    with e_S1 . Dphi2(P0) > 0.  At theta_w = pi/2 the weak state has v2 = 0,
-    the cone degenerates to the vertical axis and the result is flagged.
+    with e_S1 . Dphi2(P0) > 0.  At theta_w = pi/2 the weak state has v2 = 0 and
+    e_S1 = -E_XI2: the cone degenerates to the vertical axis.
     """
     vec = np.array([state2.v, u1 - state2.u])
     nrm = np.linalg.norm(vec)
     if nrm == 0.0:
         raise ZeroVector("e_S1 undefined: state (2) coincides with state (1)")
-    e_s1 = -vec / nrm
-    degenerate = state2.v == 0.0
-    if degenerate:
-        # theta_w = pi/2: straight shock is vertical, cone has empty interior
-        e_s1 = np.array([0.0, -math.copysign(1.0, u1 - state2.u)])
-    return e_s1, degenerate
+    return -vec / nrm
 
 
 def interior_cone_directions(e_s1):
@@ -172,7 +170,7 @@ def build_configuration(params, theta_w):
     if abs(theta_w - math.pi / 2.0) < NORMAL_ANGLE_TOL:
         xbar, st2 = normal_reflection_state(params)
         c2 = st2.c
-        e_s1, degenerate = _cone_dirs_from_states(inc.u1, st2)
+        e_s1 = _cone_dirs_from_states(inc.u1, st2)
         p0 = np.array([0.0, c2])
         p1 = np.array([xbar, math.sqrt(c2 * c2 - xbar * xbar)])
         p4 = p0.copy()
@@ -182,7 +180,7 @@ def build_configuration(params, theta_w):
         pair = state2_solve(params, theta_w)
         st2 = pair.weak
         c2 = st2.c
-        e_s1, degenerate = _cone_dirs_from_states(inc.u1, st2)
+        e_s1 = _cone_dirs_from_states(inc.u1, st2)
         p0 = np.array([inc.xi1_0, inc.xi1_0 * math.tan(theta_w)])
         center = np.array([st2.u, st2.v])
         regime = mach_regime(pair.mach_p0_weak)
@@ -219,7 +217,6 @@ def build_configuration(params, theta_w):
         state1=state1(params, inc),
         state2=st2,
         e_s1=e_s1,
-        cone_degenerate=degenerate,
     )
 
 

@@ -436,11 +436,12 @@ def state2_solve(params, theta_w):
     if not brackets and scan is not None:
         # Possibly a tangent double root the scan cannot split: accept it when
         # the interior lobe extremum of G is indistinguishable from zero against
-        # |G| at the window top (angles within ~1e-8 of the detachment angle).
+        # |G| at the window's lower end, the scale of `detachment_angle`'s
+        # margin (angles within a few 1e-9 rad of the detachment angle).
         # It stands for both roots, as a bracket of its own that
         # `_bracketed_root` returns as it is.
         lobe, u_star = _lobe_extremum(scan, theta_w, params, inc)
-        if abs(lobe) <= -1e-8 * float(scan[1][-1]):
+        if abs(lobe) <= -1e-8 * float(scan[1][0]):
             brackets = [(u_star, u_star, 0.0, 0.0)] * 2
             tangent_pair = True
     if not brackets:

@@ -59,6 +59,8 @@ from .mesh import build_square_map, logical_grid, read_only, sonic_extension
 from .relations import NORMAL_ANGLE_TOL
 
 ZETA0 = 0.02  # cap depth of the ellipticity cutoff at the sonic arc
+CUTOFF_WIDTH = 0.1  # width of the cutoff band, in sonic radii
+MAX_OUTER = 60      # outer iterations (BVP solves and shock updates) per solve
 MAX_NEWTON = 120    # Newton steps per BVP solve
 MAX_HALVINGS = 30   # step halvings before a line search gives up
 ARMIJO = 1e-4       # sufficient-decrease fraction of the line search
@@ -68,13 +70,12 @@ SWEEP_HALVINGS = 6  # depth of recursive midpoint bridging in a continuation ste
 
 @dataclass(frozen=True)
 class IterationParams:
-    """Knobs of the fixed-point iteration and its inner elliptic solves."""
+    """The grid and the tolerances of the fixed-point iteration and its inner
+    elliptic solves; the cutoff band and the iteration caps are constants."""
 
     n1: int = 65
     n2: int = 65
-    cutoff_width: float | None = None  # physical width; None -> 0.1 * sonic radius
     tol_fixed_point: float = 1e-7      # sup-norm of shock movement at convergence
-    max_outer: int = 60
     lin_tol: float = 1e-9              # relative interior residual of the BVP
 
     def __post_init__(self):
@@ -84,12 +85,7 @@ class IterationParams:
                 raise ValidationError(f"{f.name} = {value!r} must be {'an integer' if count else 'a number'}")
         if self.n1 < 3 or self.n2 < 5:
             raise ValidationError(f"grid {self.n1} x {self.n2} is smaller than 3 x 5")
-        if self.max_outer < 1:
-            raise ValidationError(f"max_outer = {self.max_outer!r} must be at least 1")
-        positive = {"tol_fixed_point": self.tol_fixed_point, "lin_tol": self.lin_tol}
-        if self.cutoff_width is not None:
-            positive["cutoff_width"] = self.cutoff_width
-        for name, value in positive.items():
+        for name, value in {"tol_fixed_point": self.tol_fixed_point, "lin_tol": self.lin_tol}.items():
             if not (math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{name} = {value!r} must be finite and positive")
 
@@ -125,15 +121,15 @@ def sonic_distance(config, pts):
     return np.linalg.norm(pts - config.p0, axis=-1)
 
 
-def cutoff_band_width(config, width=None):
-    """Physical width of the ellipticity cutoff band; None -> 0.1 * sonic radius."""
-    return 0.1 * config.sonic_radius if width is None else width
+def cutoff_band_width(config):
+    """Physical width of the ellipticity cutoff band: CUTOFF_WIDTH sonic radii."""
+    return CUTOFF_WIDTH * config.sonic_radius
 
 
-def _mach_cap(config, pts, cutoff_width):
+def _mach_cap(config, pts):
     """Cap on Mach^2 entering the coefficients: 1 - zeta(d), zeta a C1 ramp."""
     d = sonic_distance(config, pts)
-    ramp = np.clip(1.0 - d / cutoff_band_width(config, cutoff_width), 0.0, None)
+    ramp = np.clip(1.0 - d / cutoff_band_width(config), 0.0, None)
     return 1.0 - ZETA0 * ramp * ramp
 
 
@@ -418,7 +414,7 @@ class MMSProblem:
         return rho * (trace + 2.0) + (drho * g).sum(-1)
 
 
-def _bvp_data(config, mesh, iter_params, mms):
+def _bvp_data(config, mesh, mms):
     """Operators, Mach cap, sonic Dirichlet values and right-hand side of the BVP.
 
     Returns (disc, cap, dirichlet_vals, rhs) with rhs(rho) the right-hand
@@ -428,7 +424,7 @@ def _bvp_data(config, mesh, iter_params, mms):
     disc = _Discretization(mesh)
     n1, n2 = mesh.n1, mesh.n2
     pts = mesh.nodes
-    cap = _mach_cap(config, pts, iter_params.cutoff_width)
+    cap = _mach_cap(config, pts)
     if mms is None:
         dirichlet_vals = config.state2.potential(pts[:, -1, :])
         s1 = config.state1
@@ -542,7 +538,7 @@ def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
     the Mach cap is active outside the cutoff band at the solution with
     Mach^2 > 1 + 1e-6).
     """
-    disc, cap, dirichlet_vals, build_rhs = _bvp_data(config, mesh, iter_params, mms)
+    disc, cap, dirichlet_vals, build_rhs = _bvp_data(config, mesh, mms)
     params = config.params
     phi = np.array(phi_init, dtype=float).reshape(mesh.n1, mesh.n2).copy()
     phi[:, -1] = dirichlet_vals
@@ -580,7 +576,7 @@ def solve_bvp(config, mesh, phi_init, iter_params, mms=None):
             raise failure
         lin = trial
         res = _relative_residual(lin, scale)
-    outside_band = sonic_distance(config, mesh.nodes) > cutoff_band_width(config, iter_params.cutoff_width)
+    outside_band = sonic_distance(config, mesh.nodes) > cutoff_band_width(config)
     bad = lin.active & outside_band
     info = {"newton_iters": its, "residual_evals": trials, "residual": res,
             "stalled": res >= iter_params.lin_tol, "cap_outside_band": int(np.count_nonzero(bad))}
@@ -758,7 +754,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
     start shock (the warm start; with grid sequencing, the coarse solution's
     shock).
 
-    Raises NoConvergence after max_outer solves and shock updates, and
+    Raises NoConvergence after MAX_OUTER solves and shock updates, and
     DetachedWedgeAngle, AttachedShockDetected, VacuumReached,
     EllipticityLost, GraphPropertyLost as encountered.
     """
@@ -774,7 +770,7 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         # the exact field's own residual, not a discrete solve's: where the
         # Mach cap is active near the sonic arc the rest state is not a
         # solution of the discrete problem
-        disc, cap, _, rhs = _bvp_data(config, mesh, iter_params, None)
+        disc, cap, _, rhs = _bvp_data(config, mesh, None)
         lin = _residual(disc, phi, params, cap, rhs)
         res = _relative_residual(lin, _residual_scale(disc, lin.rho))
         return _solution(
@@ -821,9 +817,9 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         movement, model = upd["movement"], upd["model"]
         history.append((len(history) + 1, movement, info["residual"]))
         dev = phi - config.state2.potential(mesh.nodes)
-        if len(history) == iter_params.max_outer and not movement < iter_params.tol_fixed_point:
+        if len(history) == MAX_OUTER and not movement < iter_params.tol_fixed_point:
             raise NoConvergence(
-                f"shock movement {movement:.3e} after {iter_params.max_outer} outer iterations "
+                f"shock movement {movement:.3e} after {MAX_OUTER} outer iterations "
                 f"(tol {iter_params.tol_fixed_point:.1e}) at theta_w={math.degrees(theta_w):.4f} deg"
             )
 
@@ -852,7 +848,7 @@ def _solution(config, shock, mesh, phi, history, iter_params, model=None, **reco
     mass = rho * (grad * nu).sum(-1) - config.state1.rho * (grad1 * nu).sum(-1)
     meta = {"theta_deg": math.degrees(config.theta_w), "regime": config.regime.value,
             "n1": mesh.n1, "n2": mesh.n2, **record,
-            "cutoff_width": iter_params.cutoff_width, "zeta0": ZETA0,
+            "zeta0": ZETA0,
             "tol_fixed_point": iter_params.tol_fixed_point, "lin_tol": iter_params.lin_tol,
             "rh_potential_max": float(np.nanmax(np.abs(dphi))),
             "rh_mass_max": float(np.nanmax(np.abs(mass)))}

@@ -287,7 +287,7 @@ def test_criterion_09_local_uniqueness_analog():
     """Two 85-degree solves from 86- and 84.5-degree warm starts agree to
     c1_family_distance < 2e-5."""
     t0 = time.time()
-    ip = IterationParams(n1=49, n2=49, tol_fixed_point=1e-7, lin_tol=1e-10, max_outer=90)
+    ip = IterationParams(n1=49, n2=49, tol_fixed_point=1e-7, lin_tol=1e-10)
     sol = fixed_point_solve(GAS, math.pi / 2.0, ip)
     for d in (89.0, 88.0, 87.0, 86.0):
         sol = fixed_point_solve(GAS, math.radians(d), ip, init=sol)

@@ -193,6 +193,19 @@ def test_cone_monotonicity_checks_the_region_at_90(sol_normal65):
     assert math.isfinite(rec.details["region"]) and rec.details["region"] < rec.tolerance
 
 
+def test_cone_monotonicity_allows_tol_on_the_shock_row(sol85_n65, monkeypatch):
+    """The shock-row inequality is non-strict at every checked shock-row node,
+    j = ENDPOINT_SKIP .. n2-1-ENDPOINT_SKIP: a supremum of exactly tol there and
+    0 elsewhere passes, and the region, which leaves out the shock row, reads 0."""
+    sol = sol85_n65
+    tol = grid_tolerance(sol)
+    sup = np.zeros(sol.phi.shape)
+    sup[0, ENDPOINT_SKIP:-ENDPOINT_SKIP] = tol
+    monkeypatch.setattr(admissibility, "cone_supremum", lambda g, e_s1: sup)
+    rec = check_cone_monotonicity(sol)
+    assert rec.passed and rec.details == {"region": 0.0, "shock_row": tol}
+
+
 def test_state2_closed_form_cone_derivative(sol85_n65):
     """d_{e_S1}(phi1 - phi2) is a nonpositive constant (linear function)."""
     cfg = sol85_n65.config

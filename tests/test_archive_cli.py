@@ -144,7 +144,8 @@ def _move_first_node(rows):
 
 
 def _set_cutoff_width(width):
-    """An edit of meta.json's metadata.cutoff_width, the band width check_ellipticity reads."""
+    """An edit of meta.json's metadata.cutoff_width: any value but null names a
+    cutoff band other than the solver's CUTOFF_WIDTH sonic radii."""
     return lambda arch: _edit_meta(arch, lambda meta: meta["metadata"].update(cutoff_width=width))
 
 
@@ -178,6 +179,7 @@ def _set_cutoff_width(width):
     pytest.param(_set_cutoff_width(-1.0), ArchiveError, id="cutoff_width_negative"),
     pytest.param(_set_cutoff_width(0.0), ArchiveError, id="cutoff_width_zero"),
     pytest.param(_set_cutoff_width(True), ArchiveError, id="cutoff_width_true"),
+    pytest.param(_set_cutoff_width(0.05), ArchiveError, id="cutoff_width_another_band"),
 ])
 def test_malformed_archive_raises_typed_error_and_verify_exits_2(small_run, tmp_path, capsys, edit, error):
     """A malformed archive raises a typed error, never a bare Python one, and
@@ -192,6 +194,23 @@ def test_malformed_archive_raises_typed_error_and_verify_exits_2(small_run, tmp_
     assert type(info.value) is error
     assert main(["verify", str(arch)]) == 2
     assert capsys.readouterr().err.startswith(f"{error.__name__}: ")
+
+
+def test_archive_with_a_null_cutoff_width_reads_as_one_without(small_run, tmp_path):
+    """Archives that recorded the default band as metadata.cutoff_width = null
+    read and verify as the archives without the key that solves write now."""
+    import shutil
+
+    sol, outdir = small_run
+    arch = tmp_path / "null"
+    shutil.copytree(outdir, arch)
+    assert "cutoff_width" not in json.loads((arch / "meta.json").read_text())["metadata"]
+    _set_cutoff_width(None)(arch)
+    back, tampered = read_solution(str(arch))
+    assert not tampered and np.array_equal(back.phi, sol.phi) and back.metadata["cutoff_width"] is None
+    records = [[(c.name, c.passed, c.worst) for c in full_report(s).checks] for s in (back, sol)]
+    assert records[0] == records[1]
+    assert main(["verify", str(arch)]) == main(["verify", outdir]) == 0
 
 
 def test_archive_missing_file(tmp_path):
@@ -333,8 +352,7 @@ def test_report_and_archive_of_a_field_past_vacuum(tmp_path, gamma, worst):
 
 def test_cli_solve_verify_and_exit_codes(tmp_path, gas_122):
     rc = main(["solve", "--rho0", "1", "--rho1", "2", "--gamma", "2",
-               "--theta", "88", "--n1", "33", "--n2", "33",
-               "--sweep-step", "1.0", "--out", str(tmp_path)])
+               "--theta", "88", "--n1", "33", "--n2", "33", "--out", str(tmp_path)])
     assert rc == 0
     arch = tmp_path / "solve_theta088.000_n33x33"
     assert (arch / "report.json").is_file()
@@ -357,20 +375,25 @@ def test_cli_verify_rejects_run_config_flags(small_run, flag):
     assert info.value.code == 2
 
 
-def test_cli_solve_warmup_no_convergence_exits_3(tmp_path, capsys):
-    rc = main(["solve", "--theta", "88", "--n1", "17", "--n2", "17", "--max-outer", "1",
-               "--out", str(tmp_path)])
+def test_cli_solve_warmup_no_convergence_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_OUTER", 1)
+    rc = main(["solve", "--theta", "88", "--n1", "17", "--n2", "17", "--out", str(tmp_path)])
     assert rc == 3
     assert capsys.readouterr().err.startswith("NoConvergence: ")
 
 
 def test_cli_solve_warmup_grid_starts_at_90_degrees(tmp_path, capsys):
-    """The warm-up grid starts at pi/2 however near theta lies, and lists a
-    theta of 90 once; a solve a hair below 90 degrees then stops with the
-    solve's own typed error (exit 2), not with a grid that lacks pi/2."""
-    assert cli._warmup_grid(math.pi / 2.0, 1.0) == [math.pi / 2.0]
+    """The warm-up grid steps down from pi/2 by 1 degree, starts at pi/2
+    however near theta lies, and lists theta once, on the step grid or off it;
+    a solve a hair below 90 degrees then stops with the solve's own typed
+    error (exit 2), not with a grid that lacks pi/2."""
+    assert cli._warmup_grid(math.pi / 2.0) == [math.pi / 2.0]
     theta = cli._radians(89.9999999999)
-    assert cli._warmup_grid(theta, 1.0) == [math.pi / 2.0, theta]
+    assert cli._warmup_grid(theta) == [math.pi / 2.0, theta]
+    for deg, want in ((86.0, [90.0, 89.0, 88.0, 87.0, 86.0]), (87.5, [90.0, 89.0, 88.0, 87.5])):
+        grid = cli._warmup_grid(math.radians(deg))
+        assert grid[0] == math.pi / 2.0 and grid[-1] == math.radians(deg)
+        assert [round(math.degrees(t), 9) for t in grid] == want
     assert main(["solve", "--theta", "89.9999999999", "--n1", "9", "--n2", "9", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("DegenerateSonicArc: ") and "must start at theta_w = pi/2" not in err
@@ -523,22 +546,14 @@ def test_cli_config_file(tmp_path, monkeypatch):
     payload = json.loads((tmp_path / "angles.json").read_text())
     assert payload["params"]["rho1"] == 2.5
     assert payload["params"]["gamma"] == 1.4
-    # the shock update has no relaxation factor: a config naming one is rejected
-    cfgfile.write_text(json.dumps({"relax": 0.7}))
-    assert main(["angles", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
-    # a sweep_step from the file sets the solve's warm-up grid unless
-    # --sweep-step is given
-    grids = []
-
-    def stub_sweep(params, theta_grid, iter_params):
-        grids.append([round(math.degrees(t), 9) for t in theta_grid])
-        return solver.SweepResult(members=[], status="NoConvergence", stop_reason="stub")
-
-    monkeypatch.setattr(cli, "continuation_sweep", stub_sweep)
-    cfgfile.write_text(json.dumps({"sweep_step": 2.0}))
-    for extra, grid in (([], [90.0, 88.0, 86.0]), (["--sweep-step", "1"], [90.0, 89.0, 88.0, 87.0, 86.0])):
-        assert main(["solve", "--theta", "86", "--config", str(cfgfile), "--out", str(tmp_path)] + extra) == 3
-        assert grids.pop() == grid
+    # the shock update has no relaxation factor, the cutoff band and the outer
+    # cap are solver constants and the solve's warm-up step is fixed: a config
+    # naming any of them is rejected before anything is solved
+    monkeypatch.setattr(cli, "continuation_sweep", lambda *args: pytest.fail("a removed setting ran"))
+    for name, value in (("relax", 0.7), ("cutoff_width", 0.05), ("max_outer", 90), ("sweep_step", 2.0)):
+        cfgfile.write_text(json.dumps({name: value}))
+        for command in (["angles"], ["solve", "--theta", "86"]):
+            assert main(command + ["--config", str(cfgfile), "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("command, config", [
@@ -586,10 +601,9 @@ def test_cli_solver_flags_reach_iteration_params(tmp_path, monkeypatch):
         return solver.SweepResult(members=[], status="NoConvergence", stop_reason="stub")
 
     monkeypatch.setattr(cli, "continuation_sweep", stub_sweep)
-    want = IterationParams(n1=17, n2=21, cutoff_width=0.05, tol_fixed_point=3e-6, max_outer=7, lin_tol=2e-8)
+    want = IterationParams(n1=17, n2=21, tol_fixed_point=3e-6, lin_tol=2e-8)
     solve = ["solve", "--theta", "89", "--out", str(tmp_path)]
-    flags = ["--n1", "17", "--n2", "21", "--cutoff-width", "0.05", "--tol-fp", "3e-6",
-             "--max-outer", "7", "--lin-tol", "2e-8"]
+    flags = ["--n1", "17", "--n2", "21", "--tol-fp", "3e-6", "--lin-tol", "2e-8"]
     assert main(solve + flags) == 3
     assert seen.pop() == want
     cfgfile = tmp_path / "rc.json"
@@ -601,22 +615,40 @@ def test_cli_solver_flags_reach_iteration_params(tmp_path, monkeypatch):
     assert seen.pop() == dataclasses.replace(want, tol_fixed_point=5e-7, n1=9)
 
 
-@pytest.mark.parametrize("args", [
-    pytest.param(["--theta", "88", "--sweep-step", "0"], id="sweep_step_zero"),
-    pytest.param(["--theta", "88", "--sweep-step", "-1"], id="sweep_step_negative"),
-    pytest.param(["--theta", "88", "--sweep-step", "nan"], id="sweep_step_nan"),
-    pytest.param(["--theta", "89", "--n1", "2", "--n2", "2"], id="grid_2x2"),
-    pytest.param(["--theta", "89", "--cutoff-width", "-1"], id="cutoff_width_negative"),
-    pytest.param(["--theta", "89", "--n1", "17", "--n2", "17", "--cutoff-width", "nan"], id="cutoff_width_nan"),
-    pytest.param(["--theta", "89", "--n1", "17", "--n2", "17", "--tol-fp", "nan"], id="tol_fp_nan"),
-    pytest.param(["--theta", "89", "--n1", "17", "--n2", "17", "--lin-tol", "-1"], id="lin_tol_negative"),
-    pytest.param(["--theta", "89", "--max-outer", "0"], id="max_outer_zero"),
-    pytest.param(["--theta", "89", "--sweep-step", "1e-9"], id="sweep_step_too_many_angles"),
-    pytest.param(["--theta", "89", "--sweep-step", "1e-320"], id="sweep_step_subnormal"),
+def _gone(flag):
+    """argparse's refusal of a solver flag that solve no longer has."""
+    return f"error: unrecognized arguments: {flag}"
+
+
+_INVALID = "ValidationError: "
+
+
+@pytest.mark.parametrize("args, error", [
+    pytest.param(["--theta", "88", "--sweep-step", "0"], _gone("--sweep-step"), id="sweep_step_zero"),
+    pytest.param(["--theta", "88", "--sweep-step", "-1"], _gone("--sweep-step"), id="sweep_step_negative"),
+    pytest.param(["--theta", "88", "--sweep-step", "nan"], _gone("--sweep-step"), id="sweep_step_nan"),
+    pytest.param(["--theta", "89", "--n1", "2", "--n2", "2"], _INVALID, id="grid_2x2"),
+    pytest.param(["--theta", "89", "--cutoff-width", "-1"], _gone("--cutoff-width"), id="cutoff_width_negative"),
+    pytest.param(["--theta", "89", "--n1", "17", "--n2", "17", "--cutoff-width", "nan"], _gone("--cutoff-width"),
+                 id="cutoff_width_nan"),
+    pytest.param(["--theta", "89", "--n1", "17", "--n2", "17", "--tol-fp", "nan"], _INVALID, id="tol_fp_nan"),
+    pytest.param(["--theta", "89", "--n1", "17", "--n2", "17", "--lin-tol", "-1"], _INVALID, id="lin_tol_negative"),
+    pytest.param(["--theta", "89", "--max-outer", "0"], _gone("--max-outer"), id="max_outer_zero"),
+    pytest.param(["--theta", "89", "--sweep-step", "1e-9"], _gone("--sweep-step"), id="sweep_step_too_many_angles"),
+    pytest.param(["--theta", "89", "--sweep-step", "1e-320"], _gone("--sweep-step"), id="sweep_step_subnormal"),
 ])
-def test_cli_solve_invalid_inputs_exit_2(tmp_path, capsys, args):
-    assert main(["solve", *args, "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("ValidationError: ")
+def test_cli_solve_invalid_inputs_exit_2(tmp_path, monkeypatch, capsys, args, error):
+    """Bad solver settings exit 2 before anything is solved: a bad grid or
+    tolerance as a ValidationError, and the removed --cutoff-width,
+    --max-outer and --sweep-step as flags argparse does not know."""
+    monkeypatch.setattr(cli, "continuation_sweep", lambda *args: pytest.fail("an invalid input ran"))
+    try:
+        rc = main(["solve", *args, "--out", str(tmp_path)])
+    except SystemExit as exc:  # argparse exits 2 itself
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(error) if error == _INVALID else error in err
 
 
 def _old_csv_texts(sol):

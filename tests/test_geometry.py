@@ -80,10 +80,11 @@ def test_cone_directions(gas_122, cfg85):
     vec = -np.array([weak.v, inc_u1 - weak.u])
     vec /= np.linalg.norm(vec)
     assert np.allclose(cfg85.e_s1, vec, atol=1e-13)
-    # degenerate at pi/2: vertical direction with a flag
+    # degenerate at pi/2: the same formula gives the vertical direction, and the
+    # flag is derived from state (2) at rest
     cfg90 = build_configuration(gas_122, math.pi / 2.0)
-    assert cfg90.cone_degenerate
-    assert np.allclose(cfg90.e_s1, [0.0, -1.0])
+    assert cfg90.cone_degenerate and cfg90.state2.v == 0.0
+    assert np.array_equal(cfg90.e_s1, [0.0, -1.0])
 
 
 def test_interior_cone_directions_are_interior(gas_122, cfg85):

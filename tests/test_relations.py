@@ -188,6 +188,19 @@ def test_detachment_angle_and_tie_breaking(gas_122):
         state2_solve(gas_122, thd - 1e-6)
 
 
+def test_weak_incident_shock_has_no_tangent_pair_below_detachment():
+    """For a weak incident shock G is about 1e8 times smaller across the
+    entropic window than at its top; the tangent-pair test is scaled by |G| at
+    the window's lower end, so theta_d gives its pair and 1e-6 rad below it
+    is detached."""
+    gas = GasParams(1.0, 1.001, 2.0)
+    thd = detachment_angle(gas)
+    pair = state2_solve(gas, thd)
+    assert abs(pair.weak.u - pair.strong.u) < 1e-6
+    with pytest.raises(DetachedWedgeAngle):
+        state2_solve(gas, thd - 1e-6)
+
+
 def test_detachment_monotone_in_shock_strength():
     # frozen regression values; stronger incident shock detaches at a larger angle
     thd2 = detachment_angle(GasParams(1.0, 2.0, 2.0))

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -64,7 +64,7 @@ def test_scheme_exact_on_uniform_state_rectangle(gas_122):
     assert np.abs(r).max() < 1e-12
 
 
-def test_solve_bvp_recovers_uniform_state_on_rectangle(gas_122):
+def test_solve_bvp_recovers_uniform_state_on_rectangle(gas_122, narrow_band):
     cfg = build_configuration(gas_122, math.pi / 2.0)
     rest = cfg.state2
     xbar = cfg.p1[0]
@@ -76,7 +76,7 @@ def test_solve_bvp_recovers_uniform_state_on_rectangle(gas_122):
     # a tolerance below the residual's rounding error ends at the computed
     # floor, flagged as stalled, not in NoConvergence
     for lin_tol, stalled in ((1e-12, False), (1e-16, True)):
-        ip = IterationParams(n1=17, n2=19, lin_tol=lin_tol, cutoff_width=1e-9)
+        ip = IterationParams(n1=17, n2=19, lin_tol=lin_tol)
         phi, info = solve_bvp(cfg, sm, phi_exact + 0.01, ip)
         assert np.abs(phi - phi_exact).max() < 1e-8
         assert info["stalled"] == stalled and info["residual"] < 1e-11
@@ -103,7 +103,7 @@ def test_newton_jacobian_matches_central_differences(gas_122, deg, n1, n2):
     cfg = build_configuration(gas_122, th)
     mesh = build_square_map(cfg, initial_shock(cfg), n1, n2)
     assert mesh.degenerate_sonic == (deg < 60.0)
-    disc, cap, dirichlet_vals, rhs = solver._bvp_data(cfg, mesh, IterationParams(n1=n1, n2=n2), None)
+    disc, cap, dirichlet_vals, rhs = solver._bvp_data(cfg, mesh, None)
     phi = cfg.state2.potential(mesh.nodes) + 0.02 * np.random.default_rng(1).standard_normal((n1, n2))
     phi[:, -1] = dirichlet_vals
     lin = solver._residual(disc, phi, gas_122, cap, rhs)
@@ -148,7 +148,7 @@ def _noisy_field(gas, deg, n1, n2):
     whose gradient is extrapolated, stays off the cap."""
     cfg = build_configuration(gas, math.radians(deg))
     mesh = build_square_map(cfg, initial_shock(cfg), n1, n2)
-    disc, cap, dirichlet_vals, rhs = solver._bvp_data(cfg, mesh, IterationParams(n1=n1, n2=n2), None)
+    disc, cap, dirichlet_vals, rhs = solver._bvp_data(cfg, mesh, None)
     noise = np.random.default_rng(1).standard_normal((n1, n2)) * (1.0 - mesh.grid.w) ** 2
     phi = cfg.state2.potential(mesh.nodes) + 0.02 * noise
     phi[:, -1] = dirichlet_vals
@@ -218,10 +218,17 @@ def _rest_rectangle(gas, height=1.0 - 1e-6):
     return cfg, sm, cfg.state2.potential(sm.nodes) + 0.01
 
 
-_RECTANGLE_PARAMS = IterationParams(n1=9, n2=9, cutoff_width=1e-9)
+_RECTANGLE_PARAMS = IterationParams(n1=9, n2=9)
 
 
-def test_singular_newton_factor_raises_no_convergence(gas_122, monkeypatch):
+@pytest.fixture
+def narrow_band(monkeypatch):
+    """A cutoff band 1e-9 sonic radii wide: on the rest-state rectangles the
+    Mach cap is then 1 at every node, and active only where Mach^2 > 1."""
+    monkeypatch.setattr(solver, "CUTOFF_WIDTH", 1e-9)
+
+
+def test_singular_newton_factor_raises_no_convergence(gas_122, monkeypatch, narrow_band):
     """A zero pivot in the band LU (dgbtrf's info > 0) ends solve_bvp with
     the typed NoConvergence."""
     cfg, sm, start = _rest_rectangle(gas_122)
@@ -234,7 +241,7 @@ def test_singular_newton_factor_raises_no_convergence(gas_122, monkeypatch):
         solve_bvp(cfg, sm, start, _RECTANGLE_PARAMS)
 
 
-def test_newton_step_limit_raises_no_convergence(gas_122, monkeypatch):
+def test_newton_step_limit_raises_no_convergence(gas_122, monkeypatch, narrow_band):
     """A residual still above tolerance after MAX_NEWTON steps is NoConvergence."""
     cfg, sm, start = _rest_rectangle(gas_122)
     monkeypatch.setattr(solver, "MAX_NEWTON", 0)
@@ -242,7 +249,7 @@ def test_newton_step_limit_raises_no_convergence(gas_122, monkeypatch):
         solve_bvp(cfg, sm, start, _RECTANGLE_PARAMS)
 
 
-def test_line_search_with_every_trial_past_vacuum_raises_vacuum_reached(gas_122, monkeypatch):
+def test_line_search_with_every_trial_past_vacuum_raises_vacuum_reached(gas_122, monkeypatch, narrow_band):
     """When every trial step of a line search reaches vacuum, solve_bvp
     raises the last VacuumReached; the first residual, at the start, is real."""
     cfg, sm, start = _rest_rectangle(gas_122)
@@ -260,7 +267,7 @@ def test_line_search_with_every_trial_past_vacuum_raises_vacuum_reached(gas_122,
     assert len(calls) == 1 + solver.MAX_HALVINGS + 1
 
 
-def test_line_search_without_decrease_raises_no_convergence(gas_122, monkeypatch):
+def test_line_search_without_decrease_raises_no_convergence(gas_122, monkeypatch, narrow_band):
     """An Armijo fraction no trial can meet (1 - ARMIJO t < 0 down to the
     last halving) ends the line search in NoConvergence."""
     cfg, sm, start = _rest_rectangle(gas_122)
@@ -269,7 +276,7 @@ def test_line_search_without_decrease_raises_no_convergence(gas_122, monkeypatch
         solve_bvp(cfg, sm, start, _RECTANGLE_PARAMS)
 
 
-def test_supersonic_solution_outside_the_cutoff_band_raises_ellipticity_lost(gas_122):
+def test_supersonic_solution_outside_the_cutoff_band_raises_ellipticity_lost(gas_122, narrow_band):
     """On a rectangle 1.2 times as tall as the sonic corner the rest state is
     supersonic beyond the sonic circle, far outside a 1e-9 wide cutoff band:
     the Mach cap is active there at the solution, with Mach^2 about 1.19."""
@@ -394,7 +401,7 @@ def test_conservation_identity_on_blocks(gas_122, sol85_n65):
     grad = mesh.gradient(sol.phi)
     from shockrefl.solver import _mach_cap
 
-    cap = _mach_cap(sol.config, mesh.nodes, None)
+    cap = _mach_cap(sol.config, mesh.nodes)
     rho, _ = capped_density(sol.phi, grad, gas_122, cap)
     A = disc.assemble(rho)
     c = -2.0 * rho.ravel() * disc.volw
@@ -832,23 +839,28 @@ def test_fixed_point_solve_ends_with_one_solve_at_lin_tol(gas_122, monkeypatch):
 
 
 def test_fixed_point_solve_gives_up_after_max_outer_without_a_further_solve(gas_122, monkeypatch):
-    ip = IterationParams(n1=17, n2=17, max_outer=2, tol_fixed_point=1e-12)
+    monkeypatch.setattr(solver, "MAX_OUTER", 2)
+    ip = IterationParams(n1=17, n2=17, tol_fixed_point=1e-12)
     exc, tols, updates = _recorded_solve(gas_122, monkeypatch, ip)
     assert isinstance(exc, NoConvergence) and "after 2 outer iterations" in str(exc)
     assert len(tols) == 2 and updates == 2
 
 
 def test_iteration_params_reject_invalid_grids_and_cutoff():
-    IterationParams(n1=3, n2=5, cutoff_width=0.1, tol_fixed_point=1e-12, lin_tol=1e-14, max_outer=1)
-    IterationParams(n1=np.int64(17), n2=np.int32(17), max_outer=np.int64(2))
-    bad_values = [{"n1": 2}, {"n2": 4}, {"max_outer": 0}, {"max_outer": -3}]
-    # a count is an integer: 2.5, nan or inf outer iterations would never hit the cap
-    bad_values += [{"max_outer": v} for v in (2.5, 2.0, math.nan, math.inf)]
+    """The solver settings are the grid and the tolerances; the cutoff band and
+    the outer cap are module constants, not fields."""
+    assert [f.name for f in fields(IterationParams)] == ["n1", "n2", "tol_fixed_point", "lin_tol"]
+    for gone in ("cutoff_width", "max_outer"):
+        with pytest.raises(TypeError):
+            IterationParams(**{gone: 1})
+    IterationParams(n1=3, n2=5, tol_fixed_point=1e-12, lin_tol=1e-14)
+    IterationParams(n1=np.int64(17), n2=np.int32(17))
+    bad_values = [{"n1": 2}, {"n2": 4}]
     bad_values += [{name: 17.0} for name in ("n1", "n2")]
-    for name in ("cutoff_width", "tol_fixed_point", "lin_tol"):
+    for name in ("tol_fixed_point", "lin_tol"):
         bad_values += [{name: v} for v in (0.0, -1.0, math.nan, math.inf, -math.inf)]
     # a bool is not a number, though Python compares it as one
-    bad_values += [{name: True} for name in ("n1", "n2", "cutoff_width", "tol_fixed_point", "max_outer", "lin_tol")]
+    bad_values += [{name: True} for name in ("n1", "n2", "tol_fixed_point", "lin_tol")]
     for bad in bad_values:
         with pytest.raises(ValidationError):
             IterationParams(**bad)
