@@ -1,7 +1,8 @@
 """Numerical certification of a computed solution.
 
-Every checkable admissibility condition is evaluated on the discrete field
-and reported with its worst margin, location, and the tolerance used:
+Every checkable admissibility condition is a function check(sol) ->
+CheckRecord of the solution alone, which reports its worst margin, location
+and the tolerance used; full_report runs the module tuple CHECKS in order:
 
   * strict ellipticity away from the sonic arc,
   * the shock inequalities d_nu phi1 > d_nu phi > 0,
@@ -9,15 +10,17 @@ and reported with its worst margin, location, and the tolerance used:
   * monotonicity of phi1 - phi in every direction of the closed cone
     Con(e_S1, e_xi2), through the closed-form supremum over the cone, and of
     phi - phi2 along the wedge interior normal,
-  * the graph/tangent-bound structure and strict convexity of the shock,
+  * the graph/tangent-bound structure and strict convexity of the shock, in
+    its own direction and two interior cone directions,
   * Rankine-Hugoniot residuals of the exterior (closed-form) shocks.
 
 Strict pointwise inequalities become grid-limited inequalities numerically:
-tolerances scale as C * h^1.5 with the largest grid spacing h, and strict
-checks skip the two nodes nearest each arc endpoint, where only non-strict
-or lower-regularity behavior is claimed.  Two extra diagnostics (tangential
-second-derivative sign equivalence, tangent-line distance monotonicity)
-never affect the verdict.
+tolerances scale as C * h^1.5 with the largest grid spacing h (the shock's
+f'' and tangent-slope bounds too), and strict checks skip the two nodes
+nearest each arc endpoint, where only non-strict or lower-regularity
+behavior is claimed.  Two extra diagnostics (tangential second-derivative
+sign equivalence, tangent-line distance monotonicity) never affect the
+verdict.
 
 The flat-shock case theta_w = pi/2 is exempt from strict convexity: the
 reflected shock of the normal reflection stays flat, and flatness itself is
@@ -165,16 +168,14 @@ def check_ellipticity(sol):
 
 def check_shock_inequalities(sol):
     """d_nu phi1 > d_nu phi > 0 on the shock (nu the interior normal)."""
-    k = ENDPOINT_SKIP
     pts, grad, _, grad1 = shock_trace(sol.config, sol.mesh, sol.phi)
     nu = sol.shock.normals(t=pts @ sol.shock.e_perp)
     dn_phi = (grad * nu).sum(-1)
     dn_phi1 = (grad1 * nu).sum(-1)
-    sl = slice(k, len(pts) - k)
-    m1 = dn_phi1[sl] - dn_phi[sl]
-    m2 = dn_phi[sl]
-    worst = float(min(m1.min(), m2.min()))
-    j = int(np.argmin(np.minimum(m1, m2))) + k
+    sl = slice(ENDPOINT_SKIP, len(pts) - ENDPOINT_SKIP)
+    interior = np.zeros(len(pts), dtype=bool)
+    interior[sl] = True
+    worst, loc = _worst_at(np.minimum(dn_phi1 - dn_phi, dn_phi), interior, pts, biggest=False)
     # entropy corollary: density on the subsonic side exceeds rho1 (NaN past vacuum)
     rho = closure_density((grad[sl] ** 2).sum(-1), sol.phi[0, sl], sol.config.params)
     rho_min = float(np.min(rho))
@@ -184,7 +185,7 @@ def check_shock_inequalities(sol):
         mandatory=True,
         worst=worst,
         tolerance=0.0,
-        location=tuple(float(x) for x in pts[j]),
+        location=loc,
         note="min margin of d_nu phi1 - d_nu phi and d_nu phi on interior shock nodes",
         details={"rho_min_on_shock": rho_min, "rho1": sol.config.params.rho1,
                  "entropy_ok": bool(rho_min > sol.config.params.rho1)},
@@ -246,18 +247,20 @@ def _second_derivative(t, f):
     return 2.0 * (hm * f[2:] - (hm + hp) * f[1:-1] + hp * f[:-2]) / (hm * hp * (hm + hp))
 
 
-def check_graph_and_convexity(shock, config=None, tol=1e-6):
-    """Graph/tangent bounds plus strict convexity, cross-validated in 3 cone directions.
+def check_graph_and_convexity(sol):
+    """Graph/tangent bounds plus strict convexity of the shock, cross-validated in 3 cone directions.
 
     The shock must be a graph with slopes between the endpoint tangents and
     discrete f'' <= tol everywhere with f'' < 0 on the middle 80% of the arc,
-    with the same verdict in all sampled directions.  At theta_w = pi/2 the
-    flat-shock exemption applies: |f''| < FLAT_TOL is asserted instead.
+    tol the grid tolerance, in its own direction and the two interior cone
+    directions.  At theta_w = pi/2, where the cone is a line, the flat-shock
+    exemption applies: |f''| < FLAT_TOL is asserted instead.
     """
-    degenerate = config is not None and config.cone_degenerate
+    shock, tol = sol.shock, grid_tolerance(sol)
+    degenerate = sol.config.cone_degenerate
     base_dirs = [np.asarray(shock.e, dtype=float)]
-    if config is not None and not degenerate:
-        base_dirs += interior_cone_directions(config.e_s1)
+    if not degenerate:
+        base_dirs += interior_cone_directions(sol.config.e_s1)
     details = {}
     verdicts = []
     worst = -math.inf
@@ -331,11 +334,9 @@ def check_phi_tau_tau_equivalence(sol):
     nu = shock.normals()
     tau = shock.tangents()
     inner = shock.points[1:-1] + eps * nu[1:-1]
-    delta = eps
-    plus = interp(inner + delta * tau[1:-1])
-    minus = interp(inner - delta * tau[1:-1])
-    mid = interp(inner)
-    ptt = (plus - 2 * mid + minus) / delta ** 2
+    steps = np.array([eps, 0.0, -eps])[:, None, None] * tau[1:-1]
+    plus, mid, minus = interp((inner + steps).reshape(-1, 2)).reshape(3, -1)
+    ptt = (plus - 2 * mid + minus) / eps ** 2
     valid = ~np.isnan(ptt)
     both_flat = (np.abs(ptt) < 1e-6) & (np.abs(fpp) < 1e-6)
     agree = (np.sign(ptt) == -np.sign(fpp)) | both_flat
@@ -352,12 +353,12 @@ def check_phi_tau_tau_equivalence(sol):
     )
 
 
-def check_tangent_distance(shock):
-    """Diagnostic: distance from O0 (the origin) to the shock tangent lines
-    along the curve should vary monotonically between the endpoint tangent
-    distances."""
-    tau = shock.tangents()
-    pts = shock.points
+def check_tangent_distance(sol):
+    """Diagnostic: distance from O0 (the origin) to the tangent lines of
+    sol.shock along the curve should vary monotonically between the endpoint
+    tangent distances."""
+    tau = sol.shock.tangents()
+    pts = sol.shock.points
     d = np.abs(tau[:, 0] * pts[:, 1] - tau[:, 1] * pts[:, 0])
     dd = np.diff(d)
     tol = 1e-9 + 1e-6 * float(np.max(d))
@@ -386,23 +387,20 @@ def check_far_field(sol):
 
     def scaled_residual(ahead, behind, points, nvec):
         """Largest RH residual at the points, relative to state (1)'s flux and potential."""
-        worst = 0.0
-        for pt in points:
-            m, p = rh_residual(ahead, behind, pt, nvec)
-            flux_scale = max(1.0, abs(cfg.state1.rho * float(cfg.state1.gradient(pt) @ nvec)))
-            pot_scale = max(1.0, abs(float(cfg.state1.potential(pt))))
-            worst = max(worst, abs(m) / flux_scale, abs(p) / pot_scale)
-        return worst
+        m, p = rh_residual(ahead, behind, points, nvec)
+        flux_scale = np.maximum(1.0, np.abs(cfg.state1.rho * (cfg.state1.gradient(points) @ nvec)))
+        pot_scale = np.maximum(1.0, np.abs(cfg.state1.potential(points)))
+        return float(np.max([np.abs(m) / flux_scale, np.abs(p) / pot_scale]))
 
     # incident shock: states (0) and (1) across xi1 = xi1_0, normal (1, 0)
     y0 = max(cfg.p0[1], 1.0)
-    incident = [np.array([inc.xi1_0, y0 * frac]) for frac in (1.1, 1.5, 2.0)]
+    incident = np.array([[inc.xi1_0, y0 * frac] for frac in (1.1, 1.5, 2.0)])
     worst = scaled_residual(cfg.state0, cfg.state1, incident, np.array([1.0, 0.0]))
     details = {"incident_worst": worst, "p0p1_worst": None}
     if cfg.has_sonic_arc and not cfg.cone_degenerate:
         nvec = np.array([inc.u1 - cfg.state2.u, -cfg.state2.v])
         nvec = nvec / np.linalg.norm(nvec)
-        segment = [cfg.p0 + frac * (cfg.p1 - cfg.p0) for frac in (0.25, 0.5, 0.75)]
+        segment = cfg.p0 + np.array([0.25, 0.5, 0.75])[:, None] * (cfg.p1 - cfg.p0)
         details["p0p1_worst"] = scaled_residual(cfg.state1, cfg.state2, segment, nvec)
         worst = max(worst, details["p0p1_worst"])
     return CheckRecord(
@@ -416,21 +414,15 @@ def check_far_field(sol):
     )
 
 
+CHECKS = (check_ellipticity, check_shock_inequalities, check_pinching, check_cone_monotonicity,
+          check_wedge_monotonicity, check_graph_and_convexity, check_far_field,
+          check_phi_tau_tau_equivalence, check_tangent_distance)
+
+
 def full_report(sol, metadata_hash=""):
-    """Run every check; verdict = all mandatory checks pass."""
-    tol = grid_tolerance(sol)
-    checks = [
-        check_ellipticity(sol),
-        check_shock_inequalities(sol),
-        check_pinching(sol),
-        check_cone_monotonicity(sol),
-        check_wedge_monotonicity(sol),
-        check_graph_and_convexity(sol.shock, config=sol.config, tol=tol),
-        check_far_field(sol),
-        check_phi_tau_tau_equivalence(sol),
-        check_tangent_distance(sol.shock),
-    ]
+    """Run every check of CHECKS, in order; verdict = all mandatory checks pass."""
+    checks = [check(sol) for check in CHECKS]
     verdict = all(c.passed for c in checks if c.mandatory)
     return AdmissibilityReport(
-        checks=checks, verdict=verdict, grid_tol=tol, metadata_hash=metadata_hash
+        checks=checks, verdict=verdict, grid_tol=grid_tolerance(sol), metadata_hash=metadata_hash
     )

@@ -133,27 +133,26 @@ def state1(params, inc=None):
     return make_uniform_state(inc.u1, 0.0, inc.k1, params)
 
 
-def rh_residual(left, right, point, normal):
-    """Rankine-Hugoniot residuals between two uniform states at a point.
+def rh_residual(left, right, points, normal):
+    """Rankine-Hugoniot residuals between two uniform states at points.
 
-    Returns (mass_jump, potential_jump) where
+    points is one point of shape (2,) or an array of points (..., 2).
+    Returns (mass_jump, potential_jump), each of shape (...), where
 
         mass_jump      = [rho(|Dphi|^2, phi) Dphi . nu],
         potential_jump = [phi],
 
     evaluated left-minus-right with the states' stored densities.  Both
-    vanish iff the point can lie on a valid discontinuity between the states
+    vanish iff a point can lie on a valid discontinuity between the states
     with that normal.
     """
-    point = np.asarray(point, dtype=float)
+    points = np.asarray(points, dtype=float)
     nu = np.asarray(normal, dtype=float)
-    out_mass = []
-    out_phi = []
-    for st in (left, right):
-        phi = st.potential(point)
-        out_mass.append(st.rho * np.sum(st.gradient(point) * nu, axis=-1))
-        out_phi.append(phi)
-    return out_mass[0] - out_mass[1], out_phi[0] - out_phi[1]
+
+    def mass_flux(st):
+        return st.rho * np.sum(st.gradient(points) * nu, axis=-1)
+
+    return mass_flux(left) - mass_flux(right), left.potential(points) - right.potential(points)
 
 
 def entropy_satisfied(upstream_rho, downstream_rho):

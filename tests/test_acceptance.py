@@ -5,6 +5,7 @@ All expected values are either closed forms, independently coded oracles
 values first computed by those oracles.  Runs are deterministic.
 """
 
+import dataclasses
 import math
 import time
 
@@ -323,7 +324,7 @@ def test_criterion_10_falsification(sol85_n65, sol_normal65):
     rec = check_shock_inequalities(bad)
     results.append(("reversed field -> shock inequalities", not rec.passed))
     bad_shock = nonconvex_shock(sol85_n65)
-    rec = check_graph_and_convexity(bad_shock, config=sol85_n65.config)
+    rec = check_graph_and_convexity(dataclasses.replace(sol85_n65, shock=bad_shock))
     results.append(("non-convex shock -> convexity", not rec.passed))
     ok = all(r[1] for r in results)
     _report(

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -49,6 +50,23 @@ def test_converged_85_report_passes(sol85_n65):
     for k, v in conv.details.items():
         if k.endswith("max_fpp_mid"):
             assert v < 0.0
+
+
+@pytest.mark.parametrize("name", ["sol85_n65", "sol_normal65"])
+def test_every_check_alone_gives_the_report_record(name, request):
+    """Each entry of CHECKS takes the solution alone and returns the record
+    that full_report holds under its name; the nine run in report order."""
+    sol = request.getfixturevalue(name)
+    rep = full_report(sol)
+    assert [c.name for c in rep.checks] == [
+        "ellipticity", "shock_inequalities", "pinching", "cone_monotonicity",
+        "wedge_monotonicity", "graph_and_convexity", "far_field",
+        "phi_tau_tau_equivalence", "tangent_distance"]
+    for check, rec in zip(admissibility.CHECKS, rep.checks, strict=True):
+        assert list(inspect.signature(check).parameters) == ["sol"]
+        assert check(sol).to_dict() == rec.to_dict()
+    assert rep["graph_and_convexity"].tolerance == (
+        admissibility.FLAT_TOL if sol.config.cone_degenerate else rep.grid_tol)
 
 
 def test_report_is_deterministic(sol85_n65):
@@ -227,7 +245,7 @@ def test_straight_shock_fails_strict_convexity(sol85_n65):
     pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
     straight = ShockCurve(e=e, points=pts, tau_p1=sol85_n65.shock.tau_p1,
                           tau_p2=sol85_n65.shock.tau_p2)
-    rec = check_graph_and_convexity(straight, config=sol85_n65.config)
+    rec = check_graph_and_convexity(dataclasses.replace(sol85_n65, shock=straight))
     assert not rec.passed  # f'' = 0: convex but not strictly
 
 
@@ -242,13 +260,13 @@ def test_concave_parabola_passes_convexity(sol85_n65):
     tau2 = pts[-2] - pts[-1]
     curve = ShockCurve(e=e, points=pts, tau_p1=tau1 / np.linalg.norm(tau1),
                        tau_p2=tau2 / np.linalg.norm(tau2))
-    rec = check_graph_and_convexity(curve, config=None, tol=1e-6)
+    rec = check_graph_and_convexity(dataclasses.replace(sol85_n65, shock=curve))
     assert rec.passed
 
 
 def test_nonconvex_shock_fails(sol85_n65):
     bad = nonconvex_shock(sol85_n65)
-    rec = check_graph_and_convexity(bad, config=sol85_n65.config)
+    rec = check_graph_and_convexity(dataclasses.replace(sol85_n65, shock=bad))
     assert not rec.passed
 
 
@@ -259,7 +277,7 @@ def test_folded_shock_fails_with_the_worst_value(sol85_n65):
     pts = shock.points.copy()
     pts[[10, 11]] = pts[[11, 10]]
     folded = ShockCurve(e=shock.e, points=pts, tau_p1=shock.tau_p1, tau_p2=shock.tau_p2)
-    rec = check_graph_and_convexity(folded, config=sol85_n65.config)
+    rec = check_graph_and_convexity(dataclasses.replace(sol85_n65, shock=folded))
     assert not rec.passed
     assert rec.worst == math.inf
 
@@ -271,7 +289,7 @@ def test_too_few_samples():
                    tau_p1=np.array([0.0, -1.0]), tau_p2=np.array([0.0, 1.0]))
 
 
-def test_tangent_distance_circle_arc_is_constant():
+def test_tangent_distance_circle_arc_is_constant(sol85_n65):
     ang = np.linspace(0.3, 1.2, 31)
     r = 2.0
     pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)])[::-1]
@@ -279,13 +297,13 @@ def test_tangent_distance_circle_arc_is_constant():
     tau1 = pts[1] - pts[0]
     curve = ShockCurve(e=e, points=pts, tau_p1=tau1 / np.linalg.norm(tau1),
                        tau_p2=(pts[-2] - pts[-1]) / np.linalg.norm(pts[-2] - pts[-1]))
-    rec = check_tangent_distance(curve)
+    rec = check_tangent_distance(dataclasses.replace(sol85_n65, shock=curve))
     assert rec.details["d_start"] == pytest.approx(r, rel=1e-4)
     assert rec.worst < 1e-3  # constant distance: degenerate-pass
 
 
 def test_tangent_distance_monotone_on_converged(sol85_n65):
-    rec = check_tangent_distance(sol85_n65.shock)
+    rec = check_tangent_distance(sol85_n65)
     assert rec.passed  # diagnostic never gates
 
 

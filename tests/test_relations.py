@@ -95,6 +95,18 @@ def test_rh_residual_identical_states_and_incident_shock(gas_122):
     assert abs(p) > 1e-3
 
 
+def test_rh_residual_on_points_equals_the_single_point_calls(gas_122):
+    """A (3, 2) array of points gives the three single-point residuals, bit for bit."""
+    s0, s1 = state0(gas_122), state1(gas_122)
+    points = np.array([[0.3, 0.4], [1.7, -2.9], [incident_state(gas_122).xi1_0, 1.1]])
+    nu = np.array([0.6, -0.8])
+    m, p = rh_residual(s0, s1, points, nu)
+    assert m.shape == p.shape == (3,)
+    singles = [rh_residual(s0, s1, pt, nu) for pt in points]
+    assert np.array_equal(m, [one[0] for one in singles])
+    assert np.array_equal(p, [one[1] for one in singles])
+
+
 def test_entropy_satisfied():
     assert entropy_satisfied(1.0, 2.0)
     assert not entropy_satisfied(2.0, 1.0)
