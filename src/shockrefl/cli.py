@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import admissibility, archive
-from .errors import AttachedShockDetected, DetachedWedgeAngle, ShockReflError, ValidationError
+from .errors import AttachedShockDetected, DetachedWedgeAngle, RootSeparationFailure, ShockReflError, ValidationError
 from .gas import GasParams
 from .relations import angle_diagram, state2_solve, detachment_angle
 from .solver import BRIDGED_FAILURES, IterationParams, continuation_sweep, fixed_point_solve
@@ -204,6 +204,8 @@ def cmd_polar(args):
             raise ValidationError(f"--theta-grid {cfg.theta_grid!r}: num must be a positive integer")
         _check_angle_count(num, f"--theta-grid {cfg.theta_grid!r}")
         thetas = np.linspace(start, stop, int(num))
+        if not np.all((thetas > 0.0) & (thetas <= 90.0)):
+            raise ValidationError(f"--theta-grid {cfg.theta_grid!r}: wedge angles lie in (0, 90] degrees")
     else:
         thetas = np.linspace(math.degrees(theta_d) - 0.5, 90.0, 200)
     rows = ["theta_deg,status,u2_weak,v2_weak,rho2_weak,mach_p0_weak,"
@@ -212,8 +214,9 @@ def cmd_polar(args):
     for deg in thetas:
         try:
             pair = state2_solve(gas, _radians(float(deg)))
-        except DetachedWedgeAngle:
-            rows.append((fmt % deg) + ",detached,,,,,,,")
+        except (DetachedWedgeAngle, RootSeparationFailure) as exc:
+            status = "detached" if isinstance(exc, DetachedWedgeAngle) else "unresolved"
+            rows.append(f"{fmt % deg},{status},,,,,,,")
             continue
         rows.append(
             ",".join(

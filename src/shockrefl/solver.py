@@ -651,10 +651,12 @@ def update_shock(phi, config, shock, mesh, earlier=(), prior=None):
     displacement along e, clipped to 0.2 sonic radii, pins the top node to
     P1 (P0 in subsonic regimes), re-pins the foot to the axis by the
     vertical-tangency closure (C1 reflected extension) through the two
-    moved nodes above it, and resamples the moved row linearly in T at the
-    new chord's fractions.  Its change in the shock unknown u (shock_offsets)
-    is the residual r, and u moves by -B r with the inverse-Jacobian model
-    B = quasi_newton_model([*earlier, (u, r)], prior).
+    moved nodes above it, and resamples the moved row at the new chord's
+    fractions through its own ShockCurve, so r(u) has no kink at its zero
+    (the s_cap clip and the root's branch choice are kinks away from it,
+    inactive at convergence).  Its change in the shock unknown u
+    (shock_offsets) is the residual r, and u moves by -B r with the
+    inverse-Jacobian model B = quasi_newton_model([*earlier, (u, r)], prior).
     Returns (new_curve, info) with info["movement"] = max(|change of the
     foot|, chord length * max |change of d|), info["iterate"] = (u, r) and
     info["model"] = B.
@@ -684,15 +686,8 @@ def update_shock(phi, config, shock, mesh, earlier=(), prior=None):
     beta = (xb_ - xa_) / denom
     moved[0] = (xa_ - beta * ya * ya, 0.0)
 
-    # T decreases from the foot to P1 along the row
-    ep = shock.e_perp
-    t = moved @ ep
-    if np.any(np.diff(t) >= 0.0):
-        raise GraphPropertyLost("foot closure passed the node above it in T")
-    t_new = t[0] + w * (t[-1] - t[0])
-    s_new = np.interp(t_new, t[::-1], (moved @ e)[::-1])
     u = shock_offsets(pts, w, e)
-    r = shock_offsets(s_new[:, None] * e + t_new[:, None] * ep, w, e) - u
+    r = shock_offsets(config.shock_curve(moved[::-1].copy()).eval(w)[0], w, e) - u
     model = quasi_newton_model([*earlier, (u, r)], prior)
     step = -(model @ r)
     if u[0] + step[0] > -config.attach_eps:

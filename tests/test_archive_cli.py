@@ -305,6 +305,18 @@ def test_cli_polar(tmp_path, capsys):
     assert n_ok > 150
 
 
+def test_cli_polar_marks_unresolved_angles(tmp_path):
+    """(1, 3, 1.002): the strong root's density is past a double at 7 angles
+    next to 90 degrees.  Those rows say unresolved with empty values; the
+    rest of the table is written and polar exits 0."""
+    assert main(["polar", "--rho1", "3", "--gamma", "1.002", "--out", str(tmp_path)]) == 0
+    rows = [r.split(",") for r in (tmp_path / "polar.csv").read_text().splitlines()]
+    assert len(rows) == 201
+    unresolved = [r for r in rows if r[1] == "unresolved"]
+    assert len(unresolved) == 7 and all(v == "" for r in unresolved for v in r[2:])
+    assert float(unresolved[0][0]) == pytest.approx(88.399, abs=1e-3)
+
+
 def test_cli_polar_round_trips_residuals(tmp_path, gas_122):
     """Re-derive states from polar.csv rows and recheck the residuals."""
     from shockrefl import make_uniform_state, state2_residuals
@@ -531,6 +543,8 @@ def test_sweep_logs_outer_models_and_restarts(tmp_path, monkeypatch, caplog):
     pytest.param("polar", "90:85", id="polar_two_numbers"),
     pytest.param("polar", "85:90:-3", id="polar_negative_num"),
     pytest.param("polar", "90:89:1e9", id="polar_too_many_angles"),
+    pytest.param("polar", "80:100:5", id="polar_above_90"),
+    pytest.param("polar", "0:60:3", id="polar_from_0"),
     pytest.param("sweep", "90:89:1e-9", id="sweep_too_many_angles"),
     pytest.param("sweep", "90:89:1e-320", id="sweep_subnormal_step"),
 ])

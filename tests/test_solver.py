@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack
 
 from shockrefl import (
@@ -616,12 +617,13 @@ def test_foot_closure_through_nodes_of_equal_height_raises_graph_property_lost(s
 
 def test_shock_row_out_of_order_in_t_raises_graph_property_lost(sol85_n65, monkeypatch):
     """Moved nodes that are not in decreasing T from the foot to P1 are no
-    graph over T: GraphPropertyLost before any resampling."""
+    graph over T: their ShockCurve raises GraphPropertyLost before any
+    resampling."""
     sol = sol85_n65
     pts = sol.mesh.nodes[0].copy()
     pts[[4, 5]] = pts[[5, 4]]
     _still_trace(monkeypatch, pts)
-    with pytest.raises(GraphPropertyLost, match="passed the node above it in T"):
+    with pytest.raises(GraphPropertyLost, match="not a graph"):
         update_shock(sol.phi, sol.config, sol.shock, sol.mesh)
 
 
@@ -661,7 +663,7 @@ def _plain_map_residual(phi, config, shock, mesh):
     moved[0] = (xa - (xb - xa) / (yb * yb - ya * ya) * ya * ya, 0.0)
     t = moved @ ep
     t_new = t[0] + w * (t[-1] - t[0])
-    s_new = np.interp(t_new, t[::-1], (moved @ e)[::-1])
+    s_new = CubicSpline(t[::-1], (moved @ e)[::-1], bc_type="not-a-knot")(t_new)
     resampled = s_new[:, None] * e + t_new[:, None] * ep
     return solver.shock_offsets(resampled, w, e) - solver.shock_offsets(pts, w, e)
 
@@ -969,6 +971,31 @@ def test_a_solve_returns_the_model_of_its_last_shock_update(gas_122, sweep33_to8
         u, r = info["iterate"]
         assert np.array_equal(curve.points, solver.shock_from_offsets(config, u - info["model"] @ r, w).points)
     assert sol.inverse_jacobian is updates[-1][3]["model"] and sol.shock is updates[-1][2]
+
+
+def test_reduced_shock_map_is_smooth_at_its_zero(sweep33_to85):
+    """The reduced map u -> r(u) (phi held fixed, the mesh rebuilt on
+    shock_from_offsets(u)) has no kink at the converged 85-degree member:
+    in the foot column and the first offset column the gap between the
+    one-sided differences falls with the step, as on a C1 map.  A
+    piecewise-linear resampling of the moved row keeps it near 2e-3."""
+    sol = sweep33_to85.members[-1]
+    config, w, n1, n2 = sol.config, sol.mesh.grid.w, sol.mesh.grid.n1, sol.mesh.grid.n2
+    u0 = solver.shock_offsets(sol.shock.eval(w)[0], w, sol.shock.e)
+
+    def r(u):
+        shock = solver.shock_from_offsets(config, u, w)
+        return update_shock(sol.phi, config, shock, build_square_map(config, shock, n1, n2))[1]["iterate"][1]
+
+    r0 = r(u0)
+
+    def kink(k, eps):
+        du = np.zeros_like(u0)
+        du[k] = eps
+        return np.max(np.abs(r(u0 + du) - 2.0 * r0 + r(u0 - du))) / eps
+
+    for k in (0, 1):
+        assert kink(k, 1e-5) < 0.2 * kink(k, 1e-4)
 
 
 @pytest.fixture(scope="module")
