@@ -141,7 +141,9 @@ def read_solution(indir):
     versions wrote, is read unchecked there.
     Raises ArchiveError on a missing or unreadable file, a meta.json that is
     not a JSON object or holds a value of the wrong kind, a CSV that is not
-    numeric or has the wrong number of columns, a metadata.cutoff_width that
+    numeric or has the wrong number of columns, a field.csv of other than
+    n1 n2 rows, a non-finite i, j, node coordinate or phi (refused before the
+    mesh is built), a metadata.cutoff_width that
     is not null (the archive was solved on another cutoff band), and on any
     other structural inconsistency; the typed errors of the configuration and
     the shock (DetachedWedgeAngle, TooFewSamples, ...) pass through.
@@ -187,14 +189,15 @@ def read_solution(indir):
     except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
         raise ArchiveError(f"inconsistent archive: {exc}") from exc
 
+    if field_rows.shape[0] != n1 * n2:  # before a mesh of n1 x n2 nodes is built
+        raise ArchiveError(f"field.csv has {field_rows.shape[0]} rows, expected {n1 * n2}")
+    # the derived columns (rho, margin) may be NaN past vacuum
+    if not (np.isfinite(shock_rows[:, 2:4]).all() and np.isfinite(field_rows[:, :5]).all()):
+        raise ArchiveError("shock.csv or field.csv holds a non-finite index, node coordinate or potential")
+
     config = build_configuration(params, theta)
     shock = config.shock_curve(shock_rows[:, 2:4])
     mesh = build_square_map(config, shock, n1, n2)
-
-    if field_rows.shape[0] != n1 * n2:
-        raise ArchiveError(
-            f"field.csv has {field_rows.shape[0]} rows, expected {n1 * n2}"
-        )
     order = np.lexsort((field_rows[:, 1], field_rows[:, 0]))
     field_rows = field_rows[order]
     phi = field_rows[:, 4].reshape(n1, n2)

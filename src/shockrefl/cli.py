@@ -303,9 +303,9 @@ def cmd_sweep(args):
     for theta, error in result.bridges:
         log.info("bridged %s at theta=%.4f deg by halving the step", error, math.degrees(theta))
     for sol in result.members[1:]:  # every member after the exact normal reflection
-        log.info("theta=%.4f deg: %s predictor, warm-start gap %.3e", sol.metadata["theta_deg"],
+        log.info("theta=%.4f deg: %s predictor, warm-start gap %.3e", math.degrees(sol.theta_w),
                  sol.metadata["predictor"], sol.metadata["warm_start_gap"])
-        log.info("theta=%.4f deg: %s outer model", sol.metadata["theta_deg"], sol.metadata["outer_model"])
+        log.info("theta=%.4f deg: %s outer model", math.degrees(sol.theta_w), sol.metadata["outer_model"])
     os.makedirs(cfg.out, exist_ok=True)
     rows = ["theta_deg,status,pairwise_distance,report_verdict"]
     prev_dist = [math.nan] + list(result.distances)

@@ -335,22 +335,22 @@ class ShockCurve:
         _, fd = self.graph_value(self.t_values if t is None else t)
         return -(self.e - fd[:, None] * self.e_perp) / np.sqrt(1.0 + fd * fd)[:, None]
 
-    def check_graph(self, tol=1e-9):
-        """Enforce the monotone-graph and tangent-slope bounds on the samples.
-
-        T must be strictly increasing and every discrete slope dS/dT must lie
-        between the endpoint slopes (P2 slope below, P1 slope above) within
-        tol.  Raises GraphPropertyLost otherwise.
-        """
-        _, _, slopes = self.graph_slopes()
+    def slope_excess(self, skip=0):
+        """The largest max(s - hi, lo - s) over the discrete slopes s = dS/dT,
+        hi and lo the P1 and P2 slopes, leaving out skip segments at each end
+        when more than 2 skip remain.  Raises GraphPropertyLost unless a graph."""
+        slopes = self.graph_slopes()[2]
+        slopes = slopes[skip:len(slopes) - skip] if len(slopes) > 2 * skip else slopes
         hi, lo = self.endpoint_slopes()
-        scale = max(1.0, abs(hi), abs(lo))
-        if np.any(slopes > hi + tol * scale) or np.any(slopes < lo - tol * scale):
-            worst = float(max(np.max(slopes - hi), np.max(lo - slopes)))
-            raise GraphPropertyLost(
-                f"tangent-slope bounds violated by {worst:.3e} (bounds [{lo:.6f}, {hi:.6f}])"
-            )
-        return slopes
+        return float(max(np.max(slopes - hi), np.max(lo - slopes)))
+
+    def check_graph(self, tol=1e-9):
+        """Raise GraphPropertyLost unless the samples are a graph (T strictly
+        increasing) whose discrete slopes lie between the endpoint slopes (P2
+        slope below, P1 slope above) within tol * max(1, |P1 slope|, |P2 slope|)."""
+        worst, (hi, lo) = self.slope_excess(), self.endpoint_slopes()
+        if worst > tol * max(1.0, abs(hi), abs(lo)):
+            raise GraphPropertyLost(f"tangent-slope bounds violated by {worst:.3e} (bounds [{lo:.6f}, {hi:.6f}])")
 
 
 def initial_shock(config, n=65):

@@ -770,8 +770,6 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
         res = _relative_residual(lin, _residual_scale(disc, lin.rho))
         return _solution(
             config, shock, mesh, phi, [(1, upd["movement"], res)], iter_params,
-            exact=True, rho2_bar=config.state2.rho, xi1_bar=float(shock.points[0, 0]),
-            converged=bool(upd["movement"] < iter_params.tol_fixed_point),
             newton_steps=0, outer_model="identity",
         )
 
@@ -820,33 +818,20 @@ def fixed_point_solve(params, theta_w, iter_params=None, init=None):
 
     return _solution(
         config, shock, mesh, phi, history, iter_params, model,
-        exact=False,
         outer_model="identity" if prior is None else "carried",
         outer_iterations=len(history),
         newton_steps=newton_steps,
         warm_start_gap=float(np.max(np.abs(shock.s_values - start.graph_value(shock.t_values)[0]))),
         interior_residual=info["residual"],
         cap_outside_band=info["cap_outside_band"],
-        converged=True,
     )
 
 
 def _solution(config, shock, mesh, phi, history, iter_params, model=None, **record):
-    """The SolutionField of a solve.  Its metadata are the angle, regime and
-    grid that every member records, what this solve recorded, its
-    tolerances, and the a-posteriori RH residuals on the shock it returns:
-    the scheme imposes only the flux condition, so potential continuity (and
-    the pointwise mass jump) are verified after the fact."""
-    pts, grad, dphi, grad1 = shock_trace(config, mesh, phi)
-    nu = shock.normals(t=pts @ shock.e_perp)
-    rho = closure_density((grad * grad).sum(-1), phi[0], config.params)
-    mass = rho * (grad * nu).sum(-1) - config.state1.rho * (grad1 * nu).sum(-1)
-    meta = {"theta_deg": math.degrees(config.theta_w), "regime": config.regime.value,
-            "n1": mesh.n1, "n2": mesh.n2, **record,
-            "zeta0": ZETA0,
-            "tol_fixed_point": iter_params.tol_fixed_point, "lin_tol": iter_params.lin_tol,
-            "rh_potential_max": float(np.nanmax(np.abs(dphi))),
-            "rh_mass_max": float(np.nanmax(np.abs(mass)))}
+    """The SolutionField of a solve; its metadata are what this solve alone
+    knows: its record, the cutoff depth zeta0 and its tolerances."""
+    meta = {**record, "zeta0": ZETA0,
+            "tol_fixed_point": iter_params.tol_fixed_point, "lin_tol": iter_params.lin_tol}
     return SolutionField(config=config, shock=shock, mesh=mesh, phi=phi,
                          residual_history=history, metadata=meta, inverse_jacobian=model)
 

@@ -33,7 +33,7 @@ def test_archive_round_trip(small_run):
     assert not tampered
     assert np.abs(back.phi - sol.phi).max() < 1e-14
     assert np.abs(back.shock.points - sol.shock.points).max() < 1e-14
-    assert back.metadata["regime"] == sol.metadata["regime"]
+    assert back.config.regime is sol.config.regime
     assert back.metadata["newton_steps"] == sol.metadata["newton_steps"] > 0
 
 
@@ -143,6 +143,17 @@ def _move_first_node(rows):
     return [",".join(cells)] + rows[1:]
 
 
+def _set_cell(name, col, value):
+    """An edit of one cell of a CSV, in its middle data line."""
+    def apply(arch):
+        header, *rows = (arch / name).read_text().splitlines()
+        cells = rows[len(rows) // 2].split(",")
+        cells[col] = value
+        rows[len(rows) // 2] = ",".join(cells)
+        (arch / name).write_text("\n".join([header] + rows) + "\n")
+    return apply
+
+
 def _set_cutoff_width(width):
     """An edit of meta.json's metadata.cutoff_width: any value but null names a
     cutoff band other than the solver's CUTOFF_WIDTH sonic radii."""
@@ -173,6 +184,10 @@ def _set_cutoff_width(width):
                  id="shock_three_columns"),
     pytest.param(_edit_field_rows(lambda rows: rows[:-1]), ArchiveError, id="field_missing_row"),
     pytest.param(_edit_field_rows(_move_first_node), ArchiveError, id="field_node_moved"),
+    pytest.param(_set_cell("shock.csv", 2, "nan"), ArchiveError, id="shock_xi1_nan"),
+    pytest.param(_set_cell("shock.csv", 3, "nan"), ArchiveError, id="shock_xi2_nan"),
+    pytest.param(_set_cell("field.csv", 4, "nan"), ArchiveError, id="field_phi_nan"),
+    pytest.param(_set_cell("field.csv", 4, "inf"), ArchiveError, id="field_phi_inf"),
     pytest.param(_set_cutoff_width("x"), ArchiveError, id="cutoff_width_string"),
     pytest.param(_set_cutoff_width([1, 2]), ArchiveError, id="cutoff_width_list"),
     pytest.param(_set_cutoff_width(math.nan), ArchiveError, id="cutoff_width_nan"),
@@ -194,6 +209,49 @@ def test_malformed_archive_raises_typed_error_and_verify_exits_2(small_run, tmp_
     assert type(info.value) is error
     assert main(["verify", str(arch)]) == 2
     assert capsys.readouterr().err.startswith(f"{error.__name__}: ")
+
+
+def test_field_row_count_is_checked_before_the_mesh_is_built(small_run, tmp_path, monkeypatch):
+    """A field.csv whose row count disagrees with meta.json's n1 n2 is refused
+    before a mesh of that size is built."""
+    import shutil
+
+    from shockrefl import archive
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("build_square_map called on a field of the wrong size")
+
+    arch = tmp_path / "short"
+    shutil.copytree(small_run[1], arch)
+    _edit_field_rows(lambda rows: rows[:-1])(arch)
+    monkeypatch.setattr(archive, "build_square_map", unbuilt)
+    with pytest.raises(ArchiveError, match="field.csv has"):
+        read_solution(str(arch))
+
+
+def test_report_recomputes_the_rh_residuals_of_an_edited_field(small_run, tmp_path):
+    """The shock row's RH residuals come from the certified field: after phi
+    is edited on the shock row of field.csv, the report of the archive read
+    back gives the edited field's rh_potential_max, not the solve's."""
+    import shutil
+
+    sol, outdir = small_run
+    arch = tmp_path / "edited"
+    shutil.copytree(outdir, arch)
+    mid = sol.mesh.n2 // 2
+
+    def bump(cells):
+        if int(cells[0]) == 0 and int(cells[1]) == mid:  # i = 0 is the shock row
+            cells[4] = repr(float(cells[4]) + 1e-3)
+        return cells
+
+    _edit_csv(arch, "field.csv", bump)
+    back, tampered = read_solution(str(arch))
+    assert tampered and back.phi[0, mid] == sol.phi[0, mid] + 1e-3
+    phi1 = back.config.state1.potential(back.mesh.nodes[0])
+    edited = full_report(back)["shock_inequalities"].details["rh_potential_max"]
+    assert edited == float(np.max(np.abs(back.phi[0] - phi1)))
+    assert edited > 5e-4 > full_report(sol)["shock_inequalities"].details["rh_potential_max"]
 
 
 def test_archive_with_a_null_cutoff_width_reads_as_one_without(small_run, tmp_path):
@@ -503,7 +561,7 @@ def test_sweep_predictor_and_warm_start_gap_reach_the_archive(tmp_path, caplog, 
                  "--out", str(tmp_path / "cli")]) == 0
     logged = [r.getMessage() for r in caplog.records if "predictor" in r.getMessage()]
     assert logged == [
-        f"theta={m.metadata['theta_deg']:.4f} deg: {m.metadata['predictor']} predictor, "
+        f"theta={math.degrees(m.theta_w):.4f} deg: {m.metadata['predictor']} predictor, "
         f"warm-start gap {m.metadata['warm_start_gap']:.3e}" for m in sweep.members[1:]]
 
 

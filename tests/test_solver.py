@@ -712,14 +712,15 @@ def test_shock_step_clip_carries_a_cold_start_at_75_degrees(gas_122):
     """The 0.2 sonic-radius clip on the plain shock displacement stays: it
     clips the first steps of a cold solve at 75 degrees on 33^2, which lose
     the graph's slope bounds (GraphPropertyLost) without it."""
-    sol = fixed_point_solve(gas_122, math.radians(75.0), IterationParams(n1=33, n2=33))
-    assert sol.metadata["converged"] and sol.metadata["outer_iterations"] <= 30
+    ip = IterationParams(n1=33, n2=33)
+    sol = fixed_point_solve(gas_122, math.radians(75.0), ip)
+    assert sol.residual_history[-1][1] < ip.tol_fixed_point and sol.metadata["outer_iterations"] <= 30
 
 
 def test_fixed_point_at_right_angle_returns_exact(gas_122):
     ip = IterationParams(n1=33, n2=33)
     sol = fixed_point_solve(gas_122, math.pi / 2.0, ip)
-    assert sol.metadata["exact"]
+    assert sol.config.cone_degenerate
     outer, movement, _ = sol.residual_history[0]
     assert outer == 1 and movement < 1e-8
 
@@ -743,11 +744,11 @@ def test_mms_convergence_small():
 def test_solver_invariants_on_converged_run(gas_122, sol85_n65):
     sol = sol85_n65
     meta = sol.metadata
-    assert meta["converged"]
+    assert sol.residual_history[-1][1] < meta["tol_fixed_point"]
     assert meta["interior_residual"] < 1e-8
     assert meta["cap_outside_band"] == 0
     # RH potential continuity after convergence
-    assert meta["rh_potential_max"] < 1e-4
+    assert full_report(sol)["shock_inequalities"].details["rh_potential_max"] < 1e-4
     # pinching of the converged field (grid tolerance checked by admissibility)
     nodes = sol.mesh.nodes
     assert np.all(sol.phi <= sol.config.state1.potential(nodes) + 0.05)
@@ -878,18 +879,20 @@ def sweep33_to85(gas_122):
 
 
 def test_solve_record_describes_the_returned_shock(sweep33_to85):
-    """rh_potential_max and rh_mass_max are the RH residuals on the shock,
-    mesh and field a solve returns: for the exact 90 degree member, whose
-    shock has 65 samples on the 33^2 mesh, and for a swept member."""
+    """The report's rh_potential_max and rh_mass_max are the RH residuals on
+    the shock, mesh and field a solve returns, over the whole shock row: for
+    the exact 90 degree member, whose shock has 65 samples on the 33^2 mesh,
+    and for a swept member."""
     for sol in (sweep33_to85.members[0], sweep33_to85.members[-1]):
+        details = full_report(sol)["shock_inequalities"].details
         s1, gamma = sol.config.state1, sol.config.params.gamma
         pts = sol.mesh.nodes[0]
         grad = sol.mesh.gradient(sol.phi)[0]
         nu = sol.shock.normals(t=pts @ sol.shock.e_perp)
         rho = bernoulli_base((grad * grad).sum(-1), sol.phi[0], sol.config.params) ** (1.0 / (gamma - 1.0))
         mass = rho * (grad * nu).sum(-1) - s1.rho * (s1.gradient(pts) * nu).sum(-1)
-        assert sol.metadata["rh_potential_max"] == float(np.max(np.abs(sol.phi[0] - s1.potential(pts))))
-        assert sol.metadata["rh_mass_max"] == float(np.max(np.abs(mass)))
+        assert details["rh_potential_max"] == float(np.max(np.abs(sol.phi[0] - s1.potential(pts))))
+        assert details["rh_mass_max"] == float(np.max(np.abs(mass)))
     assert len(sweep33_to85.members[0].shock.points) == 65
 
 
